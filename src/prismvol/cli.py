@@ -31,6 +31,10 @@ FORMAT_ENV_VAR = "PRISMVOL_FORMAT"
 _PAIR_TOKEN = re.compile(r"^-\d+,-?\d+$")
 
 
+class UsageError(Exception):
+    """Arguments that parse but make no sense together (exit status 2)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that accepts ``p,q`` pair positionals with negative p.
 
@@ -301,6 +305,10 @@ def _prism_table(report: dict) -> list[str]:
 
 
 def _cmd_prism_verify(args: argparse.Namespace) -> None:
+    if args.n_from > args.n_to:
+        raise UsageError(
+            f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
+        )
     report = covers.prism_verify(args.n_from, args.n_to)
     _emit(args, report, _prism_table(report))
 
@@ -490,6 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError, IndexError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -119,16 +119,20 @@ def count_representations(
     Exhaustive with early pruning: generators are assigned one at a time and
     a relator is checked as soon as every generator it mentions is assigned.
     Refuses outright when the candidate-tuple count (degree!)^generators
-    exceeds ``MAX_ENUMERATION``.
+    exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
+    abandoned as soon as it passes the limit.
     """
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    tuples = math.factorial(degree) ** pres.generators
-    if tuples > MAX_ENUMERATION:
-        raise EnumerationTooLargeError(
-            f"enumeration needs {tuples} candidate tuples, over the "
-            f"{MAX_ENUMERATION} limit"
-        )
+    tuples = 1
+    for _ in range(pres.generators):
+        for factor in range(2, degree + 1):
+            tuples *= factor
+            if tuples > MAX_ENUMERATION:
+                raise EnumerationTooLargeError(
+                    f"enumeration into S_{degree} over {pres.generators} generators "
+                    f"exceeds the limit of {MAX_ENUMERATION} candidate tuples"
+                )
     perms = list(itertools.permutations(range(degree)))
     identity = tuple(range(degree))
     inverse_of = {p: _invert(p) for p in perms}

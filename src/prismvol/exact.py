@@ -6,7 +6,8 @@ module never touches floating point.  Rationals are stdlib
 ``fractions.Fraction`` values: always stored reduced, denominator positive.
 
 Provides Smith normal form over the integers with the unimodular transforms,
-and a bounded integrality scan for ratios of affine integer sequences.
+its diagonal alone computed modulo a determinant, and a bounded integrality
+scan for ratios of affine integer sequences.
 """
 
 from __future__ import annotations
@@ -198,6 +199,120 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], tuple[IntMatrix, IntMatr
 
     diagonal = [a[i][i] for i in range(min(R, C))]
     return diagonal, (IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+
+
+def _first_nonzero(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Position of a nonzero entry in the block of rows and columns >= t."""
+    for i in range(t, len(a)):
+        for j in range(t, len(a[i])):
+            if a[i][j]:
+                return i, j
+    return None
+
+
+def _move_to_corner(a: list[list[int]], t: int, at: tuple[int, int]) -> None:
+    i, j = at
+    a[t], a[i] = a[i], a[t]
+    for row in a:
+        row[t], row[j] = row[j], row[t]
+
+
+def _rank_and_minor(m: IntMatrix) -> tuple[int, int]:
+    """Rank r of ``m`` and one nonzero r-by-r minor (1 when r = 0).
+
+    Fraction-free Bareiss elimination with full pivoting: after step t the
+    pivot is the leading (t+1)-by-(t+1) minor of the permuted matrix, every
+    division is exact, and no entry exceeds a minor of ``m`` in size.
+    """
+    a = m.to_rows()
+    previous = 1
+    for t in range(min(m.rows, m.cols)):
+        at = _first_nonzero(a, t)
+        if at is None:
+            return t, previous
+        _move_to_corner(a, t, at)
+        pivot, pivot_row = a[t][t], a[t]
+        for row in a[t + 1 :]:
+            head = row[t]
+            for j in range(t + 1, m.cols):
+                row[j] = (pivot * row[j] - head * pivot_row[j]) // previous
+        previous = pivot
+    return min(m.rows, m.cols), previous
+
+
+def elementary_divisors(m: IntMatrix) -> list[int]:
+    """The Smith normal form diagonal of ``m``, without the transforms.
+
+    Returns the same list as ``smith_normal_form(m)[0]``: non-negative, each
+    entry dividing the next, zeros trailing.  Works modulo |Delta|, where
+    Delta is a nonzero r-by-r minor and r the rank (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.4.14), so no entry grows
+    past |Delta|.  The nonzero invariant factors multiply to the gcd of all
+    r-by-r minors, which divides Delta; so any diagonalization modulo |Delta|
+    has entries whose gcds with |Delta|, put in divisibility order, are those
+    factors followed by ``min(rows, cols) - r`` copies of |Delta|, and the
+    copies are the zeros.
+    """
+    rank, minor = _rank_and_minor(m)
+    modulus = abs(minor)
+    a = [[x % modulus for x in row] for row in m.to_rows()]
+    size = min(m.rows, m.cols)
+    diagonal = []
+    for t in range(size):
+        at = _first_nonzero(a, t)
+        if at is None:
+            break
+        _move_to_corner(a, t, at)
+        # Each pass that dirties column t again has strictly lowered the
+        # pivot (a positive integer below modulus), so the loop ends.
+        column_dirty = True
+        while column_dirty:
+            for i in range(t + 1, m.rows):
+                if a[i][t]:
+                    a[t], a[i] = _combine(a[t], a[i], t, modulus)
+            for j in range(t + 1, m.cols):
+                if a[t][j]:
+                    column_t, column_j = _combine(
+                        [row[t] for row in a], [row[j] for row in a], t, modulus
+                    )
+                    for row, x, y in zip(a, column_t, column_j):
+                        row[t], row[j] = x, y
+            column_dirty = any(row[t] for row in a[t + 1 :])
+        diagonal.append(a[t][t])
+    diagonal.extend([0] * (size - len(diagonal)))
+
+    factors = [math.gcd(d, modulus) for d in diagonal]
+    for i in range(size):
+        for j in range(i + 1, size):
+            factors[i], factors[j] = (
+                math.gcd(factors[i], factors[j]),
+                math.lcm(factors[i], factors[j]),
+            )
+    return factors[:rank] + [0] * (size - rank)
+
+
+def _combine(
+    lead: list[int], other: list[int], t: int, modulus: int
+) -> tuple[list[int], list[int]]:
+    """Two lines (rows or columns) of a matrix over Z/modulus, replaced by a
+    unimodular combination that leaves ``other[t]`` zero and ``lead[t]`` the
+    gcd of the two.
+
+    When the pivot ``lead[t]`` already divides ``other[t]`` only ``other``
+    changes, so the pivot's row and column stay as they were; an
+    extended-gcd step there may return x = 0 and swap the lines instead,
+    and elimination would then never settle.
+    """
+    p, b = lead[t], other[t]
+    if b % p == 0:
+        q = b // p
+        return lead, [(y - q * x) % modulus for x, y in zip(lead, other)]
+    g, x, y = extended_gcd(p, b)
+    u, v = p // g, b // g
+    return (
+        [(x * s + y * o) % modulus for s, o in zip(lead, other)],
+        [(u * o - v * s) % modulus for s, o in zip(lead, other)],
+    )
 
 
 @dataclass(frozen=True)

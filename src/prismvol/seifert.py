@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import IntMatrix, smith_normal_form
+from .exact import IntMatrix, elementary_divisors
 from .orbifolds import Orbifold2D
 
 OO = "Oo"
@@ -169,7 +169,7 @@ def first_homology(s: SeifertSymbol) -> list[int]:
         row[r] = beta
         rows.append(row)
     rows.append([1] * r + [0])
-    diagonal, _ = smith_normal_form(IntMatrix.from_rows(rows))
+    diagonal = elementary_divisors(IntMatrix.from_rows(rows))
     divisors = [d for d in diagonal if d != 1]
     divisors.extend([0] * (2 * s.genus))
     return divisors

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms and
 different data representations than the package itself, so agreement between
 the two is evidence and not tautology: homomorphisms are counted by filtering
 raw tuples of dict-based permutations, Smith normal form is recomputed from
-determinantal divisors (gcds of k-by-k minors), and slope enumeration is
+determinantal divisors (gcds of k-by-k minors), rank and determinant come
+from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
 rule.
 """
@@ -109,6 +110,48 @@ def snf_diagonal_oracle(rows: list[list[int]]) -> list[int]:
         out.append(minors_gcd // previous)
         previous = minors_gcd
     return out
+
+
+# --- rank and determinant by Gaussian elimination over the rationals -----
+
+def _fraction_pivots(rows: list[list[int]]) -> tuple[list[Fraction], int]:
+    """Row-echelon pivots over Q, and the sign of the row swaps made."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[Fraction] = []
+    sign = 1
+    for col in range(len(a[0])):
+        top = len(pivots)
+        below = [i for i in range(top, len(a)) if a[i][col] != 0]
+        if not below:
+            continue
+        if below[0] != top:
+            a[top], a[below[0]] = a[below[0]], a[top]
+            sign = -sign
+        for i in range(top + 1, len(a)):
+            factor = a[i][col] / a[top][col]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[top])]
+        pivots.append(a[top][col])
+    return pivots, sign
+
+
+def rank_q(rows: list[list[int]]) -> int:
+    """Rank over the rationals; polynomial, unlike the minors behind
+    ``snf_diagonal_oracle``."""
+    return len(_fraction_pivots(rows)[0])
+
+
+def det_q(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    the rationals; reaches sizes that Laplace ``det_int`` cannot."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, sign = _fraction_pivots(rows)
+    if len(pivots) < len(rows):
+        return 0
+    value = sign * math.prod(pivots)
+    if value.denominator != 1:
+        raise ArithmeticError("integer matrix with a non-integer determinant")
+    return int(value)
 
 
 # --- complete slope window scan ------------------------------------------

@@ -97,6 +97,13 @@ class TestExitCodes:
         code, _, _ = run_cli(["montesinos", "ln", "1", "--json", "--table"])
         assert code == 2
 
+    def test_reversed_range_is_usage_error(self):
+        code, out, err = run_cli(["prism", "verify", "--from", "5", "--to", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "--from 5" in err and "--to 2" in err
+
     def test_domain_error_names_missing_field(self):
         code, out, err = run_cli(["seifert", "euler", '{"class": "Oo", "genus": 0}'])
         assert code == 1
@@ -132,6 +139,13 @@ class TestExitCodes:
         )
         assert code == 1
         assert "limit" in err
+
+    def test_oversized_degree_names_the_limit(self):
+        code, out, err = run_cli(["covers", "count", "@trefoil", "--degree", "300000"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "limit of 100000000" in err
 
     def test_domain_error_on_crosscap_homology(self):
         code, _, err = run_cli(["seifert", "h1", "@m1_on"])

@@ -97,6 +97,14 @@ class TestCountRepresentations:
         with pytest.raises(EnumerationTooLargeError, match="10"):
             count_representations(GroupPresentation(3, ()), 10)
 
+    def test_guard_stops_before_the_product(self):
+        # 300000! has over a million digits; the guard must not build it
+        with pytest.raises(EnumerationTooLargeError) as caught:
+            count_representations(GroupPresentation(2, ((1, 2),)), 300000)
+        assert str(caught.value).endswith(
+            "exceeds the limit of 100000000 candidate tuples"
+        )
+
     def test_guard_boundary_is_generous(self):
         # 7!^2 ~ 2.5e7 is under the guard and still fast to refuse or run;
         # the trivial relator set makes the count a pure power

@@ -1,4 +1,8 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,12 +13,13 @@ from prismvol import (
     AffineRatio,
     IntMatrix,
     bounded_diophantine,
+    elementary_divisors,
     extended_gcd,
     frac_str,
     rational_arith,
     smith_normal_form,
 )
-from support import det_int, snf_diagonal_oracle
+from support import det_int, det_q, rank_q, snf_diagonal_oracle
 
 rationals = st.builds(
     Fraction, st.integers(-50, 50), st.integers(1, 50)
@@ -166,6 +171,110 @@ class TestSmithNormalForm:
         for d in diagonal:
             product *= d
         assert product == abs(determinant)
+
+
+def _matrices(height, width, bound):
+    row = st.lists(st.integers(-bound, bound), min_size=width, max_size=width)
+    return st.lists(row, min_size=height, max_size=height)
+
+
+def _low_rank_matrices(height, width, rank, bound=7):
+    """Products of a height-by-rank and a rank-by-width matrix, so of rank
+    at most ``rank``."""
+    return st.tuples(
+        _matrices(height, rank, bound), _matrices(rank, width, bound)
+    ).map(
+        lambda pair: [
+            [sum(x * y for x, y in zip(left, column)) for column in zip(*pair[1])]
+            for left in pair[0]
+        ]
+    )
+
+
+def _small_matrices(max_size):
+    return st.integers(1, max_size).flatmap(
+        lambda h: st.integers(1, max_size).flatmap(lambda w: _matrices(h, w, 9))
+    )
+
+
+class TestElementaryDivisors:
+    """Sizes past the 5x5 the transform path was tested at, where its
+    coefficients blow up."""
+
+    def _check_invariants(self, rows):
+        divisors = elementary_divisors(IntMatrix.from_rows(rows))
+        size = min(len(rows), len(rows[0]))
+        assert len(divisors) == size
+        assert all(d >= 0 for d in divisors)
+        rank = rank_q(rows)
+        assert divisors[rank:] == [0] * (size - rank)
+        assert all(d > 0 for d in divisors[:rank])
+        for a, b in zip(divisors[:rank], divisors[1:rank]):
+            assert b % a == 0
+        if len(rows) == len(rows[0]):
+            assert math.prod(divisors) == abs(det_q(rows))
+        return divisors
+
+    @given(st.sampled_from([12, 20]).flatmap(lambda n: _matrices(n, n, 50)))
+    @settings(max_examples=25, deadline=None)
+    def test_random_square(self, rows):
+        self._check_invariants(rows)
+
+    @given(
+        st.sampled_from([(12, 12, 9), (20, 20, 13), (12, 20, 8), (20, 12, 5)]).flatmap(
+            lambda shape: _low_rank_matrices(*shape)
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rank_deficient(self, rows):
+        divisors = self._check_invariants(rows)
+        assert divisors[-1] == 0
+
+    @given(
+        st.sampled_from([(12, 20), (20, 12), (3, 17)]).flatmap(
+            lambda shape: _matrices(*shape, 50)
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_non_square(self, rows):
+        self._check_invariants(rows)
+
+    @given(_small_matrices(5))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_determinantal_divisors(self, rows):
+        assert elementary_divisors(IntMatrix.from_rows(rows)) == snf_diagonal_oracle(rows)
+
+    @given(_small_matrices(6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_smith_normal_form(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert elementary_divisors(m) == smith_normal_form(m)[0]
+
+    def test_zero_and_unit_matrices(self):
+        assert elementary_divisors(IntMatrix.from_rows([[0, 0], [0, 0], [0, 0]])) == [0, 0]
+        assert elementary_divisors(IntMatrix.identity(4)) == [1, 1, 1, 1]
+        assert elementary_divisors(IntMatrix.from_rows([[-7]])) == [7]
+
+    def test_pivot_dividing_entries(self):
+        # every entry a multiple of the first pivot: direct elimination only
+        assert elementary_divisors(IntMatrix.from_rows([[2, 4], [6, 8]])) == [2, 4]
+        assert elementary_divisors(IntMatrix.from_rows([[2, 4], [2, 4]])) == [2, 0]
+
+    def test_same_result_under_optimize_flag(self):
+        rows = [[3, 0, 0, 1], [0, 3, 0, 1], [0, 0, 3, 1], [1, 1, 1, 1]]
+        code = (
+            "from prismvol import IntMatrix, elementary_divisors;"
+            f"print(elementary_divisors(IntMatrix.from_rows({rows!r})))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.strip() == str(elementary_divisors(IntMatrix.from_rows(rows)))
+        assert result.stdout.strip() == "[1, 1, 3, 0]"
 
 
 class TestAffineRatio:

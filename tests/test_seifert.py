@@ -165,6 +165,24 @@ class TestFirstHomology:
     def test_positive_genus_adds_free_rank(self):
         assert first_homology(SeifertSymbol("Oo", 2, ((0, 1),))) == [0] * 5
 
+    def test_ten_fibres_past_the_small_sizes(self):
+        fibers = (
+            (-5, 8), (1, 2), (-17, 21), (-8, 23), (-7, 19),
+            (1, 2), (-9, 25), (4, 19), (7, 12), (-1, 2),
+        )
+        s = SeifertSymbol("Oo", 0, fibers)
+        divisors = first_homology(s)
+        assert divisors == [2, 2, 2, 509242332]
+        expected = abs(math.prod(alpha for _, alpha in fibers) * euler_number(s))
+        assert homology_order(divisors) == expected
+
+    def test_zero_euler_number_leaves_free_rank(self):
+        # e = 0 over the (3,3,3) sphere: the torus bundle whose monodromy has
+        # order 3, with H_1 = Z/3 + Z
+        s = SeifertSymbol("Oo", 0, ((1, 3), (1, 3), (1, 3), (-1, 1)))
+        assert euler_number(s) == 0
+        assert first_homology(s) == [3, 0]
+
     def test_crosscap_base_unsupported(self):
         with pytest.raises(UnsupportedBaseClass):
             first_homology(SeifertSymbol("On", 1, ((3, 2),)))
