@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .reader import read
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -38,17 +40,7 @@ class BraidWord:
 
 
 def word_from_json(data: object) -> BraidWord:
-    if not isinstance(data, dict):
-        raise ValueError("braid word: expected a JSON object")
-    for key in ("strands", "letters"):
-        if key not in data:
-            raise ValueError(f"braid word: missing field {key!r}")
-    letters = data["letters"]
-    if not isinstance(letters, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in letters
-    ):
-        raise ValueError("braid word: field 'letters' must be an array of signed integers")
-    return BraidWord(int(data["strands"]), tuple(letters))
+    return BraidWord(*read(data, "braid word", {"strands": int, "letters": [int]}))
 
 
 def _power_block(top: int, exponent: int) -> list[int]:
@@ -109,9 +101,7 @@ def bennequin_genus(w: BraidWord) -> int:
     chi = bennequin_chi(w)
     if closure_components(w) != 1:
         raise ValueError("genus is reported only for a 1-component closure")
-    genus, rem = divmod(1 - chi, 2)
-    assert rem == 0  # 1-component closures have odd strands - length
-    return genus
+    return (1 - chi) // 2  # 1 - chi is even (test_genus_parity_consistency)
 
 
 def exponent_sum(w: BraidWord) -> int:

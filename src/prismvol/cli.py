@@ -25,10 +25,12 @@ from pathlib import Path
 
 from . import braids, covers, montesinos, orbifolds, seifert, slopes
 from .exact import frac_str
+from .reader import loads
 
 FORMAT_ENV_VAR = "PRISMVOL_FORMAT"
 
 _PAIR_TOKEN = re.compile(r"^-\d+,-?\d+$")
+_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 class UsageError(Exception):
@@ -58,54 +60,46 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_slope(text: str) -> slopes.Slope:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"slope {text!r}: expected two comma-separated integers p,q")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"slope {text!r}: entries must be integers") from None
-    return slopes.Slope(p, q)
+def _int(text: str) -> int:
+    """Only ``-?[0-9]+``: ``int()`` also takes ``1_0``, spaces and other digits."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{text!r}: expected comma-separated integers") from None
+    return [_int(part) for part in text.split(",")] if text else []
+
+
+def _parse_slope(text: str) -> slopes.Slope:
+    pair = _parse_int_list(text)
+    if len(pair) != 2:
+        raise ValueError(f"slope {text!r}: expected two comma-separated integers p,q")
+    return slopes.Slope(*pair)
 
 
 def _load_input(text: str, fixtures_dir: str | None) -> object:
     """Inline JSON, or ``@ref`` where ref is a file path or a fixture name."""
-    if not text.startswith("@"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"invalid JSON input: {err}") from None
-    ref = text[1:]
-    path = Path(ref)
-    if path.is_file():
-        raw = path.read_text()
-    else:
+    raw = text
+    if text.startswith("@"):
+        ref = text[1:]
         name = ref if ref.endswith(".json") else f"{ref}.json"
-        if fixtures_dir is not None:
+        if Path(ref).is_file():
+            fixture = Path(ref)
+        elif fixtures_dir is not None:
             fixture = Path(fixtures_dir) / name
             if not fixture.is_file():
                 raise ValueError(f"no fixture {name!r} in {fixtures_dir}")
-            raw = fixture.read_text()
         else:
             fixture = resources.files("prismvol").joinpath("fixtures", name)
             if not fixture.is_file():
                 raise ValueError(f"no packaged fixture named {name!r}")
-            raw = fixture.read_text()
+        raw = fixture.read_text()
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{text}: invalid JSON: {err}") from None
+        return loads(raw)
+    except (ValueError, RecursionError) as err:
+        where = f" {text}" if text.startswith("@") else ""
+        raise ValueError(f"invalid JSON input{where}: {err}") from None
 
 
 def _use_json(args: argparse.Namespace) -> bool:
@@ -354,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chi", parents=[common], help="orbifold Euler characteristic"
     )
     chi.add_argument("--orientable", type=_parse_bool, required=True)
-    chi.add_argument("--genus", type=int, required=True)
-    chi.add_argument("--boundary", type=int, required=True)
+    chi.add_argument("--genus", type=_int, required=True)
+    chi.add_argument("--boundary", type=_int, required=True)
     chi.add_argument(
         "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
     )
@@ -365,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cover", parents=[common], help="branched cover of a surface"
     )
     cover.add_argument("--orientable", type=_parse_bool, default=True)
-    cover.add_argument("--genus", type=int, required=True)
-    cover.add_argument("--boundary", type=int, required=True)
-    cover.add_argument("--degree", type=int, required=True)
+    cover.add_argument("--genus", type=_int, required=True)
+    cover.add_argument("--boundary", type=_int, required=True)
+    cover.add_argument("--degree", type=_int, required=True)
     cover.add_argument(
         "--branch",
         action="append",
@@ -381,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="degrees d with chi(fiber) = d * chi_orb(base)",
     )
-    solve.add_argument("--fiber-genus", type=int, required=True)
-    solve.add_argument("--fiber-boundary", type=int, required=True)
+    solve.add_argument("--fiber-genus", type=_int, required=True)
+    solve.add_argument("--fiber-boundary", type=_int, required=True)
     solve.add_argument("--fiber-orientable", type=_parse_bool, default=True)
     solve.add_argument("--orientable", type=_parse_bool, required=True)
-    solve.add_argument("--genus", type=int, required=True)
-    solve.add_argument("--boundary", type=int, required=True)
+    solve.add_argument("--genus", type=_int, required=True)
+    solve.add_argument("--boundary", type=_int, required=True)
     solve.add_argument(
         "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
     )
@@ -408,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="the two Montesinos presentations of the n-th family branching link",
     )
-    ln.add_argument("n", type=int)
+    ln.add_argument("n", type=_int)
     ln.set_defaults(func=_cmd_montesinos_ln)
 
     slopes_p = top.add_parser("slopes", help="torus slope operations")
@@ -428,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     senum.add_argument("fiber", help="slope p,q")
     senum.add_argument("constraint", help="slope p,q")
-    senum.add_argument("--k1", type=int, default=1)
-    senum.add_argument("--k2", type=int, default=2)
+    senum.add_argument("--k1", type=_int, default=1)
+    senum.add_argument("--k2", type=_int, default=2)
     senum.set_defaults(func=_cmd_slopes_enumerate)
 
     braid_p = top.add_parser("braid", help="braid word operations")
@@ -438,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     ttk = braid_sub.add_parser(
         "ttk", parents=[common], help="twisted torus braid word"
     )
-    ttk.add_argument("p", type=int)
-    ttk.add_argument("q", type=int)
-    ttk.add_argument("r", type=int)
-    ttk.add_argument("s", type=int)
+    ttk.add_argument("p", type=_int)
+    ttk.add_argument("q", type=_int)
+    ttk.add_argument("r", type=_int)
+    ttk.add_argument("s", type=_int)
     ttk.set_defaults(func=_cmd_braid_ttk)
 
     components = braid_sub.add_parser(
@@ -474,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "presentation",
         help='presentation as inline JSON {"generators","relators"} or @ref',
     )
-    ccount.add_argument("--degree", type=int, required=True)
+    ccount.add_argument("--degree", type=_int, required=True)
     ccount.add_argument(
         "--transitive", action="store_true", help="count transitive images only"
     )
@@ -486,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = prism_sub.add_parser(
         "verify", parents=[common], help="audit every parameter in [--from, --to]"
     )
-    verify.add_argument("--from", dest="n_from", type=int, required=True)
-    verify.add_argument("--to", dest="n_to", type=int, required=True)
+    verify.add_argument("--from", dest="n_from", type=_int, required=True)
+    verify.add_argument("--to", dest="n_to", type=_int, required=True)
     verify.set_defaults(func=_cmd_prism_verify)
 
     return parser

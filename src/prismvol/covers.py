@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .montesinos import double_branched_cover, is_lens_space_symbol, wn_link
 from .orbifolds import SurfaceData, case_analysis_report, riemann_hurwitz_cover
+from .reader import read
 from .seifert import prism_fibrations
 from .slopes import Slope, enumerate_constrained_slopes
 
@@ -61,21 +62,8 @@ class GroupPresentation:
 
 
 def presentation_from_json(data: object) -> GroupPresentation:
-    if not isinstance(data, dict):
-        raise ValueError("presentation: expected a JSON object")
-    for key in ("generators", "relators"):
-        if key not in data:
-            raise ValueError(f"presentation: missing field {key!r}")
-    relators = data["relators"]
-    if not isinstance(relators, list) or not all(
-        isinstance(word, list)
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in word)
-        for word in relators
-    ):
-        raise ValueError(
-            "presentation: field 'relators' must be an array of signed-integer arrays"
-        )
-    return GroupPresentation(int(data["generators"]), tuple(tuple(w) for w in relators))
+    fields = {"generators": int, "relators": [[int]]}
+    return GroupPresentation(*read(data, "presentation", fields))
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,6 +112,8 @@ def count_representations(
     """
     if degree < 1:
         raise ValueError("degree must be a positive integer")
+    if degree == 1:
+        return 1  # S_1 is trivial: one homomorphism, and it is transitive
     tuples = 1
     for _ in range(pres.generators):
         for factor in range(2, degree + 1):
@@ -259,6 +249,7 @@ def degree_bound_for_budget(budget: float, floor: float) -> int:
 
 
 UPPER_BOUND_LABEL = "2*V0"
+UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, UPPER_BOUND_LABEL)
 
 _NONEFFECTIVE_STEPS = (
     "pseudo-Anosov monodromy: all but finitely many fillings are hyperbolic "
@@ -286,15 +277,15 @@ def fiber_surface() -> SurfaceData:
 
 
 def upper_bound_value() -> float:
-    return round(2 * WHITEHEAD_VOLUME.value, 12)
+    return round(complexity(UPPER_BOUND), 12)
 
 
-def _report_for(n: int, fiber: SurfaceData, max_degree: int) -> dict:
+def _report_for(n: int, fiber: SurfaceData, upper: float, max_degree: int) -> dict:
     if abs(4 * n - 1) < 3:
         return {
             "n": n,
             "upper_bound": UPPER_BOUND_LABEL,
-            "upper_bound_value": upper_bound_value(),
+            "upper_bound_value": upper,
             "status": "excluded",
             "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
         }
@@ -321,7 +312,7 @@ def _report_for(n: int, fiber: SurfaceData, max_degree: int) -> dict:
     return {
         "n": n,
         "upper_bound": UPPER_BOUND_LABEL,
-        "upper_bound_value": upper_bound_value(),
+        "upper_bound_value": upper,
         "twist_knot_excluded": twist_knot_excluded,
         "case_analysis": analysis,
         "slope_demo": {
@@ -346,10 +337,9 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     "candidate-exceptional"; degenerate parameters are "excluded".
     """
     fiber = fiber_surface()
-    max_degree = degree_bound_for_budget(
-        2 * WHITEHEAD_VOLUME.value, ONE_CUSP_VOLUME_FLOOR.value
-    )
-    reports = [_report_for(n, fiber, max_degree) for n in range(n_from, n_to + 1)]
+    upper = upper_bound_value()
+    max_degree = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
+    reports = [_report_for(n, fiber, upper, max_degree) for n in range(n_from, n_to + 1)]
     return {
         "reports": reports,
         "candidate_exceptional": [

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac_str
+from .reader import read
 
 
 class InfiniteSolutionsError(ValueError):
@@ -98,20 +99,8 @@ class Orbifold2D:
 
 
 def orbifold_from_json(data: object) -> Orbifold2D:
-    if not isinstance(data, dict):
-        raise ValueError("orbifold: expected a JSON object")
-    for key in ("orientable", "genus", "boundary"):
-        if key not in data:
-            raise ValueError(f"orbifold: missing field {key!r}")
-    cones = data.get("cones", [])
-    if not isinstance(cones, list):
-        raise ValueError("orbifold: field 'cones' must be an array of indices")
-    return Orbifold2D(
-        orientable=bool(data["orientable"]),
-        genus=int(data["genus"]),
-        boundary=int(data["boundary"]),
-        cones=tuple(cones),
-    )
+    fields = {"orientable": bool, "genus": int, "boundary": int, "cones": [int]}
+    return Orbifold2D(*read(data, "orbifold", fields, {"cones": []}))
 
 
 def chi_orb(b: Orbifold2D) -> Fraction:
@@ -174,9 +163,8 @@ def riemann_hurwitz_cover(
             raise ValueError(
                 "double covers of multi-boundary bases need monodromy data"
             )
-        genus2, rem = divmod(2 - boundary - chi_cover, 2)
-        assert rem == 0
-        return SurfaceData(genus2, boundary, True)
+        # exact by the parity rules above (test_euler_equation_and_boundary_parity)
+        return SurfaceData((2 - boundary - chi_cover) // 2, boundary, True)
     raise ValueError("degrees above 2 need monodromy data beyond local degrees")
 
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .exact import IntMatrix, elementary_divisors
 from .orbifolds import Orbifold2D
+from .reader import read
 
 OO = "Oo"
 ON = "On"
@@ -68,22 +69,8 @@ class SeifertSymbol:
 
 
 def symbol_from_json(data: object) -> SeifertSymbol:
-    if not isinstance(data, dict):
-        raise ValueError("symbol: expected a JSON object")
-    for key in ("class", "genus", "fibers"):
-        if key not in data:
-            raise ValueError(f"symbol: missing field {key!r}")
-    fibers = data["fibers"]
-    if not isinstance(fibers, list):
-        raise ValueError("symbol: field 'fibers' must be an array of [beta, alpha] pairs")
-    pairs = []
-    for i, pair in enumerate(fibers):
-        if not isinstance(pair, list) or len(pair) != 2 or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in pair
-        ):
-            raise ValueError(f"symbol: fibers[{i}] must be a [beta, alpha] integer pair")
-        pairs.append((pair[0], pair[1]))
-    return SeifertSymbol(str(data["class"]), int(data["genus"]), tuple(pairs))
+    fields = {"class": str, "genus": int, "fibers": [(int, int)]}
+    return SeifertSymbol(*read(data, "symbol", fields))
 
 
 def normalize(s: SeifertSymbol) -> SeifertSymbol:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .exact import extended_gcd
+from .reader import check
 
 
 @dataclass(frozen=True, order=True)
@@ -38,13 +39,7 @@ class Slope:
 
 
 def slope_from_json(data: object) -> Slope:
-    if (
-        not isinstance(data, list)
-        or len(data) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in data)
-    ):
-        raise ValueError("slope: expected a two-element integer array [p, q]")
-    return Slope(data[0], data[1])
+    return Slope(*check(data, (int, int), "slope"))
 
 
 def delta(a: Slope, b: Slope) -> int:
@@ -61,7 +56,7 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
     constraint forces alpha' = (t, +-k1).  The second constraint then confines
     t to an interval of length 2*k2 / |delta(f, c)|, so each sign contributes
     at most 2*k2 + 1 candidates and the output has at most 2*(2*k2 + 1)
-    slopes.  That bound is asserted on every call.
+    slopes (test_constraints_and_size_bound).
     """
     if k1 < 1:
         raise ValueError("k1 must be a positive intersection number")
@@ -74,13 +69,11 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
         )
 
     # unimodular M = [[f.p, r], [f.q, s]] with det 1 maps (1,0) to f
-    g, x, y = extended_gcd(f.p, f.q)
-    assert g == 1  # slopes are primitive
+    _, x, y = extended_gcd(f.p, f.q)  # gcd 1: slopes are primitive
     r, s = -y, x
     # c in the new basis: c' = M^-1 c = (s*c.p - r*c.q, -f.q*c.p + f.p*c.q)
     c1 = s * c.p - r * c.q
-    c2 = -f.q * c.p + f.p * c.q
-    assert c2 != 0  # c2 = +-delta(f, c) and f != c
+    c2 = -f.q * c.p + f.p * c.q  # +-delta(f, c), nonzero as f != c
 
     found: set[Slope] = set()
     for eps in (1, -1):
@@ -94,10 +87,5 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
         for t in range(lo, hi + 1):
             if math.gcd(abs(t), k1) != 1:
                 continue  # (t, eps*k1) must be primitive
-            alpha = Slope(f.p * t + r * eps * k1, f.q * t + s * eps * k1)
-            assert delta(f, alpha) == k1 and delta(c, alpha) <= k2
-            found.add(alpha)
-
-    result = sorted(found, key=lambda a: (a.p, a.q))
-    assert len(result) <= 2 * (2 * k2 + 1)
-    return result
+            found.add(Slope(f.p * t + r * eps * k1, f.q * t + s * eps * k1))
+    return sorted(found, key=lambda a: (a.p, a.q))

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismvol import (
     link_from_json,
@@ -15,7 +18,7 @@ from prismvol import (
     symbol_from_json,
     word_from_json,
 )
-from prismvol.cli import FORMAT_ENV_VAR, main
+from prismvol.cli import FORMAT_ENV_VAR, build_parser, main
 from support import symbols_st
 
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
@@ -457,3 +460,154 @@ class TestFormatAgreement:
             json_tokens = sorted(_collect_json_tokens(json.loads(out_json)))
             table_tokens = sorted(NUM_RE.findall(out_table))
             assert json_tokens == table_tokens, argv
+
+
+SYMBOL = {"class": "Oo", "genus": 0, "fibers": [[1, 2], [-1, 2], [-2, 3]]}
+CLI_JSON_INPUTS = [
+    (["seifert", "normalize"], SYMBOL, []),
+    (["seifert", "euler"], SYMBOL, []),
+    (["seifert", "h1"], {"class": "Oo", "genus": 1, "fibers": [[1, 2], [3, 1]]}, []),
+    (["seifert", "base"], SYMBOL, []),
+    (["montesinos", "cover"], {"genus": 0, "tangles": [[1, 2], [1, 3], [-2, 5]]}, []),
+    (["braid", "components"], {"strands": 3, "letters": [1, -2, 1]}, []),
+    (["braid", "chi"], {"strands": 3, "letters": [1, 2, 1]}, []),
+    (["covers", "count"], {"generators": 2, "relators": [[1, 2, -1, -2]]}, ["--degree", "3"]),
+]
+
+JSON_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers(-3, 3), max_size=3)
+    | st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2)
+)
+# a list holding null fits no field, so it breaks list-valued fields too
+BROKEN_LISTS = st.lists(st.integers(-3, 3), max_size=2).map(lambda xs: xs + [None])
+
+
+def _paths(value, prefix=()):
+    """Every field and array element below ``value``, as key paths."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _object_text(pairs) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+class TestStrictJsonInput:
+    @pytest.mark.parametrize("prefix, valid, suffix", CLI_JSON_INPUTS)
+    def test_unbroken_inputs_run(self, prefix, valid, suffix):
+        code, _, err = run_cli(prefix + [json.dumps(valid)] + suffix)
+        assert code == 0, err
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_broken_field_is_refused(self, data):
+        prefix, valid, suffix = data.draw(st.sampled_from(CLI_JSON_INPUTS))
+        how = data.draw(st.sampled_from(["swap", "unknown key", "duplicate key"]))
+        if how == "swap":
+            path = data.draw(st.sampled_from(list(_paths(valid))))
+            broken = copy.deepcopy(valid)
+            parent = broken
+            for key in path[:-1]:
+                parent = parent[key]
+            old = parent[path[-1]]
+            parent[path[-1]] = data.draw(
+                BROKEN_LISTS | JSON_VALUES.filter(lambda v: type(v) is not type(old))
+            )
+            text = json.dumps(broken)
+        elif how == "unknown key":
+            key = data.draw(st.text(max_size=6).filter(lambda k: k not in valid))
+            text = _object_text([*valid.items(), (key, data.draw(JSON_VALUES))])
+        else:
+            key = data.draw(st.sampled_from(sorted(valid)))
+            pairs = [*valid.items(), (key, data.draw(JSON_VALUES | st.just(valid[key])))]
+            text = _object_text(data.draw(st.permutations(pairs)))
+        code, out, err = run_cli(prefix + [text] + suffix)
+        assert (code, out) == (1, ""), (text, err)
+        assert err.count("\n") == 1 and err.startswith("error:"), (text, err)
+
+    def test_misspelled_field_is_named(self):
+        text = '{"class": "Oo", "genuss": 0, "fibers": [[1, 2]]}'
+        code, out, err = run_cli(["seifert", "normalize", text])
+        assert (code, out, err) == (1, "", "error: symbol: unknown field 'genuss'\n")
+
+    def test_duplicate_field_is_named(self):
+        text = '{"class": "Oo", "genus": 0, "genus": 1, "fibers": [[1, 2]]}'
+        code, out, err = run_cli(["seifert", "normalize", text])
+        assert (code, out) == (1, "")
+        assert err == "error: invalid JSON input: duplicate key 'genus'\n"
+
+    def test_deep_nesting_is_refused(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run_cli(["seifert", "h1", f"@{deep}"])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: invalid JSON input")
+
+
+def _actions(parser: argparse.ArgumentParser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+class TestStrictIntegers:
+    def test_no_argument_uses_builtin_int(self):
+        assert [a.dest for a in _actions(build_parser()) if a.type is int] == []
+
+    @pytest.mark.parametrize("token", ["1_0", " 1", "1 ", "+1", "\u0661", "1.0", "0x1", ""])
+    def test_flag_refused(self, token):
+        code, out, _ = run_cli(
+            ["orbifold", "chi", "--orientable", "true", "--genus", token, "--boundary", "1"]
+        )
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["montesinos", "ln", "1_0"],
+            ["braid", "ttk", "5", "1", "2", "1_0"],
+            ["covers", "count", "@trefoil", "--degree", "\u0663"],
+            ["orbifold", "chi", "--orientable", "true", "--genus", "0",
+             "--boundary", "1", "--cones", "2, 3"],
+        ],
+    )
+    def test_argument_refused(self, argv):
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slopes", "delta", "1_0,1", "1,0"],
+            ["slopes", "delta", "1, 0", "0,1"],
+            ["slopes", "delta", "1,0,1", "1,0"],
+            ["slopes", "enumerate", "1,\u0660", "0,1"],
+            ["orbifold", "cover", "--genus", "0", "--boundary", "1", "--degree", "2",
+             "--branch", "1_1"],
+        ],
+    )
+    def test_pair_and_list_refused(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_negative_integers_still_parse(self):
+        assert run_cli(["slopes", "delta", "-2,1", "1,0"])[:2] == (0, "1\n")
+        assert run_cli(["montesinos", "ln", "-1", "--json"])[0] == 0
+
+
+class TestDegreeOneCount:
+    def test_many_generators(self):
+        for extra in ([], ["--transitive"]):
+            argv = ["covers", "count", '{"generators": 2000, "relators": []}', "--degree", "1"]
+            assert run_cli(argv + extra) == (0, "1\n", "")

@@ -24,6 +24,7 @@ from prismvol import (
     prism_verify,
     upper_bound_value,
 )
+from prismvol.covers import UPPER_BOUND
 from support import brute_hom_count, presentations_st, relator_words_st
 
 
@@ -303,3 +304,30 @@ class TestPrismVerify:
     def test_json_serializable(self):
         payload = prism_verify(-1, 2)
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestDegreeOne:
+    @pytest.mark.parametrize("relators", [(), ((1, 2, -1, -2), (3, 3, 3))])
+    def test_many_generators(self, relators):
+        pres = GroupPresentation(2000, relators)
+        assert count_representations(pres, 1) == 1
+        assert count_representations(pres, 1, transitive=True) == 1
+
+    @given(presentations_st(3, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force(self, data):
+        generators, relators = data
+        pres = GroupPresentation(generators, relators)
+        assert count_representations(pres, 1) == brute_hom_count(generators, relators, 1) == 1
+
+
+class TestUpperBoundCertificate:
+    def test_is_the_degree_two_whitehead_cover(self):
+        assert UPPER_BOUND == CoverCertificate(2, WHITEHEAD_VOLUME.value, "2*V0")
+        assert upper_bound_value() == round(complexity(UPPER_BOUND), 12)
+
+    def test_feeds_the_degree_cap(self):
+        cap = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
+        assert cap == 3
+        rows = prism_verify(-2, 5)["reports"]
+        assert {r["max_degree"] for r in rows if "max_degree" in r} == {cap}

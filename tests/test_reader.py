@@ -1,0 +1,131 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+
+from prismvol import (
+    GroupPresentation,
+    Orbifold2D,
+    link_from_json,
+    orbifold_from_json,
+    presentation_from_json,
+    slope_from_json,
+    symbol_from_json,
+    word_from_json,
+)
+from prismvol.reader import check, loads, read
+from support import presentations_st, symbols_st
+
+SYMBOL = {"class": "Oo", "genus": 0, "fibers": [[1, 2], [-1, 2], [-2, 3]]}
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None, [2], {"n": 2}])
+    def test_integer_is_exact(self, value):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            check(value, int, "n")
+
+    @pytest.mark.parametrize("value", [0, 1, "false", None])
+    def test_boolean_is_exact(self, value):
+        with pytest.raises(ValueError, match="^b must be a boolean$"):
+            check(value, bool, "b")
+
+    def test_arrays_become_tuples(self):
+        assert check([[1, 2], [3, 4]], [(int, int)], "p") == ((1, 2), (3, 4))
+        assert check([], [int], "p") == ()
+
+    def test_fixed_length(self):
+        with pytest.raises(ValueError, match=r"^p\[1\] must be an array of 2 elements$"):
+            check([[1, 2], [1, 2, 3]], [(int, int)], "p")
+
+    def test_path_names_the_element(self):
+        with pytest.raises(ValueError, match=r"^p\[0\]\[2\] must be an integer$"):
+            check([[1, 2, True]], [[int]], "p")
+
+
+class TestRead:
+    FIELDS = {"a": int, "b": [str]}
+
+    def test_values_in_field_order(self):
+        assert read({"b": ["x"], "a": 1}, "thing", self.FIELDS) == (1, ("x",))
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="^thing: expected a JSON object$"):
+            read([1, ["x"]], "thing", self.FIELDS)
+
+    def test_unknown_field(self):
+        with pytest.raises(ValueError, match="^thing: unknown field 'c'$"):
+            read({"a": 1, "b": [], "c": 0}, "thing", self.FIELDS)
+
+    def test_missing_field(self):
+        with pytest.raises(ValueError, match="^thing: missing field 'b'$"):
+            read({"a": 1}, "thing", self.FIELDS)
+
+    def test_default_fills_a_missing_field_only(self):
+        assert read({"a": 1}, "thing", self.FIELDS, {"b": []}) == (1, ())
+        assert read({"a": 1, "b": ["y"]}, "thing", self.FIELDS, {"b": []}) == (1, ("y",))
+
+
+class TestLoads:
+    def test_duplicate_key_refused_at_any_depth(self):
+        with pytest.raises(ValueError, match="duplicate key 'b'"):
+            loads('{"a": {"b": 1, "b": 1}}')
+
+    def test_agrees_with_json_loads(self):
+        text = json.dumps({"a": [1, -2, {"b": None}], "c": "d"})
+        assert loads(text) == json.loads(text)
+
+
+class TestParsers:
+    def test_symbol_path_in_message(self):
+        bad = {"class": "Oo", "genus": 0, "fibers": [[1, 2], [True, 3]]}
+        with pytest.raises(ValueError, match=r"^symbol: fibers\[1\]\[0\] must be an integer$"):
+            symbol_from_json(bad)
+
+    @pytest.mark.parametrize("genus", ["2", 2.9, 2.0, True, None, [1]])
+    def test_symbol_genus_not_coerced(self, genus):
+        with pytest.raises(ValueError, match="^symbol: genus must be an integer$"):
+            symbol_from_json({**SYMBOL, "genus": genus})
+
+    def test_symbol_misspelled_field(self):
+        bad = {"class": "Oo", "genuss": 0, "fibers": []}
+        with pytest.raises(ValueError, match="^symbol: unknown field 'genuss'$"):
+            symbol_from_json(bad)
+
+    def test_symbol_duplicate_field(self):
+        with pytest.raises(ValueError, match="duplicate key 'genus'"):
+            symbol_from_json(loads('{"class": "Oo", "genus": 0, "genus": 1, "fibers": []}'))
+
+    def test_orbifold_orientable_string_refused(self):
+        bad = {"orientable": "false", "genus": 1, "boundary": 1}
+        with pytest.raises(ValueError, match="^orbifold: orientable must be a boolean$"):
+            orbifold_from_json(bad)
+
+    def test_orbifold_cones_default(self):
+        parsed = orbifold_from_json({"orientable": False, "genus": 1, "boundary": 1})
+        assert parsed == Orbifold2D(False, 1, 1, ())
+
+    def test_presentation_boolean_generators_refused(self):
+        with pytest.raises(ValueError, match="^presentation: generators must be an integer$"):
+            presentation_from_json({"generators": True, "relators": []})
+
+    def test_link_and_word_and_slope_refuse_floats(self):
+        with pytest.raises(ValueError, match=r"tangles\[0\]\[1\]"):
+            link_from_json({"genus": 0, "tangles": [[1, 2.0]]})
+        with pytest.raises(ValueError, match="strands"):
+            word_from_json({"strands": 3.0, "letters": []})
+        with pytest.raises(ValueError, match=r"slope\[0\]"):
+            slope_from_json([1.0, 0])
+
+
+class TestRoundTrips:
+    @given(symbols_st())
+    @settings(max_examples=60)
+    def test_symbol(self, s):
+        assert symbol_from_json(loads(json.dumps(s.to_json()))) == s
+
+    @given(presentations_st())
+    @settings(max_examples=40)
+    def test_presentation(self, data):
+        pres = GroupPresentation(*data)
+        assert presentation_from_json(loads(json.dumps(pres.to_json()))) == pres

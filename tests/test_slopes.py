@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prismvol import Slope, delta, enumerate_constrained_slopes, slope_from_json
 from support import cramer_window, enumerate_slopes_oracle, slope_pairs_st, window_scan
@@ -125,3 +126,12 @@ class TestEnumerateConstrainedSlopes:
             assert delta(c, alpha) <= 3
         assert found == sorted(found, key=lambda a: (a.p, a.q))
         assert len(set(found)) == len(found)
+
+    @given(slope_pairs_st(6), slope_pairs_st(6), st.integers(1, 4), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_constraints_and_size_bound(self, f, c, k1, k2):
+        assume(f != c)
+        found = enumerate_constrained_slopes(f, c, k1, k2)
+        assert len(found) <= 2 * (2 * k2 + 1)
+        for alpha in found:
+            assert delta(f, alpha) == k1 and delta(c, alpha) <= k2
