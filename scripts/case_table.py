@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Print the five-case fiber-removal table for one parameter, then scan the
-whole family for parameters where the disk-base degree equations have
-solutions.
+"""Print the five-case fiber-removal table for one parameter, then decide the
+whole family: the parameters whose degree equations have solutions.
+
+The family is settled by a divisor argument, not by a scan.  With
+mu = |4n - 1| (odd, at least 3) and c = -chi(F) for the fiber surface F,
+cases 1, 2 and 4 have bases that do not depend on n, and the degree
+equations of cases 3 and 5 read
+
+    case 3, disk with cones {2, 2, mu}:  d = c*mu/(mu - 1) = c + c/(mu - 1)
+    case 5, disk with cones {2, mu}:     d = 2c*mu/(mu - 2) = 2c + 4c/(mu - 2)
+
+so d is an integer only if (mu - 1) | c, respectively (mu - 2) | 4c.  Each
+odd mu >= 3 that these divisors leave is checked with the five-case analysis.
 
 Example:
-    python3 scripts/case_table.py --n 1 --dmax 1000
+    python3 scripts/case_table.py --n 1
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
-from prismvol import (
-    AffineRatio,
-    bounded_diophantine,
-    fiber_surface,
-    frac_str,
-    prism_case_analysis,
-)
+from prismvol import fiber_surface, frac_str, prism_case_analysis
 
 
 def print_case_table(n: int) -> None:
@@ -35,28 +38,40 @@ def print_case_table(n: int) -> None:
         print(f"{r.case:>4}  {base:<40}  {frac_str(r.chi_orb):>8}  {degrees:<10}  {chi_only}")
 
 
-def scan_family(dmax: int) -> None:
-    in_family = lambda n: abs(4 * n - 1) >= 3
-    branches = [
-        ("three-cone disk, positive branch", AffineRatio(2, -3, 4, -12)),
-        ("three-cone disk, negative branch", AffineRatio(0, -3, 4, -12)),
-        ("two-cone disk, positive branch", AffineRatio(3, -6, 4, -24)),
-        ("two-cone disk, negative branch", AffineRatio(Fraction(-1), -6, 4, -24)),
-    ]
-    print(f"\nfamily scan over degrees d in [1, {dmax}] (chi equation only):")
-    for label, ratio in branches:
-        hits = bounded_diophantine(ratio, range(1, dmax + 1), value_filter=in_family)
-        shown = ", ".join(f"(d={d}, n={n})" for d, n in hits) if hits else "no solutions"
-        print(f"  {label:<34} {shown}")
+def _divisors(k: int) -> list[int]:
+    return [q for q in range(1, k + 1) if k % q == 0]
+
+
+def _parameter(mu: int) -> int:
+    """The one n with |4n - 1| = mu, for odd mu."""
+    return (mu + 1) // 4 if mu % 4 == 3 else (1 - mu) // 4
+
+
+def decide_family() -> None:
+    fiber = fiber_surface()
+    c = -fiber.euler
+    print(f"\nfamily decided by divisors (mu = |4n - 1| odd >= 3, c = -chi(F) = {c}):")
+    # a base that does not depend on n has the same degrees for every n
+    fixed = [r for r in prism_case_analysis(1, fiber) if r.case in (1, 2, 4)]
+    shown = ", ".join(",".join(map(str, r.degrees)) or "-" for r in fixed)
+    print(f"  cases 1, 2, 4 (bases independent of n): degrees {shown}")
+    hits = [f"(d={d}, every n)" for r in fixed for d in r.degrees]
+    for case, k, m in ((3, 1, c), (5, 2, 4 * c)):
+        mus = [q + k for q in _divisors(m) if (q + k) % 2 and q + k >= 3]
+        print(f"  case {case}: (mu - {k}) | {m} leaves odd mu >= 3 in {mus}")
+        for mu in mus:
+            n = _parameter(mu)
+            result = prism_case_analysis(n, fiber)[case - 1]
+            hits += [f"(d={d}, n={n})" for d in result.degrees]
+    print(f"  family: {', '.join(hits) or 'no solutions'}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=1, help="family parameter")
-    parser.add_argument("--dmax", type=int, default=1000, help="degree scan bound")
     args = parser.parse_args(argv)
     print_case_table(args.n)
-    scan_family(args.dmax)
+    decide_family()
     return 0
 
 

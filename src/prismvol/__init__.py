@@ -26,7 +26,6 @@ from .covers import (
     EnumerationTooLargeError,
     GroupPresentation,
     VolumeConstant,
-    catalan_alternating,
     complexity,
     count_representations,
     degree_bound_for_budget,
@@ -36,14 +35,10 @@ from .covers import (
     upper_bound_value,
 )
 from .exact import (
-    AffineRatio,
     IntMatrix,
-    Rational,
-    bounded_diophantine,
     elementary_divisors,
     extended_gcd,
     frac_str,
-    rational_arith,
     smith_normal_form,
 )
 from .montesinos import (
@@ -85,7 +80,6 @@ from .slopes import Slope, delta, enumerate_constrained_slopes, slope_from_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineRatio",
     "BraidWord",
     "CaseResult",
     "CoverCertificate",
@@ -97,7 +91,6 @@ __all__ = [
     "MontesinosLink",
     "ONE_CUSP_VOLUME_FLOOR",
     "Orbifold2D",
-    "Rational",
     "SeifertSymbol",
     "Slope",
     "SurfaceData",
@@ -107,9 +100,7 @@ __all__ = [
     "base_orbifold",
     "bennequin_chi",
     "bennequin_genus",
-    "bounded_diophantine",
     "case_analysis_report",
-    "catalan_alternating",
     "chi_orb",
     "closure_components",
     "complexity",
@@ -138,7 +129,6 @@ __all__ = [
     "prism_case_analysis",
     "prism_fibrations",
     "prism_verify",
-    "rational_arith",
     "remove_fiber",
     "riemann_hurwitz_cover",
     "slope_from_json",

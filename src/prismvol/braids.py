@@ -20,10 +20,14 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.strands) is not int:
+            raise ValueError(f"strands must be an integer, got {self.strands!r}")
         if self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
-        letters = tuple(int(l) for l in self.letters)
+        letters = tuple(self.letters)
         for letter in letters:
+            if type(letter) is not int:
+                raise ValueError(f"letters: {letter!r} must be an integer")
             if letter == 0 or abs(letter) >= self.strands:
                 raise ValueError(
                     f"letter {letter} is not a generator index for {self.strands} strands"

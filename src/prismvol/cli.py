@@ -51,19 +51,18 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+# argument types raise ArgumentTypeError: argparse then prefixes the argument's name
+
 def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def _int(text: str) -> int:
     """Only ``-?[0-9]+``: ``int()`` also takes ``1_0``, spaces and other digits."""
     if not _INT_TOKEN.fullmatch(text):
-        raise ValueError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -495,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, IndexError, OSError) as err:
+    except (ValueError, argparse.ArgumentTypeError, ZeroDivisionError, IndexError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -42,11 +42,15 @@ class GroupPresentation:
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.generators) is not int:
+            raise ValueError(f"generators must be an integer, got {self.generators!r}")
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
-        relators = tuple(tuple(int(l) for l in word) for word in self.relators)
+        relators = tuple(tuple(word) for word in self.relators)
         for word in relators:
             for letter in word:
+                if type(letter) is not int:
+                    raise ValueError(f"relators: letter {letter!r} must be an integer")
                 if letter == 0 or abs(letter) > self.generators:
                     raise ValueError(
                         f"relator letter {letter} is out of range for "
@@ -169,23 +173,6 @@ class VolumeConstant:
             raise ValueError("volume constants are positive")
 
 
-def catalan_alternating(levels: int = 60) -> float:
-    """Catalan's constant from sum_k (-1)^k / (2k+1)^2.
-
-    The raw series converges too slowly to be useful, so the partial sums are
-    Euler-accelerated by repeated adjacent averaging; 60 levels give full
-    double precision.
-    """
-    partial = []
-    total = 0.0
-    for k in range(levels + 1):
-        total += (-1.0) ** k / (2 * k + 1) ** 2
-        partial.append(total)
-    while len(partial) > 1:
-        partial = [(x + y) / 2.0 for x, y in zip(partial, partial[1:])]
-    return partial[0]
-
-
 WHITEHEAD_VOLUME = VolumeConstant(
     name="whitehead_link_exterior_volume",
     value=3.663862376708876,
@@ -280,7 +267,9 @@ def upper_bound_value() -> float:
     return round(complexity(UPPER_BOUND), 12)
 
 
-def _report_for(n: int, fiber: SurfaceData, upper: float, max_degree: int) -> dict:
+def _report_for(
+    n: int, fiber: SurfaceData, upper: float, max_degree: int, counts: list[int]
+) -> dict:
     if abs(4 * n - 1) < 3:
         return {
             "n": n,
@@ -295,9 +284,6 @@ def _report_for(n: int, fiber: SurfaceData, upper: float, max_degree: int) -> di
         oo_symbol
     )
     analysis = case_analysis_report(n, fiber)
-    slope_counts = [
-        len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS
-    ]
     status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
     unresolved = list(_NONEFFECTIVE_STEPS)
     if status == "candidate-exceptional":
@@ -317,7 +303,7 @@ def _report_for(n: int, fiber: SurfaceData, upper: float, max_degree: int) -> di
         "case_analysis": analysis,
         "slope_demo": {
             "pairs": [[f.to_json(), c.to_json()] for f, c in _SLOPE_DEMO_PAIRS],
-            "counts": slope_counts,
+            "counts": list(counts),
         },
         "max_degree": max_degree,
         "status": status,
@@ -334,12 +320,15 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     volume floor.  Parameters whose computable obstructions all vanish are
     "conditional" (the remaining steps are finite but not effective);
     parameters where the case analysis finds a candidate degree are
-    "candidate-exceptional"; degenerate parameters are "excluded".
+    "candidate-exceptional"; degenerate parameters are "excluded".  What
+    does not depend on n (fiber, bound, degree cap, slope demonstration) is
+    computed once per call.
     """
     fiber = fiber_surface()
     upper = upper_bound_value()
     max_degree = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
-    reports = [_report_for(n, fiber, upper, max_degree) for n in range(n_from, n_to + 1)]
+    counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
+    reports = [_report_for(n, fiber, upper, max_degree, counts) for n in range(n_from, n_to + 1)]
     return {
         "reports": reports,
         "candidate_exceptional": [

@@ -6,8 +6,7 @@ module never touches floating point.  Rationals are stdlib
 ``fractions.Fraction`` values: always stored reduced, denominator positive.
 
 Provides Smith normal form over the integers with the unimodular transforms,
-its diagonal alone computed modulo a determinant, and a bounded integrality
-scan for ratios of affine integer sequences.
+and its diagonal alone computed modulo a determinant.
 """
 
 from __future__ import annotations
@@ -15,26 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
-
-Rational = Fraction
-
-_BINARY_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of the four field operations; ``div`` by zero raises."""
-    if op not in _BINARY_OPS:
-        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_BINARY_OPS)}")
-    a, b = Fraction(a), Fraction(b)
-    if op == "div" and b == 0:
-        raise ZeroDivisionError("rational division by zero")
-    return _BINARY_OPS[op](a, b)
+from typing import Iterable
 
 
 def frac_str(q: Fraction) -> str:
@@ -313,55 +293,3 @@ def _combine(
         [(x * s + y * o) % modulus for s, o in zip(lead, other)],
         [(u * o - v * s) % modulus for s, o in zip(lead, other)],
     )
-
-
-@dataclass(frozen=True)
-class AffineRatio:
-    """The function ``x -> (a*x + b) / (c*x + d)`` with rational coefficients.
-
-    Calling it returns an exact ``Fraction``, or ``None`` where the
-    denominator vanishes (the function has no value there).
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.c == 0 and self.d == 0:
-            raise ValueError("denominator is identically zero")
-
-    def __call__(self, x: int) -> Fraction | None:
-        den = self.c * x + self.d
-        if den == 0:
-            return None
-        return (self.a * x + self.b) / den
-
-
-def bounded_diophantine(
-    f: Callable[[int], Fraction | None],
-    domain: Iterable[int],
-    value_filter: Callable[[int], bool] | None = None,
-) -> list[tuple[int, int]]:
-    """All ``(x, f(x))`` with ``x`` in ``domain`` and ``f(x)`` an integer.
-
-    ``f`` is any callable returning an exact rational, or ``None`` at a pole;
-    pole points are skipped (the function takes no value there).  An optional
-    ``value_filter`` keeps only integer values it accepts.  The domain must be
-    finite; callers supply whatever bound their problem justifies.
-    """
-    out: list[tuple[int, int]] = []
-    for x in domain:
-        value = f(x)
-        if value is None:
-            continue
-        value = Fraction(value)
-        if value.denominator != 1:
-            continue
-        n = int(value)
-        if value_filter is None or value_filter(n):
-            out.append((x, n))
-    return out

@@ -25,12 +25,16 @@ class MontesinosLink:
     tangles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.genus) is not int:
+            raise ValueError(f"genus must be an integer, got {self.genus!r}")
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
-        tangles = tuple((int(b), int(a)) for b, a in self.tangles)
+        tangles = tuple((b, a) for b, a in self.tangles)
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")
         for beta, alpha in tangles:
+            if type(beta) is not int or type(alpha) is not int:
+                raise ValueError(f"tangles: pair ({beta!r}, {alpha!r}) must be two integers")
             if alpha < 1:
                 raise ValueError(f"tangle ({beta}, {alpha}): alpha must be >= 1")
             if math.gcd(beta, alpha) != 1:

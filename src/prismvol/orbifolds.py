@@ -29,6 +29,20 @@ class InfiniteSolutionsError(ValueError):
     """Raised when a degree equation degenerates to 0 == d * 0."""
 
 
+def _check_surface_fields(x: SurfaceData | Orbifold2D, what: str) -> None:
+    # exact types, not coercion: True is not a genus and 2.5 is not a count
+    if type(x.orientable) is not bool:
+        raise ValueError(f"orientable must be a bool, got {x.orientable!r}")
+    if type(x.genus) is not int:
+        raise ValueError(f"genus must be an integer, got {x.genus!r}")
+    if type(x.boundary) is not int:
+        raise ValueError(f"boundary must be an integer, got {x.boundary!r}")
+    if x.genus < 0 or x.boundary < 0:
+        raise ValueError("genus and boundary count must be non-negative")
+    if not x.orientable and x.genus < 1:
+        raise ValueError(f"a non-orientable {what} needs at least one cross-cap")
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """A compact connected surface: genus, boundary circles, orientability.
@@ -41,10 +55,7 @@ class SurfaceData:
     orientable: bool = True
 
     def __post_init__(self) -> None:
-        if self.genus < 0 or self.boundary < 0:
-            raise ValueError("genus and boundary count must be non-negative")
-        if not self.orientable and self.genus < 1:
-            raise ValueError("a non-orientable surface needs at least one cross-cap")
+        _check_surface_fields(self, "surface")
 
     @property
     def euler(self) -> int:
@@ -74,14 +85,11 @@ class Orbifold2D:
     cones: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.genus < 0 or self.boundary < 0:
-            raise ValueError("genus and boundary count must be non-negative")
-        if not self.orientable and self.genus < 1:
-            raise ValueError("a non-orientable base needs at least one cross-cap")
-        cones = tuple(sorted(self.cones))
-        if any(not isinstance(c, int) or c < 2 for c in cones):
-            raise ValueError("cone indices must be integers >= 2")
-        object.__setattr__(self, "cones", cones)
+        _check_surface_fields(self, "base")
+        cones = tuple(self.cones)
+        if any(type(c) is not int or c < 2 for c in cones):
+            raise ValueError("cones: cone indices must be integers >= 2")
+        object.__setattr__(self, "cones", tuple(sorted(cones)))
 
     @property
     def underlying_euler(self) -> int:
@@ -272,21 +280,17 @@ def prism_case_analysis(n: int, fiber_surface: SurfaceData) -> list[CaseResult]:
     For each base the degree equation for ``fiber_surface`` is solved with
     and without the cone-divisibility requirement; ``degrees`` is the honest
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
-    visible.
+    visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
     """
-    from . import seifert  # runtime import: seifert uses this module's types
-
-    oo, on = seifert.prism_fibrations(n)
     mu = abs(4 * n - 1)
-    idx2_on = next(i for i, (_, alpha) in enumerate(on.fibers) if alpha == 2)
-    idx2_oo = next(i for i, (_, alpha) in enumerate(oo.fibers) if alpha == 2)
-    idxmu_oo = next(i for i, (_, alpha) in enumerate(oo.fibers) if alpha == mu)
+    if mu < 3:
+        raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
     bases = [
-        seifert.remove_fiber(on, idx2_on),
-        seifert.remove_fiber(on, "regular"),
-        seifert.remove_fiber(oo, "regular"),
-        seifert.remove_fiber(oo, idxmu_oo),
-        seifert.remove_fiber(oo, idx2_oo),
+        Orbifold2D(False, 1, 1, ()),
+        Orbifold2D(False, 1, 1, (2,)),
+        Orbifold2D(True, 0, 1, (2, 2, mu)),
+        Orbifold2D(True, 0, 1, (2, 2)),
+        Orbifold2D(True, 0, 1, (2, mu)),
     ]
     results = []
     for case, base in enumerate(bases, start=1):

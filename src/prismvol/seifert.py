@@ -48,12 +48,16 @@ class SeifertSymbol:
     def __post_init__(self) -> None:
         if self.base_class not in (OO, ON):
             raise ValueError(f"base class must be {OO!r} or {ON!r}, got {self.base_class!r}")
+        if type(self.genus) is not int:
+            raise ValueError(f"genus must be an integer, got {self.genus!r}")
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if self.base_class == ON and self.genus < 1:
             raise ValueError("a non-orientable base needs at least one cross-cap")
-        fibers = tuple((int(b), int(a)) for b, a in self.fibers)
+        fibers = tuple((b, a) for b, a in self.fibers)
         for beta, alpha in fibers:
+            if type(beta) is not int or type(alpha) is not int:
+                raise ValueError(f"fibers: pair ({beta!r}, {alpha!r}) must be two integers")
             if alpha < 1:
                 raise ValueError(f"fiber pair ({beta}, {alpha}): alpha must be >= 1")
             if math.gcd(beta, alpha) != 1:

@@ -7,14 +7,18 @@ raw tuples of dict-based permutations, Smith normal form is recomputed from
 determinantal divisors (gcds of k-by-k minors), rank and determinant come
 from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
-rule.
+rule.  Degree equations over the whole family are cross-checked by a bounded
+integrality scan of affine ratios, and the Whitehead volume by Catalan's
+alternating series.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from hypothesis import strategies as st
 
@@ -178,6 +182,99 @@ def window_scan(f: Slope, c: Slope, k1: int, k2: int, window: int) -> list[Slope
 
 def enumerate_slopes_oracle(f: Slope, c: Slope, k1: int, k2: int) -> list[Slope]:
     return window_scan(f, c, k1, k2, cramer_window(f, c, k1, k2))
+
+
+# --- field operations on rationals ---------------------------------------
+
+_BINARY_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
+    """Apply one of the four field operations; ``div`` by zero raises."""
+    if op not in _BINARY_OPS:
+        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_BINARY_OPS)}")
+    a, b = Fraction(a), Fraction(b)
+    if op == "div" and b == 0:
+        raise ZeroDivisionError("rational division by zero")
+    return _BINARY_OPS[op](a, b)
+
+
+# --- bounded integrality scan of affine ratios ----------------------------
+
+@dataclass(frozen=True)
+class AffineRatio:
+    """The function ``x -> (a*x + b) / (c*x + d)`` with rational coefficients.
+
+    Calling it returns an exact ``Fraction``, or ``None`` where the
+    denominator vanishes (the function has no value there).
+    """
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.c == 0 and self.d == 0:
+            raise ValueError("denominator is identically zero")
+
+    def __call__(self, x: int) -> Fraction | None:
+        den = self.c * x + self.d
+        if den == 0:
+            return None
+        return (self.a * x + self.b) / den
+
+
+def bounded_diophantine(
+    f: Callable[[int], Fraction | None],
+    domain: Iterable[int],
+    value_filter: Callable[[int], bool] | None = None,
+) -> list[tuple[int, int]]:
+    """All ``(x, f(x))`` with ``x`` in ``domain`` and ``f(x)`` an integer.
+
+    ``f`` is any callable returning an exact rational, or ``None`` at a pole;
+    pole points are skipped (the function takes no value there).  An optional
+    ``value_filter`` keeps only integer values it accepts.  The domain must be
+    finite; callers supply whatever bound their problem justifies.
+    """
+    out: list[tuple[int, int]] = []
+    for x in domain:
+        value = f(x)
+        if value is None:
+            continue
+        value = Fraction(value)
+        if value.denominator != 1:
+            continue
+        n = int(value)
+        if value_filter is None or value_filter(n):
+            out.append((x, n))
+    return out
+
+
+# --- Catalan's constant ----------------------------------------------------
+
+def catalan_alternating(levels: int = 60) -> float:
+    """Catalan's constant from sum_k (-1)^k / (2k+1)^2.
+
+    The raw series converges too slowly to be useful, so the partial sums are
+    Euler-accelerated by repeated adjacent averaging; 60 levels give full
+    double precision.
+    """
+    partial = []
+    total = 0.0
+    for k in range(levels + 1):
+        total += (-1.0) ** k / (2 * k + 1) ** 2
+        partial.append(total)
+    while len(partial) > 1:
+        partial = [(x + y) / 2.0 for x, y in zip(partial, partial[1:])]
+    return partial[0]
 
 
 # --- hypothesis strategies -------------------------------------------------

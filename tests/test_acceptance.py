@@ -17,11 +17,9 @@ import time
 from fractions import Fraction
 
 from prismvol import (
-    AffineRatio,
     Orbifold2D,
     Slope,
     SurfaceData,
-    bounded_diophantine,
     closure_components,
     bennequin_chi,
     count_representations,
@@ -41,7 +39,12 @@ from prismvol import (
 )
 import pytest
 
-from support import brute_hom_count, enumerate_slopes_oracle
+from support import (
+    AffineRatio,
+    bounded_diophantine,
+    brute_hom_count,
+    enumerate_slopes_oracle,
+)
 from test_covers import HOPF, TREFOIL, UNKNOT
 
 FIBER = fiber_surface()

@@ -611,3 +611,30 @@ class TestDegreeOneCount:
         for extra in ([], ["--transitive"]):
             argv = ["covers", "count", '{"generators": 2000, "relators": []}', "--degree", "1"]
             assert run_cli(argv + extra) == (0, "1\n", "")
+
+
+class TestStrictFlags:
+    @pytest.mark.parametrize("token", ["yes", "1", " true", "True", "FALSE", "no", "0"])
+    def test_only_true_or_false(self, token):
+        code, out, err = run_cli(
+            ["orbifold", "chi", "--orientable", token, "--genus", "1", "--boundary", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert f"argument --orientable: expected true or false, got {token!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["orbifold", "chi", "--orientable", "true", "--genus", "1_0", "--boundary", "1"],
+             "argument --genus: expected an integer, got '1_0'"),
+            (["orbifold", "chi", "--orientable", "true", "--genus", "0", "--boundary", "1",
+              "--cones", "2, 3"],
+             "argument --cones: expected an integer, got ' 3'"),
+            (["montesinos", "ln", "x"], "argument n: expected an integer, got 'x'"),
+        ],
+    )
+    def test_message_names_the_argument_not_the_parser(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "invalid" not in err and "_int" not in err and "_parse" not in err

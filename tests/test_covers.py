@@ -15,7 +15,6 @@ from prismvol import (
     GroupPresentation,
     SurfaceData,
     VolumeConstant,
-    catalan_alternating,
     complexity,
     count_representations,
     degree_bound_for_budget,
@@ -25,7 +24,12 @@ from prismvol import (
     upper_bound_value,
 )
 from prismvol.covers import UPPER_BOUND
-from support import brute_hom_count, presentations_st, relator_words_st
+from support import (
+    brute_hom_count,
+    catalan_alternating,
+    presentations_st,
+    relator_words_st,
+)
 
 
 def load_fixture(name: str) -> GroupPresentation:

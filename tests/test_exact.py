@@ -10,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismvol import (
-    AffineRatio,
     IntMatrix,
-    bounded_diophantine,
     elementary_divisors,
     extended_gcd,
     frac_str,
-    rational_arith,
     smith_normal_form,
 )
-from support import det_int, det_q, rank_q, snf_diagonal_oracle
+from support import (
+    AffineRatio,
+    bounded_diophantine,
+    det_int,
+    det_q,
+    rank_q,
+    rational_arith,
+    snf_diagonal_oracle,
+)
 
 rationals = st.builds(
     Fraction, st.integers(-50, 50), st.integers(1, 50)

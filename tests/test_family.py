@@ -1,0 +1,67 @@
+"""Facts of the one-parameter family that the audit computes once."""
+
+import pytest
+
+from prismvol import (
+    fiber_surface,
+    prism_case_analysis,
+    prism_fibrations,
+    prism_verify,
+    remove_fiber,
+)
+from prismvol import covers
+
+FIBER = fiber_surface()
+
+
+def _fiber_index(symbol, alpha):
+    return next(i for i, (_, a) in enumerate(symbol.fibers) if a == alpha)
+
+
+def derived_bases(n):
+    """The five bases by drilling fibers out of ``prism_fibrations(n)``."""
+    oo, on = prism_fibrations(n)
+    mu = abs(4 * n - 1)
+    return [
+        remove_fiber(on, _fiber_index(on, 2)),
+        remove_fiber(on, "regular"),
+        remove_fiber(oo, "regular"),
+        remove_fiber(oo, _fiber_index(oo, mu)),
+        remove_fiber(oo, _fiber_index(oo, 2)),
+    ]
+
+
+def test_closed_form_bases_match_fiber_removal():
+    checked = 0
+    for n in range(-1000, 1001):
+        if abs(4 * n - 1) < 3:
+            continue
+        bases = [r.orbifold for r in prism_case_analysis(n, FIBER)]
+        assert bases == derived_bases(n), n
+        checked += 1
+    assert checked == 2000
+
+
+def test_degenerate_parameter_refused_like_the_fibrations():
+    with pytest.raises(ValueError) as from_fibrations:
+        prism_fibrations(0)
+    with pytest.raises(ValueError) as from_cases:
+        prism_case_analysis(0, FIBER)
+    assert str(from_cases.value) == str(from_fibrations.value)
+
+
+def test_slope_demo_counted_once_per_call(monkeypatch):
+    calls = []
+    original = covers.enumerate_constrained_slopes
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(covers, "enumerate_constrained_slopes", counting)
+    result = prism_verify(-50, 50)
+    assert len(calls) == 2
+    demos = [r["slope_demo"] for r in result["reports"] if "slope_demo" in r]
+    assert len(demos) == 100
+    assert demos[0]["counts"] == [5, 2]
+    assert all(demo == demos[0] for demo in demos)

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from prismvol import (
+    BraidWord,
     GroupPresentation,
+    MontesinosLink,
     Orbifold2D,
+    SeifertSymbol,
+    SurfaceData,
     link_from_json,
     orbifold_from_json,
     presentation_from_json,
@@ -129,3 +133,40 @@ class TestRoundTrips:
     def test_presentation(self, data):
         pres = GroupPresentation(*data)
         assert presentation_from_json(loads(json.dumps(pres.to_json()))) == pres
+
+
+class TestConstructors:
+    """The Python API holds the reader's rule: exact types, nothing coerced."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: SeifertSymbol("Oo", 0, ((1.5, 2),)), "fibers"),
+            (lambda: SeifertSymbol("Oo", 0, ((1, True),)), "fibers"),
+            (lambda: SeifertSymbol("Oo", "0", ()), "genus"),
+            (lambda: SeifertSymbol("Oo", 0.0, ()), "genus"),
+            (lambda: MontesinosLink(0, ((1, 2.0),)), "tangles"),
+            (lambda: MontesinosLink(False, ((1, 2),)), "genus"),
+            (lambda: BraidWord(3, (1.9, True)), "letters"),
+            (lambda: BraidWord(3, (True,)), "letters"),
+            (lambda: BraidWord(3.0, (1,)), "strands"),
+            (lambda: GroupPresentation(True, ((1,),)), "generators"),
+            (lambda: GroupPresentation(2, ((1, "2"),)), "relators"),
+            (lambda: SurfaceData(2.5, 1), "genus"),
+            (lambda: SurfaceData(2, True), "boundary"),
+            (lambda: SurfaceData(2, 1, 1), "orientable"),
+            (lambda: Orbifold2D(1, 0, 1, ()), "orientable"),
+            (lambda: Orbifold2D(True, "0", 1, ()), "genus"),
+            (lambda: Orbifold2D(True, 0, 1.0, ()), "boundary"),
+            (lambda: Orbifold2D(True, 0, 1, (2.0, 3)), "cones"),
+        ],
+    )
+    def test_wrong_type_is_refused(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_exact_types_still_build(self):
+        assert SeifertSymbol("Oo", 0, [(1, 2)]).fibers == ((1, 2),)
+        assert BraidWord(3, [1, -2]).letters == (1, -2)
+        assert GroupPresentation(1, [[1, 1]]).relators == ((1, 1),)
+        assert Orbifold2D(False, 1, 1, [3, 2]).cones == (2, 3)

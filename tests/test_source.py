@@ -15,3 +15,15 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_orbifolds_imports_nothing_from_seifert():
+    """``seifert`` builds on ``orbifolds``; the reverse import would be a cycle."""
+    tree = ast.parse((Path(prismvol.__file__).parent / "orbifolds.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "seifert" in name] == []
