@@ -21,6 +21,7 @@ import argparse
 import sys
 
 from prismvol import fiber_surface, frac_str, prism_case_analysis
+from prismvol.cli import integer_arg
 
 
 def print_case_table(n: int) -> None:
@@ -68,7 +69,7 @@ def decide_family() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=1, help="family parameter")
+    parser.add_argument("--n", type=integer_arg, default=1, help="family parameter")
     args = parser.parse_args(argv)
     print_case_table(args.n)
     decide_family()

@@ -9,12 +9,13 @@ import argparse
 import sys
 
 from prismvol import prism_verify, upper_bound_value
+from prismvol.cli import integer_arg
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--from", dest="n_from", type=int, default=-5)
-    parser.add_argument("--to", dest="n_to", type=int, default=25)
+    parser.add_argument("--from", dest="n_from", type=integer_arg, default=-5)
+    parser.add_argument("--to", dest="n_to", type=integer_arg, default=25)
     args = parser.parse_args(argv)
 
     result = prism_verify(args.n_from, args.n_to)

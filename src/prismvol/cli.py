@@ -59,7 +59,7 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _int(text: str) -> int:
+def integer_arg(text: str) -> int:
     """Only ``-?[0-9]+``: ``int()`` also takes ``1_0``, spaces and other digits."""
     if not _INT_TOKEN.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
@@ -67,7 +67,7 @@ def _int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [_int(part) for part in text.split(",")] if text else []
+    return [integer_arg(part) for part in text.split(",")] if text else []
 
 
 def _parse_slope(text: str) -> slopes.Slope:
@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chi", parents=[common], help="orbifold Euler characteristic"
     )
     chi.add_argument("--orientable", type=_parse_bool, required=True)
-    chi.add_argument("--genus", type=_int, required=True)
-    chi.add_argument("--boundary", type=_int, required=True)
+    chi.add_argument("--genus", type=integer_arg, required=True)
+    chi.add_argument("--boundary", type=integer_arg, required=True)
     chi.add_argument(
         "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
     )
@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cover", parents=[common], help="branched cover of a surface"
     )
     cover.add_argument("--orientable", type=_parse_bool, default=True)
-    cover.add_argument("--genus", type=_int, required=True)
-    cover.add_argument("--boundary", type=_int, required=True)
-    cover.add_argument("--degree", type=_int, required=True)
+    cover.add_argument("--genus", type=integer_arg, required=True)
+    cover.add_argument("--boundary", type=integer_arg, required=True)
+    cover.add_argument("--degree", type=integer_arg, required=True)
     cover.add_argument(
         "--branch",
         action="append",
@@ -374,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="degrees d with chi(fiber) = d * chi_orb(base)",
     )
-    solve.add_argument("--fiber-genus", type=_int, required=True)
-    solve.add_argument("--fiber-boundary", type=_int, required=True)
+    solve.add_argument("--fiber-genus", type=integer_arg, required=True)
+    solve.add_argument("--fiber-boundary", type=integer_arg, required=True)
     solve.add_argument("--fiber-orientable", type=_parse_bool, default=True)
     solve.add_argument("--orientable", type=_parse_bool, required=True)
-    solve.add_argument("--genus", type=_int, required=True)
-    solve.add_argument("--boundary", type=_int, required=True)
+    solve.add_argument("--genus", type=integer_arg, required=True)
+    solve.add_argument("--boundary", type=integer_arg, required=True)
     solve.add_argument(
         "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
     )
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="the two Montesinos presentations of the n-th family branching link",
     )
-    ln.add_argument("n", type=_int)
+    ln.add_argument("n", type=integer_arg)
     ln.set_defaults(func=_cmd_montesinos_ln)
 
     slopes_p = top.add_parser("slopes", help="torus slope operations")
@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     senum.add_argument("fiber", help="slope p,q")
     senum.add_argument("constraint", help="slope p,q")
-    senum.add_argument("--k1", type=_int, default=1)
-    senum.add_argument("--k2", type=_int, default=2)
+    senum.add_argument("--k1", type=integer_arg, default=1)
+    senum.add_argument("--k2", type=integer_arg, default=2)
     senum.set_defaults(func=_cmd_slopes_enumerate)
 
     braid_p = top.add_parser("braid", help="braid word operations")
@@ -431,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     ttk = braid_sub.add_parser(
         "ttk", parents=[common], help="twisted torus braid word"
     )
-    ttk.add_argument("p", type=_int)
-    ttk.add_argument("q", type=_int)
-    ttk.add_argument("r", type=_int)
-    ttk.add_argument("s", type=_int)
+    ttk.add_argument("p", type=integer_arg)
+    ttk.add_argument("q", type=integer_arg)
+    ttk.add_argument("r", type=integer_arg)
+    ttk.add_argument("s", type=integer_arg)
     ttk.set_defaults(func=_cmd_braid_ttk)
 
     components = braid_sub.add_parser(
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "presentation",
         help='presentation as inline JSON {"generators","relators"} or @ref',
     )
-    ccount.add_argument("--degree", type=_int, required=True)
+    ccount.add_argument("--degree", type=integer_arg, required=True)
     ccount.add_argument(
         "--transitive", action="store_true", help="count transitive images only"
     )
@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = prism_sub.add_parser(
         "verify", parents=[common], help="audit every parameter in [--from, --to]"
     )
-    verify.add_argument("--from", dest="n_from", type=_int, required=True)
-    verify.add_argument("--to", dest="n_to", type=_int, required=True)
+    verify.add_argument("--from", dest="n_from", type=integer_arg, required=True)
+    verify.add_argument("--to", dest="n_to", type=integer_arg, required=True)
     verify.set_defaults(func=_cmd_prism_verify)
 
     return parser

@@ -8,10 +8,16 @@ so the budget is twice that volume; combined with a floor below every
 one-cusped hyperbolic volume, the budget caps the degree of any competing
 cover at 3.
 
-``count_representations`` enumerates homomorphisms of a finitely presented
+``count_representations`` counts homomorphisms of a finitely presented
 group into the symmetric group S_d; degree-d covers of a knot complement
 correspond to (conjugacy classes of) transitive such representations, so the
-raw count is a finite upper bound for the covers of each degree.
+raw count is a finite upper bound for the covers of each degree.  The count
+is a sum over the conjugacy classes K of S_d of |K| times the number of
+homomorphisms that send the first generator to a fixed representative of K,
+because conjugation permutes the homomorphisms.  Transitive counts are found
+by the same enumeration, tuple by tuple, and not from the plain counts by
+Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
+checks the two against each other.
 """
 
 from __future__ import annotations
@@ -70,9 +76,49 @@ def presentation_from_json(data: object) -> GroupPresentation:
     return GroupPresentation(*read(data, "presentation", fields))
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p first, then q
-    return tuple(q[i] for i in p)
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _conjugacy_classes(degree: int) -> list[tuple[tuple[int, ...], int]]:
+    """One representative per conjugacy class of S_degree, with the class size.
+
+    A class is a cycle type, a partition of ``degree``; its representative
+    cycles consecutive points, and the class has d!/prod_k k^m_k m_k!
+    elements when the type has m_k cycles of length k.
+    """
+    classes = []
+    for parts in _partitions(degree, degree):
+        image = []
+        for length in parts:
+            first = len(image)
+            image += range(first + 1, first + length)
+            image.append(first)
+        centralizer = 1
+        for length in set(parts):
+            many = parts.count(length)
+            centralizer *= length**many * math.factorial(many)
+        classes.append((tuple(image), math.factorial(degree) // centralizer))
+    return classes
+
+
+def _fixes_every_point(word, images, degree: int) -> bool:
+    """Whether each point comes back to itself when traced through the word,
+    first letter first; ``images[letter]`` is the permutation that letter
+    stands for.  Stops at the first point the word moves."""
+    for start in range(degree):
+        point = start
+        for letter in word:
+            point = images[letter][point]
+        if point != start:
+            return False
+    return True
 
 
 def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,14 +126,6 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def _satisfies(word, assignment, inverses, identity) -> bool:
-    e = identity
-    for letter in word:
-        g = assignment[abs(letter) - 1]
-        e = _compose(e, g if letter > 0 else inverses[abs(letter) - 1])
-    return e == identity
 
 
 def _is_transitive(assignment, degree: int) -> bool:
@@ -108,12 +146,24 @@ def count_representations(
 ) -> int:
     """Number of homomorphisms into S_degree (optionally transitive ones).
 
-    Exhaustive with early pruning: generators are assigned one at a time and
-    a relator is checked as soon as every generator it mentions is assigned.
+    Conjugation by S_d permutes the homomorphisms and keeps transitivity, so
+    the count with the first generator sent to a permutation depends only on
+    its conjugacy class.  The first generator therefore runs over one
+    representative per cycle type (p(d) branches instead of d!) and each
+    branch is weighted by its class size; the other generators run over all
+    of S_d, assigned one at a time, and a relator is checked point by point
+    as soon as every generator it mentions is assigned.  Transitive
+    homomorphisms are counted tuple by tuple under the same weights, not
+    derived from the plain counts by Hall's recursion
+    h_d = sum_k C(d-1, k-1) t_k h_{d-k}, so that the identity stays an
+    independent check of the two counts.
+
     Refuses outright when the candidate-tuple count (degree!)^generators
     exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
     abandoned as soon as it passes the limit.
     """
+    if type(degree) is not int:
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     if degree == 1:
@@ -127,38 +177,35 @@ def count_representations(
                     f"enumeration into S_{degree} over {pres.generators} generators "
                     f"exceeds the limit of {MAX_ENUMERATION} candidate tuples"
                 )
-    perms = list(itertools.permutations(range(degree)))
-    identity = tuple(range(degree))
-    inverse_of = {p: _invert(p) for p in perms}
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(pres.generators + 1)]
+    generators = pres.generators
+    # a relator lands at the level of its largest generator; an empty relator
+    # mentions none, lands at level 0 and holds for every assignment
+    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(generators + 1)]
     for word in pres.relators:
-        level = max((abs(l) for l in word), default=0)
-        by_level[level].append(word)
+        by_level[max((abs(l) for l in word), default=0)].append(word)
+    # images[k] and images[-k] are generator k and its inverse
+    images: list[tuple[int, ...]] = [()] * (2 * generators + 1)
+    # built only for a second generator: one generator never needs all of
+    # S_d, which the guard allows up to 11! elements
+    pairs = []
+    if generators > 1:
+        pairs = [(p, _invert(p)) for p in itertools.permutations(range(degree))]
+
+    def completions(level: int) -> int:
+        if level == generators:
+            return int(not transitive or _is_transitive(images[1 : generators + 1], degree))
+        found = 0
+        for p, inverse in pairs:
+            images[level + 1], images[-level - 1] = p, inverse
+            if all(_fixes_every_point(w, images, degree) for w in by_level[level + 1]):
+                found += completions(level + 1)
+        return found
 
     count = 0
-    assignment: list[tuple[int, ...]] = []
-    inverses: list[tuple[int, ...]] = []
-
-    def recurse(level: int) -> None:
-        nonlocal count
-        if level == pres.generators:
-            if not transitive or _is_transitive(assignment, degree):
-                count += 1
-            return
-        for p in perms:
-            assignment.append(p)
-            inverses.append(inverse_of[p])
-            if all(
-                _satisfies(word, assignment, inverses, identity)
-                for word in by_level[level + 1]
-            ):
-                recurse(level + 1)
-            assignment.pop()
-            inverses.pop()
-
-    # relators mentioning no generator must hold in the trivial sense
-    if all(_satisfies(word, [], [], identity) for word in by_level[0]):
-        recurse(0)
+    for p, size in _conjugacy_classes(degree):
+        images[1], images[-1] = p, _invert(p)
+        if all(_fixes_every_point(w, images, degree) for w in by_level[1]):
+            count += size * completions(1)
     return count
 
 
@@ -214,6 +261,8 @@ class CoverCertificate:
     label: str
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.degree < 1:
             raise ValueError("degree must be a positive integer")
         if not self.branch_volume > 0:

@@ -47,13 +47,17 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int:
+            raise ValueError(f"rows must be an integer, got {self.rows!r}")
+        if type(self.cols) is not int:
+            raise ValueError(f"cols must be an integer, got {self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(type(e) is int for e in self.entries):
             raise ValueError("matrix entries must be integers")
 
     @classmethod

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from collections import Counter
 from importlib import resources
 
 import mpmath
@@ -23,7 +26,7 @@ from prismvol import (
     prism_verify,
     upper_bound_value,
 )
-from prismvol.covers import UPPER_BOUND
+from prismvol.covers import UPPER_BOUND, _conjugacy_classes
 from support import (
     brute_hom_count,
     catalan_alternating,
@@ -152,6 +155,95 @@ class TestCountRepresentations:
             GroupPresentation(generators, relators + (extra,)), degree
         )
         assert tightened <= base
+
+
+PARTITION_COUNTS = (1, 2, 3, 5, 7, 11, 15, 22)  # p(1), ..., p(8)
+DIVISOR_SUMS = (1, 3, 4, 7, 6, 12)  # sigma(1), ..., sigma(6)
+
+
+def cycle_type(perm) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def hall_violations(plain, transitive) -> list[int]:
+    """Degrees n where h_n != sum_k C(n-1, k-1) t_k h_{n-k}, with h_0 = 1."""
+    h = [1, *plain]
+    return [
+        n
+        for n in range(1, len(plain) + 1)
+        if h[n]
+        != sum(math.comb(n - 1, k - 1) * transitive[k - 1] * h[n - k] for k in range(1, n + 1))
+    ]
+
+
+class TestBenchmarkDegrees:
+    """The degrees the cover-count benchmark asks for, against closed forms,
+    frozen values, Hall's identity and the unpruned oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hopf_closed_forms(self, n):
+        assert count_representations(HOPF, n) == math.factorial(n) * PARTITION_COUNTS[n - 1]
+        assert count_representations(HOPF, n, transitive=True) == (
+            math.factorial(n - 1) * DIVISOR_SUMS[n - 1]
+        )
+
+    def test_trefoil_frozen_counts(self):
+        plain = [count_representations(TREFOIL, n) for n in range(1, 7)]
+        transitive = [count_representations(TREFOIL, n, transitive=True) for n in range(1, 7)]
+        assert plain == [1, 2, 12, 96, 600, 6480]
+        assert transitive == [1, 1, 8, 54, 144, 2640]
+        assert hall_violations(plain, transitive) == []
+
+    def test_hall_check_sees_a_wrong_count(self):
+        assert hall_violations([1, 2, 12], [1, 1, 7]) == [3]
+
+    @given(presentations_st())
+    @settings(max_examples=40, deadline=None)
+    def test_hall_identity(self, gp):
+        pres = GroupPresentation(*gp)
+        plain = [count_representations(pres, n) for n in range(1, 6)]
+        transitive = [count_representations(pres, n, transitive=True) for n in range(1, 6)]
+        assert hall_violations(plain, transitive) == []
+
+    @given(presentations_st())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force_at_degree_four(self, gp):
+        generators, relators = gp
+        pres = GroupPresentation(generators, relators)
+        for transitive in (False, True):
+            assert count_representations(
+                pres, 4, transitive=transitive
+            ) == brute_hom_count(generators, relators, 4, transitive=transitive)
+
+    def test_one_generator_builds_no_permutation_list(self):
+        # 11! is under the guard; the involutions of S_11 are counted from the
+        # 56 class representatives alone
+        assert count_representations(GroupPresentation(1, ((1, 1),)), 11) == 35696
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_one_representative_per_cycle_type(self, degree):
+        classes = _conjugacy_classes(degree)
+        types = [cycle_type(rep) for rep, _ in classes]
+        assert len(classes) == PARTITION_COUNTS[degree - 1]
+        assert len(set(types)) == len(types)
+        assert all(sorted(rep) == list(range(degree)) for rep, _ in classes)
+        assert sum(size for _, size in classes) == math.factorial(degree)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_sizes_match_a_census(self, degree):
+        census = Counter(cycle_type(perm) for perm in itertools.permutations(range(degree)))
+        assert {cycle_type(rep): size for rep, size in _conjugacy_classes(degree)} == census
 
 
 class TestVolumeConstants:

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 
 from prismvol import (
     BraidWord,
+    CoverCertificate,
     GroupPresentation,
+    IntMatrix,
     MontesinosLink,
     Orbifold2D,
     SeifertSymbol,
+    Slope,
     SurfaceData,
+    count_representations,
     link_from_json,
     orbifold_from_json,
     presentation_from_json,
@@ -159,6 +163,14 @@ class TestConstructors:
             (lambda: Orbifold2D(True, "0", 1, ()), "genus"),
             (lambda: Orbifold2D(True, 0, 1.0, ()), "boundary"),
             (lambda: Orbifold2D(True, 0, 1, (2.0, 3)), "cones"),
+            (lambda: Slope(True, 0), "slope p"),
+            (lambda: Slope(1.0, 0), "slope p"),
+            (lambda: Slope(1, 2.0), "slope q"),
+            (lambda: CoverCertificate(2.5, 1.0, "x"), "degree"),
+            (lambda: IntMatrix(1, 1, (True,)), "entries"),
+            (lambda: IntMatrix(1.0, 1, (1,)), "rows"),
+            (lambda: count_representations(GroupPresentation(1, ()), True), "degree"),
+            (lambda: count_representations(GroupPresentation(1, ()), 2.0), "degree"),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):

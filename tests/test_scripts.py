@@ -6,15 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = run(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -35,3 +41,14 @@ def test_verify_family():
         "candidate n = -1: horizontal fiber degrees [10]",
         "candidate n = 1: horizontal fiber degrees [18]",
     ]
+
+
+@pytest.mark.parametrize(
+    "script, flag",
+    [("case_table.py", "--n"), ("verify_family.py", "--from"), ("verify_family.py", "--to")],
+)
+@pytest.mark.parametrize("token", [" 1_0", "+1", "1.0"])
+def test_integer_options_are_strict(script, flag, token):
+    proc = run(script, f"{flag}={token}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"expected an integer, got {token!r}" in proc.stderr
