@@ -8,7 +8,7 @@ Example:
 import argparse
 import sys
 
-from prismvol import prism_verify, upper_bound_value
+from prismvol import prism_rows, upper_bound_value
 from prismvol.cli import integer_arg
 
 
@@ -18,25 +18,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--to", dest="n_to", type=integer_arg, default=25)
     args = parser.parse_args(argv)
 
-    result = prism_verify(args.n_from, args.n_to)
-    reports = result["reports"]
     by_status: dict[str, list[int]] = {}
-    for row in reports:
+    candidate_lines = []
+    for row in prism_rows(args.n_from, args.n_to):
         by_status.setdefault(row["status"], []).append(row["n"])
+        if row["status"] == "candidate-exceptional":
+            degrees = sorted(
+                d for case in row["case_analysis"]["cases"] for d in case["degrees"]
+            )
+            candidate_lines.append(
+                f"candidate n = {row['n']}: horizontal fiber degrees {degrees}"
+            )
 
-    print(f"parameters audited: {len(reports)} (n from {args.n_from} to {args.n_to})")
+    audited = sum(map(len, by_status.values()))
+    print(f"parameters audited: {audited} (n from {args.n_from} to {args.n_to})")
     print(f"upper bound per parameter: 2*V0 = {upper_bound_value():.12f}")
     for status in ("conditional", "candidate-exceptional", "excluded"):
         values = by_status.get(status, [])
         shown = ", ".join(map(str, values)) if values else "none"
         print(f"  {status:<22} {len(values):>4}  {shown}")
-
-    for n in result["candidate_exceptional"]:
-        row = next(r for r in reports if r["n"] == n)
-        degrees = sorted(
-            d for case in row["case_analysis"]["cases"] for d in case["degrees"]
-        )
-        print(f"candidate n = {n}: horizontal fiber degrees {degrees}")
+    for line in candidate_lines:
+        print(line)
     return 0
 
 

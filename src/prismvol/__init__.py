@@ -31,6 +31,7 @@ from .covers import (
     degree_bound_for_budget,
     fiber_surface,
     presentation_from_json,
+    prism_rows,
     prism_verify,
     upper_bound_value,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "presentation_from_json",
     "prism_case_analysis",
     "prism_fibrations",
+    "prism_rows",
     "prism_verify",
     "remove_fiber",
     "riemann_hurwitz_cover",

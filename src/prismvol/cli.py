@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -273,28 +274,48 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
     _emit(args, {"count": count}, [str(count)])
 
 
-def _prism_table(report: dict) -> list[str]:
-    lines = [
+def _prism_json(rows) -> Iterator[str]:
+    """What ``print(json.dumps(report, indent=2))`` writes for the report
+    ``{"reports": rows, "candidate_exceptional": [...]}``, one row at a time;
+    the candidates are collected along the way."""
+    candidates = []
+    yield '{\n  "reports": ['
+    separator, closing = "\n    ", "]"
+    for row in rows:
+        yield separator + json.dumps(row, indent=2).replace("\n", "\n    ")
+        separator, closing = ",\n    ", "\n  ]"
+        if row["status"] == "candidate-exceptional":
+            candidates.append(row["n"])
+    listed = json.dumps(candidates, indent=2).replace("\n", "\n  ")
+    yield f'{closing},\n  "candidate_exceptional": {listed}\n}}\n'
+
+
+def _prism_table(rows) -> Iterator[str]:
+    """The table of audit rows, one line at a time."""
+    yield (
         f"upper bound {covers.UPPER_BOUND_LABEL} = {covers.upper_bound_value():.12f}"
-        " (degree-2 certificate)",
+        " (degree-2 certificate)"
+    )
+    yield (
         f"{'n':>5}  {'status':<22}  {'horizontal d':<14}  "
-        f"{'twist-knot excluded':<19}  max degree",
-    ]
-    for row in report["reports"]:
+        f"{'twist-knot excluded':<19}  max degree"
+    )
+    candidates = []
+    for row in rows:
         if row["status"] == "excluded":
-            lines.append(f"{row['n']:>5}  {'excluded':<22}  {row['reason']}")
+            yield f"{row['n']:>5}  {'excluded':<22}  {row['reason']}"
             continue
+        if row["status"] == "candidate-exceptional":
+            candidates.append(row["n"])
         degrees = sorted(
             d for case in row["case_analysis"]["cases"] for d in case["degrees"]
         )
         excluded = "yes" if row["twist_knot_excluded"] else "NO"
-        lines.append(
+        yield (
             f"{row['n']:>5}  {row['status']:<22}  {_degrees_str(degrees):<14}  "
             f"{excluded:<19}  {row['max_degree']}"
         )
-    exceptional = report["candidate_exceptional"]
-    lines.append(f"candidate exceptional: {_degrees_str(exceptional)}")
-    return lines
+    yield f"candidate exceptional: {_degrees_str(candidates)}"
 
 
 def _cmd_prism_verify(args: argparse.Namespace) -> None:
@@ -302,8 +323,13 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
         )
-    report = covers.prism_verify(args.n_from, args.n_to)
-    _emit(args, report, _prism_table(report))
+    rows = covers.prism_rows(args.n_from, args.n_to)
+    if _use_json(args):
+        chunks = _prism_json(rows)
+    else:
+        chunks = (line + "\n" for line in _prism_table(rows))
+    for chunk in chunks:
+        sys.stdout.write(chunk)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .montesinos import double_branched_cover, is_lens_space_symbol, wn_link
@@ -360,6 +361,23 @@ def _report_for(
     }
 
 
+def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
+    """The audit rows of ``prism_verify``, one per parameter in [n_from, n_to],
+    made one at a time so that a caller can write each out and let it go.
+
+    What does not depend on n (fiber, bound, degree cap, slope demonstration)
+    is computed once per call, when the first row is asked for.  No row
+    raises for an integer n: a degenerate parameter is reported as
+    "excluded".
+    """
+    fiber = fiber_surface()
+    upper = upper_bound_value()
+    max_degree = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
+    counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
+    for n in range(n_from, n_to + 1):
+        yield _report_for(n, fiber, upper, max_degree, counts)
+
+
 def prism_verify(n_from: int, n_to: int) -> dict:
     """Audit every parameter in [n_from, n_to].
 
@@ -369,15 +387,12 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     volume floor.  Parameters whose computable obstructions all vanish are
     "conditional" (the remaining steps are finite but not effective);
     parameters where the case analysis finds a candidate degree are
-    "candidate-exceptional"; degenerate parameters are "excluded".  What
-    does not depend on n (fiber, bound, degree cap, slope demonstration) is
-    computed once per call.
+    "candidate-exceptional"; degenerate parameters are "excluded".
+
+    The rows come from ``prism_rows``, which the command line streams; this
+    function holds them all, so its memory grows with the range.
     """
-    fiber = fiber_surface()
-    upper = upper_bound_value()
-    max_degree = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
-    counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
-    reports = [_report_for(n, fiber, upper, max_degree, counts) for n in range(n_from, n_to + 1)]
+    reports = list(prism_rows(n_from, n_to))
     return {
         "reports": reports,
         "candidate_exceptional": [

@@ -138,12 +138,14 @@ def riemann_hurwitz_cover(
       number of genuine branch points is odd, and over a closed base that
       number must be even for the cover to exist at all.
     """
+    if type(degree) is not int:
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     branch = [tuple(sorted(point)) for point in branch_local_degrees]
     for point in branch:
-        if any(local < 1 for local in point):
-            raise ValueError(f"local degrees must be positive, got {point}")
+        if any(type(local) is not int or local < 1 for local in point):
+            raise ValueError(f"local degrees must be positive integers, got {point}")
         if sum(point) != degree:
             raise ValueError(
                 f"local degrees {point} do not partition the degree {degree}"
@@ -193,6 +195,24 @@ def orientation_double_cover(b: Orbifold2D) -> Orbifold2D:
     )
 
 
+def _degree_solutions(
+    chi_f: int, chi_b: Fraction, cones: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Positive integer degrees d with chi_f == d * chi_b: those that every
+    cone index divides, and all of them, from one division."""
+    if chi_b == 0:
+        if chi_f == 0:
+            raise InfiniteSolutionsError(
+                "chi(F) = 0 = chi_orb(B): every degree solves the equation"
+            )
+        return [], []
+    ratio = Fraction(chi_f, 1) / chi_b
+    if ratio.denominator != 1 or ratio <= 0:
+        return [], []
+    d = int(ratio)
+    return ([] if any(d % index for index in cones) else [d]), [d]
+
+
 def horizontal_degree_solutions(
     f: SurfaceData, b: Orbifold2D, require_cone_divisibility: bool = True
 ) -> list[int]:
@@ -208,21 +228,8 @@ def horizontal_degree_solutions(
         raise ValueError(
             "base is non-orientable; use nonorientable_base_solutions"
         )
-    chi_f = f.euler
-    chi_b = chi_orb(b)
-    if chi_b == 0:
-        if chi_f == 0:
-            raise InfiniteSolutionsError(
-                "chi(F) = 0 = chi_orb(B): every degree solves the equation"
-            )
-        return []
-    ratio = Fraction(chi_f, 1) / chi_b
-    if ratio.denominator != 1 or ratio <= 0:
-        return []
-    d = int(ratio)
-    if require_cone_divisibility and any(d % index for index in b.cones):
-        return []
-    return [d]
+    degrees, chi_only = _degree_solutions(f.euler, chi_orb(b), b.cones)
+    return degrees if require_cone_divisibility else chi_only
 
 
 def nonorientable_base_solutions(
@@ -281,10 +288,18 @@ def prism_case_analysis(n: int, fiber_surface: SurfaceData) -> list[CaseResult]:
     and without the cone-divisibility requirement; ``degrees`` is the honest
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
+
+    Each base's ``chi_orb`` is computed once and both solution sets come from
+    one division, the same solver that ``horizontal_degree_solutions`` and
+    ``nonorientable_base_solutions`` wrap.  A non-orientable base is solved
+    over its orientation double cover, whose ``chi_orb`` is twice the base's
+    with the same cone indices, and its degrees are doubled.
     """
     mu = abs(4 * n - 1)
     if mu < 3:
         raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
+    if not fiber_surface.orientable:
+        raise ValueError("the covering surface must be orientable here")
     bases = [
         Orbifold2D(False, 1, 1, ()),
         Orbifold2D(False, 1, 1, (2,)),
@@ -294,10 +309,18 @@ def prism_case_analysis(n: int, fiber_surface: SurfaceData) -> list[CaseResult]:
     ]
     results = []
     for case, base in enumerate(bases, start=1):
-        solve = horizontal_degree_solutions if base.orientable else nonorientable_base_solutions
-        degrees = tuple(solve(fiber_surface, base))
-        chi_only = tuple(solve(fiber_surface, base, require_cone_divisibility=False))
-        results.append(CaseResult(case, base, chi_orb(base), degrees, chi_only))
+        chi = chi_orb(base)
+        sheets = 1 if base.orientable else 2
+        degrees, chi_only = _degree_solutions(fiber_surface.euler, sheets * chi, base.cones)
+        results.append(
+            CaseResult(
+                case,
+                base,
+                chi,
+                tuple(sheets * d for d in degrees),
+                tuple(sheets * d for d in chi_only),
+            )
+        )
     return results
 
 

@@ -9,7 +9,7 @@ from prismvol import (
     prism_verify,
     remove_fiber,
 )
-from prismvol import covers
+from prismvol import covers, orbifolds
 
 FIBER = fiber_surface()
 
@@ -65,3 +65,21 @@ def test_slope_demo_counted_once_per_call(monkeypatch):
     assert len(demos) == 100
     assert demos[0]["counts"] == [5, 2]
     assert all(demo == demos[0] for demo in demos)
+
+
+def test_chi_orb_once_per_base(monkeypatch):
+    calls = []
+    original = orbifolds.chi_orb
+
+    def counting(base):
+        calls.append(base)
+        return original(base)
+
+    monkeypatch.setattr(orbifolds, "chi_orb", counting)
+    for n in (-7, -1, 1, 2, 40):
+        calls.clear()
+        results = prism_case_analysis(n, FIBER)
+        assert calls == [r.orbifold for r in results], n
+    calls.clear()
+    prism_verify(-50, 50)
+    assert len(calls) == 5 * 100

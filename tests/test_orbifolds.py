@@ -18,6 +18,7 @@ from prismvol import (
     prism_case_analysis,
     riemann_hurwitz_cover,
 )
+from prismvol.orbifolds import _degree_solutions
 
 MOEBIUS = Orbifold2D(False, 1, 1)
 DISK_2_2_3 = Orbifold2D(True, 0, 1, (2, 2, 3))
@@ -319,8 +320,68 @@ class TestNonorientableBaseSolutions:
             assert all((d // 2) % c == 0 for c in base.cones)
 
 
+class TestDegreeSolutions:
+    """The one solver behind both public ones, which ``prism_case_analysis``
+    calls directly with each base's chi_orb."""
+
+    @given(
+        small_orbifolds_st,
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_both_lists_match_the_public_solvers(self, base, fg, fb):
+        fiber = SurfaceData(fg, fb)
+        if base.orientable:
+            sheets, solve = 1, horizontal_degree_solutions
+        else:
+            sheets, solve = 2, nonorientable_base_solutions
+        try:
+            degrees, chi_only = _degree_solutions(
+                fiber.euler, sheets * chi_orb(base), base.cones
+            )
+        except InfiniteSolutionsError:
+            assert fiber.euler == 0 and chi_orb(base) == 0
+            for divisible in (True, False):
+                with pytest.raises(InfiniteSolutionsError):
+                    solve(fiber, base, require_cone_divisibility=divisible)
+            return
+        assert [sheets * d for d in degrees] == solve(fiber, base)
+        assert [sheets * d for d in chi_only] == solve(
+            fiber, base, require_cone_divisibility=False
+        )
+
+    def test_zero_chi_on_both_sides_is_degenerate(self):
+        with pytest.raises(InfiniteSolutionsError):
+            _degree_solutions(0, Fraction(0), (2, 2))
+        assert _degree_solutions(-3, Fraction(0), (2, 2)) == ([], [])
+
+    def test_divisibility_filters_only_the_first_list(self):
+        # chi -2 over chi_orb -2/3 gives d = 3, which the index 2 does not divide
+        assert _degree_solutions(-2, Fraction(-2, 3), (2, 2, 3)) == ([], [3])
+        assert _degree_solutions(-3, Fraction(-1, 6), (2, 3)) == ([18], [18])
+
+
 class TestPrismCaseAnalysis:
     fiber = SurfaceData(2, 1)
+
+    def test_cases_match_the_public_solvers(self):
+        for n in range(-200, 201):
+            if abs(4 * n - 1) < 3:
+                continue
+            for r in prism_case_analysis(n, self.fiber):
+                if r.orbifold.orientable:
+                    solve = horizontal_degree_solutions
+                else:
+                    solve = nonorientable_base_solutions
+                assert list(r.degrees) == solve(self.fiber, r.orbifold), n
+                assert list(r.chi_only_degrees) == solve(
+                    self.fiber, r.orbifold, require_cone_divisibility=False
+                ), n
+
+    def test_nonorientable_fiber_rejected(self):
+        with pytest.raises(ValueError, match="orientable"):
+            prism_case_analysis(1, SurfaceData(1, 1, orientable=False))
 
     def test_chi_values_first_parameter(self):
         results = prism_case_analysis(1, self.fiber)

@@ -14,9 +14,11 @@ from prismvol import (
     Slope,
     SurfaceData,
     count_representations,
+    enumerate_constrained_slopes,
     link_from_json,
     orbifold_from_json,
     presentation_from_json,
+    riemann_hurwitz_cover,
     slope_from_json,
     symbol_from_json,
     word_from_json,
@@ -171,6 +173,22 @@ class TestConstructors:
             (lambda: IntMatrix(1.0, 1, (1,)), "rows"),
             (lambda: count_representations(GroupPresentation(1, ()), True), "degree"),
             (lambda: count_representations(GroupPresentation(1, ()), 2.0), "degree"),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), 2.0, [(2,)]),
+                "degree must be an integer",
+            ),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), True, [(2,)]),
+                "degree must be an integer",
+            ),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), 2, [(2.0,)]),
+                "local degrees",
+            ),
+            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), True, 2.0), "k1"),
+            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2), "k1"),
+            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, 2.0), "k2"),
+            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, False), "k2"),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from prismvol import prism_verify
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,6 +43,22 @@ def test_verify_family():
         "candidate n = -1: horizontal fiber degrees [10]",
         "candidate n = 1: horizontal fiber degrees [18]",
     ]
+
+
+def test_verify_family_counts_match_prism_verify():
+    lines = run_script("verify_family.py", "--from", "-40", "--to", "40")
+    assert lines[0] == "parameters audited: 81 (n from -40 to 40)"
+    expected = {"conditional": [], "candidate-exceptional": [], "excluded": []}
+    for row in prism_verify(-40, 40)["reports"]:
+        expected[row["status"]].append(row["n"])
+    shown = {}
+    for line in lines[2:5]:
+        status, count, listed = line.split(maxsplit=2)
+        shown[status] = (int(count), listed)
+    assert shown == {
+        status: (len(values), ", ".join(map(str, values)) or "none")
+        for status, values in expected.items()
+    }
 
 
 @pytest.mark.parametrize(
