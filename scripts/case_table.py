@@ -25,11 +25,10 @@ from prismvol.cli import integer_arg
 
 
 def print_case_table(n: int) -> None:
-    fiber = fiber_surface()
     print(f"five-case analysis for n = {n} (fiber: genus 2, one boundary circle)")
     header = f"{'case':>4}  {'base orbifold':<40}  {'chi_orb':>8}  {'degrees':<10}  chi-only"
     print(header)
-    for r in prism_case_analysis(n, fiber):
+    for r in prism_case_analysis(n):
         b = r.orbifold
         kind = "orientable" if b.orientable else "non-orientable"
         cones = ",".join(map(str, b.cones)) if b.cones else "-"
@@ -49,11 +48,10 @@ def _parameter(mu: int) -> int:
 
 
 def decide_family() -> None:
-    fiber = fiber_surface()
-    c = -fiber.euler
+    c = -fiber_surface().euler
     print(f"\nfamily decided by divisors (mu = |4n - 1| odd >= 3, c = -chi(F) = {c}):")
     # a base that does not depend on n has the same degrees for every n
-    fixed = [r for r in prism_case_analysis(1, fiber) if r.case in (1, 2, 4)]
+    fixed = [r for r in prism_case_analysis(1) if r.case in (1, 2, 4)]
     shown = ", ".join(",".join(map(str, r.degrees)) or "-" for r in fixed)
     print(f"  cases 1, 2, 4 (bases independent of n): degrees {shown}")
     hits = [f"(d={d}, every n)" for r in fixed for d in r.degrees]
@@ -62,7 +60,7 @@ def decide_family() -> None:
         print(f"  case {case}: (mu - {k}) | {m} leaves odd mu >= 3 in {mus}")
         for mu in mus:
             n = _parameter(mu)
-            result = prism_case_analysis(n, fiber)[case - 1]
+            result = prism_case_analysis(n)[case - 1]
             hits += [f"(d={d}, n={n})" for d in result.degrees]
     print(f"  family: {', '.join(hits) or 'no solutions'}")
 

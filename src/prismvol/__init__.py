@@ -29,7 +29,6 @@ from .covers import (
     complexity,
     count_representations,
     degree_bound_for_budget,
-    fiber_surface,
     presentation_from_json,
     prism_rows,
     prism_verify,
@@ -57,6 +56,7 @@ from .orbifolds import (
     SurfaceData,
     case_analysis_report,
     chi_orb,
+    fiber_surface,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
     orbifold_from_json,

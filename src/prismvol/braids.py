@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reader import read
+from .reader import read, require_int
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.strands) is not int:
-            raise ValueError(f"strands must be an integer, got {self.strands!r}")
+        require_int(strands=self.strands)
         if self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
         letters = tuple(self.letters)
@@ -56,6 +55,7 @@ def _power_block(top: int, exponent: int) -> list[int]:
 
 def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     """The braid (s_1 ... s_{p-1})^q (s_1 ... s_{r-1})^{r*s} on p strands."""
+    require_int(p=p, q=q, r=r, s=s)
     if p < 2:
         raise ValueError("p must be at least 2")
     if not 2 <= r <= p:

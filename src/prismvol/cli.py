@@ -22,6 +22,7 @@ import re
 import sys
 from collections.abc import Iterator
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import braids, covers, montesinos, orbifolds, seifert, slopes
@@ -274,6 +275,26 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
     _emit(args, {"count": count}, [str(count)])
 
 
+def _indented(value: object, margin: str) -> str:
+    """``json.dumps(value, indent=2)`` with each line after the first moved
+    right by ``margin``.  The stdlib's indenting encoder is pure Python and
+    each call leaves its closures in a reference cycle, which only the cyclic
+    collector frees; this leaves no garbage for it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    inner = margin + "  "
+    if kind is dict and value:
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}}}"
+    if kind is list and value:
+        items = [_indented(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
+    return json.dumps(value)  # a float, a bool, None or an empty container
+
+
 def _prism_json(rows) -> Iterator[str]:
     """What ``print(json.dumps(report, indent=2))`` writes for the report
     ``{"reports": rows, "candidate_exceptional": [...]}``, one row at a time;
@@ -282,12 +303,11 @@ def _prism_json(rows) -> Iterator[str]:
     yield '{\n  "reports": ['
     separator, closing = "\n    ", "]"
     for row in rows:
-        yield separator + json.dumps(row, indent=2).replace("\n", "\n    ")
+        yield separator + _indented(row, "    ")
         separator, closing = ",\n    ", "\n  ]"
         if row["status"] == "candidate-exceptional":
             candidates.append(row["n"])
-    listed = json.dumps(candidates, indent=2).replace("\n", "\n  ")
-    yield f'{closing},\n  "candidate_exceptional": {listed}\n}}\n'
+    yield f'{closing},\n  "candidate_exceptional": {_indented(candidates, "  ")}\n}}\n'
 
 
 def _prism_table(rows) -> Iterator[str]:

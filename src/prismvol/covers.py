@@ -28,8 +28,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .montesinos import double_branched_cover, is_lens_space_symbol, wn_link
-from .orbifolds import SurfaceData, case_analysis_report, riemann_hurwitz_cover
-from .reader import read
+from .orbifolds import case_analysis_report, fiber_surface  # noqa: F401 (covers.fiber_surface)
+from .reader import read, require_int
 from .seifert import prism_fibrations
 from .slopes import Slope, enumerate_constrained_slopes
 
@@ -49,8 +49,7 @@ class GroupPresentation:
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.generators) is not int:
-            raise ValueError(f"generators must be an integer, got {self.generators!r}")
+        require_int(generators=self.generators)
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
         relators = tuple(tuple(word) for word in self.relators)
@@ -163,8 +162,7 @@ def count_representations(
     exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
     abandoned as soon as it passes the limit.
     """
-    if type(degree) is not int:
-        raise ValueError(f"degree must be an integer, got {degree!r}")
+    require_int(degree=degree)
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     if degree == 1:
@@ -262,8 +260,7 @@ class CoverCertificate:
     label: str
 
     def __post_init__(self) -> None:
-        if type(self.degree) is not int:
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        require_int(degree=self.degree)
         if self.degree < 1:
             raise ValueError("degree must be a positive integer")
         if not self.branch_volume > 0:
@@ -287,6 +284,9 @@ def degree_bound_for_budget(budget: float, floor: float) -> int:
 
 UPPER_BOUND_LABEL = "2*V0"
 UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, UPPER_BOUND_LABEL)
+# every audit row reports this bound and the degree cap it allows
+_UPPER_BOUND_VALUE = round(complexity(UPPER_BOUND), 12)
+_MAX_DEGREE = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
 
 _NONEFFECTIVE_STEPS = (
     "pseudo-Anosov monodromy: all but finitely many fillings are hyperbolic "
@@ -306,25 +306,16 @@ _SLOPE_DEMO_PAIRS = (
 )
 
 
-def fiber_surface() -> SurfaceData:
-    """The genus-2 one-boundary surface, rebuilt from first principles as the
-    double cover of the disk branched over five points."""
-    disk = SurfaceData(genus=0, boundary=1, orientable=True)
-    return riemann_hurwitz_cover(disk, 2, [(2,)] * 5)
-
-
 def upper_bound_value() -> float:
-    return round(complexity(UPPER_BOUND), 12)
+    return _UPPER_BOUND_VALUE
 
 
-def _report_for(
-    n: int, fiber: SurfaceData, upper: float, max_degree: int, counts: list[int]
-) -> dict:
+def _report_for(n: int, counts: list[int]) -> dict:
     if abs(4 * n - 1) < 3:
         return {
             "n": n,
             "upper_bound": UPPER_BOUND_LABEL,
-            "upper_bound_value": upper,
+            "upper_bound_value": _UPPER_BOUND_VALUE,
             "status": "excluded",
             "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
         }
@@ -333,7 +324,7 @@ def _report_for(
     twist_knot_excluded = is_lens_space_symbol(twist_cover) and not is_lens_space_symbol(
         oo_symbol
     )
-    analysis = case_analysis_report(n, fiber)
+    analysis = case_analysis_report(n)
     status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
     unresolved = list(_NONEFFECTIVE_STEPS)
     if status == "candidate-exceptional":
@@ -348,14 +339,14 @@ def _report_for(
     return {
         "n": n,
         "upper_bound": UPPER_BOUND_LABEL,
-        "upper_bound_value": upper,
+        "upper_bound_value": _UPPER_BOUND_VALUE,
         "twist_knot_excluded": twist_knot_excluded,
         "case_analysis": analysis,
         "slope_demo": {
             "pairs": [[f.to_json(), c.to_json()] for f, c in _SLOPE_DEMO_PAIRS],
             "counts": list(counts),
         },
-        "max_degree": max_degree,
+        "max_degree": _MAX_DEGREE,
         "status": status,
         "unresolved_steps": unresolved,
     }
@@ -365,17 +356,15 @@ def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
     """The audit rows of ``prism_verify``, one per parameter in [n_from, n_to],
     made one at a time so that a caller can write each out and let it go.
 
-    What does not depend on n (fiber, bound, degree cap, slope demonstration)
-    is computed once per call, when the first row is asked for.  No row
-    raises for an integer n: a degenerate parameter is reported as
-    "excluded".
+    The bound and the degree cap are module constants, and the five-case
+    analysis solves its three n-independent cases once per process.  The
+    slope demonstration is an enumeration, so it runs once per call, at the
+    call, where an ``n_from`` or ``n_to`` that is not an ``int`` is refused.
+    No row raises: a degenerate parameter is reported as "excluded".
     """
-    fiber = fiber_surface()
-    upper = upper_bound_value()
-    max_degree = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
+    require_int(n_from=n_from, n_to=n_to)
     counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
-    for n in range(n_from, n_to + 1):
-        yield _report_for(n, fiber, upper, max_degree, counts)
+    return (_report_for(n, counts) for n in range(n_from, n_to + 1))
 
 
 def prism_verify(n_from: int, n_to: int) -> dict:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .reader import require_int
+
 
 def frac_str(q: Fraction) -> str:
     """Render a rational as ``p/q`` with positive denominator (``0`` -> ``0/1``)."""
@@ -47,10 +49,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.rows) is not int:
-            raise ValueError(f"rows must be an integer, got {self.rows!r}")
-        if type(self.cols) is not int:
-            raise ValueError(f"cols must be an integer, got {self.cols!r}")
+        require_int(rows=self.rows, cols=self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:

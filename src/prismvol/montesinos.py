@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import seifert
-from .reader import read
+from .reader import read, require_int
 from .seifert import SeifertSymbol, normalize
 
 
@@ -25,8 +25,7 @@ class MontesinosLink:
     tangles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if type(self.genus) is not int:
-            raise ValueError(f"genus must be an integer, got {self.genus!r}")
+        require_int(genus=self.genus)
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         tangles = tuple((b, a) for b, a in self.tangles)
@@ -75,6 +74,7 @@ def ln_link(n: int) -> tuple[MontesinosLink, MontesinosLink]:
     by test_family_consistent_with_fibrations and acceptance criterion 6); for
     the other parameters the cover degenerates to a lens-space symbol.
     """
+    require_int(n=n)
     m = 4 * n - 1
     third = (-2, m) if m > 0 else (2, -m)
     spherical = MontesinosLink(0, ((1, 2), (-1, 2), third))
@@ -89,6 +89,7 @@ def wn_link(m: int) -> MontesinosLink:
     two-tangle shape is consumed downstream: it guarantees the double
     branched cover is a lens space.
     """
+    require_int(m=m)
     a = 2 * m + 1
     tangle = (m, a) if a > 0 else (-m, -a)
     return MontesinosLink(0, ((1, 2), tangle))

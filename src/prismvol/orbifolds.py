@@ -11,9 +11,9 @@ the cone index, which forces two conditions on the covering degree d:
 
     chi(F) = d * chi_orb(B),  and  every cone index divides d.
 
-``prism_case_analysis`` runs that degree equation over the five base
-orbifolds obtained by removing one fiber (regular or exceptional) from
-either fibration of a prism manifold in the family parametrized by n.
+``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
+over the five base orbifolds obtained by removing one fiber from either
+fibration of the prism manifold with parameter n; three do not depend on n.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac_str
-from .reader import read
+from .reader import read, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -33,10 +33,7 @@ def _check_surface_fields(x: SurfaceData | Orbifold2D, what: str) -> None:
     # exact types, not coercion: True is not a genus and 2.5 is not a count
     if type(x.orientable) is not bool:
         raise ValueError(f"orientable must be a bool, got {x.orientable!r}")
-    if type(x.genus) is not int:
-        raise ValueError(f"genus must be an integer, got {x.genus!r}")
-    if type(x.boundary) is not int:
-        raise ValueError(f"boundary must be an integer, got {x.boundary!r}")
+    require_int(genus=x.genus, boundary=x.boundary)
     if x.genus < 0 or x.boundary < 0:
         raise ValueError("genus and boundary count must be non-negative")
     if not x.orientable and x.genus < 1:
@@ -138,8 +135,7 @@ def riemann_hurwitz_cover(
       number of genuine branch points is odd, and over a closed base that
       number must be even for the cover to exist at all.
     """
-    if type(degree) is not int:
-        raise ValueError(f"degree must be an integer, got {degree!r}")
+    require_int(degree=degree)
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     branch = [tuple(sorted(point)) for point in branch_local_degrees]
@@ -176,6 +172,13 @@ def riemann_hurwitz_cover(
         # exact by the parity rules above (test_euler_equation_and_boundary_parity)
         return SurfaceData((2 - boundary - chi_cover) // 2, boundary, True)
     raise ValueError("degrees above 2 need monodromy data beyond local degrees")
+
+
+def fiber_surface() -> SurfaceData:
+    """The family's fiber: the genus-2 one-boundary surface, rebuilt from first
+    principles as the double cover of the disk branched over five points."""
+    disk = SurfaceData(genus=0, boundary=1, orientable=True)
+    return riemann_hurwitz_cover(disk, 2, [(2,)] * 5)
 
 
 def orientation_double_cover(b: Orbifold2D) -> Orbifold2D:
@@ -271,7 +274,25 @@ class CaseResult:
         }
 
 
-def prism_case_analysis(n: int, fiber_surface: SurfaceData) -> list[CaseResult]:
+def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
+    """Degrees with chi_f = d * chi_orb(base), with and without cone divisibility.
+    A non-orientable base is solved over its orientation double cover, whose
+    ``chi_orb`` is twice the base's with the same cones; its degrees double."""
+    chi = chi_orb(base)
+    sheets = 1 if base.orientable else 2
+    degrees, chi_only = _degree_solutions(chi_f, sheets * chi, base.cones)
+    return CaseResult(
+        case, base, chi, tuple(sheets * d for d in degrees), tuple(sheets * d for d in chi_only)
+    )
+
+
+# the bases of cases 1, 2 and 4 do not depend on n, so neither do their results
+_CASE_1 = _solve_case(1, Orbifold2D(False, 1, 1, ()), fiber_surface().euler)
+_CASE_2 = _solve_case(2, Orbifold2D(False, 1, 1, (2,)), fiber_surface().euler)
+_CASE_4 = _solve_case(4, Orbifold2D(True, 0, 1, (2, 2)), fiber_surface().euler)
+
+
+def prism_case_analysis(n: int) -> list[CaseResult]:
     """Degree equations over the five fiber-removed prism base orbifolds.
 
     Removing one fiber from either fibration of the prism manifold with
@@ -284,49 +305,33 @@ def prism_case_analysis(n: int, fiber_surface: SurfaceData) -> list[CaseResult]:
       4. disk, cones {2, 2}            (orientable fibration, the mu fiber)
       5. disk, cones {2, mu}           (orientable fibration, an index-2 fiber)
 
-    For each base the degree equation for ``fiber_surface`` is solved with
+    For each base the degree equation for ``fiber_surface()`` is solved with
     and without the cone-divisibility requirement; ``degrees`` is the honest
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    Each base's ``chi_orb`` is computed once and both solution sets come from
-    one division, the same solver that ``horizontal_degree_solutions`` and
-    ``nonorientable_base_solutions`` wrap.  A non-orientable base is solved
-    over its orientation double cover, whose ``chi_orb`` is twice the base's
-    with the same cone indices, and its degrees are doubled.
+    Cases 1, 2 and 4 were solved when the module was loaded, and every call
+    returns those same three results; cases 3 and 5 are solved per call by
+    the same step, ``_solve_case``, over the solver that
+    ``horizontal_degree_solutions`` and ``nonorientable_base_solutions`` wrap.
     """
+    require_int(n=n)
     mu = abs(4 * n - 1)
     if mu < 3:
         raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
-    if not fiber_surface.orientable:
-        raise ValueError("the covering surface must be orientable here")
-    bases = [
-        Orbifold2D(False, 1, 1, ()),
-        Orbifold2D(False, 1, 1, (2,)),
-        Orbifold2D(True, 0, 1, (2, 2, mu)),
-        Orbifold2D(True, 0, 1, (2, 2)),
-        Orbifold2D(True, 0, 1, (2, mu)),
+    chi_f = fiber_surface().euler
+    return [
+        _CASE_1,
+        _CASE_2,
+        _solve_case(3, Orbifold2D(True, 0, 1, (2, 2, mu)), chi_f),
+        _CASE_4,
+        _solve_case(5, Orbifold2D(True, 0, 1, (2, mu)), chi_f),
     ]
-    results = []
-    for case, base in enumerate(bases, start=1):
-        chi = chi_orb(base)
-        sheets = 1 if base.orientable else 2
-        degrees, chi_only = _degree_solutions(fiber_surface.euler, sheets * chi, base.cones)
-        results.append(
-            CaseResult(
-                case,
-                base,
-                chi,
-                tuple(sheets * d for d in degrees),
-                tuple(sheets * d for d in chi_only),
-            )
-        )
-    return results
 
 
-def case_analysis_report(n: int, fiber_surface: SurfaceData) -> dict:
+def case_analysis_report(n: int) -> dict:
     """JSON-ready report of ``prism_case_analysis``."""
-    results = prism_case_analysis(n, fiber_surface)
+    results = prism_case_analysis(n)
     return {
         "n": n,
         "cases": [r.to_json() for r in results],

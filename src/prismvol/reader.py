@@ -23,6 +23,13 @@ def check(value: object, kind, path: str):
     return value
 
 
+def require_int(**values: object) -> None:
+    """Refuse any value that is not exactly an ``int``, naming its argument."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def read(data: object, what: str, fields: dict, defaults: dict | None = None) -> tuple:
     """The values of ``fields``, in order, from an object with exactly those keys."""
     if type(data) is not dict:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .exact import IntMatrix, elementary_divisors
 from .orbifolds import Orbifold2D
-from .reader import read
+from .reader import read, require_int
 
 OO = "Oo"
 ON = "On"
@@ -48,8 +48,7 @@ class SeifertSymbol:
     def __post_init__(self) -> None:
         if self.base_class not in (OO, ON):
             raise ValueError(f"base class must be {OO!r} or {ON!r}, got {self.base_class!r}")
-        if type(self.genus) is not int:
-            raise ValueError(f"genus must be an integer, got {self.genus!r}")
+        require_int(genus=self.genus)
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if self.base_class == ON and self.genus < 1:
@@ -182,6 +181,7 @@ def prism_fibrations(n: int) -> tuple[SeifertSymbol, SeifertSymbol]:
     The first has Euler number 2/(4n-1); both are returned in normal form,
     and the pair of normal forms is distinct for distinct n.
     """
+    require_int(n=n)
     m = 4 * n - 1
     if abs(m) < 3:
         raise ValueError(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .exact import extended_gcd
-from .reader import check
+from .reader import check, require_int
 
 
 @dataclass(frozen=True, order=True)
@@ -62,9 +62,7 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
     at most 2*k2 + 1 candidates and the output has at most 2*(2*k2 + 1)
     slopes (test_constraints_and_size_bound).
     """
-    for name, k in (("k1", k1), ("k2", k2)):
-        if type(k) is not int:
-            raise ValueError(f"{name} must be an integer, got {k!r}")
+    require_int(k1=k1, k2=k2)
     if k1 < 1:
         raise ValueError("k1 must be a positive intersection number")
     if k2 < 0:

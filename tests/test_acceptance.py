@@ -70,7 +70,7 @@ def criterion(number: int, label: str, budget: float):
 
 def test_criterion_01_five_case_table():
     with criterion(1, "five-case chi table", 1.0):
-        results = prism_case_analysis(1, FIBER)
+        results = prism_case_analysis(1)
         assert [r.chi_orb for r in results] == [
             Fraction(0),
             Fraction(-1, 2),

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -677,6 +678,22 @@ class TestStreamedVerify:
             "39274a94a60e0ec280b6555a779d8a65f589b8deb89e6081fce34c739e9c5c56",
         ),
     }
+    # (bytes, sha256) of the JSON report on wider ranges: unlike the
+    # comparison with ``prism_verify``, these show a change to the rows
+    JSON_DIGESTS = {
+        (2, 50): (
+            151359,
+            "6de3cb296b020298e48b01d83b8a7a9bb6854c1be22d301e6f18d4ebbe165fcc",
+        ),
+        (-60, 60): (
+            371284,
+            "c387e0750df6845e4d94d29bbd885e4b62d9c5f3bca3a83e8944b3a45583dc52",
+        ),
+        (-1000, 1000): (
+            6197107,
+            "f1d0dd35b4ce6262b444ec20c2186763ba21959f3201fe23f9ce2e8e66d5f54f",
+        ),
+    }
 
     @pytest.mark.parametrize("n_from, n_to", [(0, 0), (2, 10), (-1, 1), (-60, 60)])
     def test_json_equals_the_whole_report(self, n_from, n_to):
@@ -709,6 +726,21 @@ class TestStreamedVerify:
         data = out.encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.TABLE_DIGESTS[n_from, n_to]
 
+    @pytest.mark.parametrize("n_from, n_to", sorted(JSON_DIGESTS))
+    def test_json_wide_ranges(self, n_from, n_to):
+        argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), "--json"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.JSON_DIGESTS[n_from, n_to]
+
+    def test_json_leaves_no_cyclic_garbage(self):
+        rows = list(prism_rows(-50, 50))
+        gc.collect()
+        for _ in cli._prism_json(iter(rows)):
+            pass
+        assert gc.collect() == 0
+
     @staticmethod
     def _peak_bytes(n_from, n_to, fmt):
         argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), fmt]
@@ -720,10 +752,10 @@ class TestStreamedVerify:
         finally:
             tracemalloc.stop()
 
-    # Each JSON row's json.dumps(indent=2) leaves a reference cycle (the
-    # pure-Python encoder's closures) for the collector, which frees it in
-    # bounded batches: the peak levels off by about 2 001 rows, above the
-    # peak for 201.  The table leaves no cycles and is flat from 201 rows.
+    # Neither format leaves cyclic garbage per row (``cli._indented`` writes
+    # the JSON rows), so each peak is what a few rows hold at once.  Cyclic
+    # garbage would be freed in batches, at points that depend on the
+    # collector's state when the run starts, and the peaks would vary.
     @pytest.mark.parametrize("fmt, small", [("--json", 1000), ("--table", 100)])
     def test_memory_does_not_grow_with_the_range(self, fmt, small):
         small_peak = self._peak_bytes(-small, small, fmt)

@@ -3,15 +3,12 @@
 import pytest
 
 from prismvol import (
-    fiber_surface,
     prism_case_analysis,
     prism_fibrations,
     prism_verify,
     remove_fiber,
 )
 from prismvol import covers, orbifolds
-
-FIBER = fiber_surface()
 
 
 def _fiber_index(symbol, alpha):
@@ -36,7 +33,7 @@ def test_closed_form_bases_match_fiber_removal():
     for n in range(-1000, 1001):
         if abs(4 * n - 1) < 3:
             continue
-        bases = [r.orbifold for r in prism_case_analysis(n, FIBER)]
+        bases = [r.orbifold for r in prism_case_analysis(n)]
         assert bases == derived_bases(n), n
         checked += 1
     assert checked == 2000
@@ -46,8 +43,28 @@ def test_degenerate_parameter_refused_like_the_fibrations():
     with pytest.raises(ValueError) as from_fibrations:
         prism_fibrations(0)
     with pytest.raises(ValueError) as from_cases:
-        prism_case_analysis(0, FIBER)
+        prism_case_analysis(0)
     assert str(from_cases.value) == str(from_fibrations.value)
+
+
+@pytest.mark.parametrize("n", [True, 1.5, 1.0, "1", None])
+def test_wrong_type_refused_like_the_fibrations(n):
+    with pytest.raises(ValueError, match="^n must be an integer") as from_fibrations:
+        prism_fibrations(n)
+    with pytest.raises(ValueError) as from_cases:
+        prism_case_analysis(n)
+    assert str(from_cases.value) == str(from_fibrations.value)
+
+
+def test_fixed_cases_are_the_same_objects_for_every_n():
+    first = prism_case_analysis(2)
+    for n in range(-300, 301):
+        if abs(4 * n - 1) < 3:
+            continue
+        results = prism_case_analysis(n)
+        for case in (1, 2, 4):
+            assert results[case - 1] is first[case - 1], (n, case)
+        assert [r.case for r in results] == [1, 2, 3, 4, 5], n
 
 
 def test_slope_demo_counted_once_per_call(monkeypatch):
@@ -78,8 +95,8 @@ def test_chi_orb_once_per_base(monkeypatch):
     monkeypatch.setattr(orbifolds, "chi_orb", counting)
     for n in (-7, -1, 1, 2, 40):
         calls.clear()
-        results = prism_case_analysis(n, FIBER)
-        assert calls == [r.orbifold for r in results], n
+        results = prism_case_analysis(n)
+        assert calls == [results[2].orbifold, results[4].orbifold], n
     calls.clear()
     prism_verify(-50, 50)
-    assert len(calls) == 5 * 100
+    assert len(calls) == 2 * 100

@@ -369,7 +369,7 @@ class TestPrismCaseAnalysis:
         for n in range(-200, 201):
             if abs(4 * n - 1) < 3:
                 continue
-            for r in prism_case_analysis(n, self.fiber):
+            for r in prism_case_analysis(n):
                 if r.orbifold.orientable:
                     solve = horizontal_degree_solutions
                 else:
@@ -379,12 +379,8 @@ class TestPrismCaseAnalysis:
                     self.fiber, r.orbifold, require_cone_divisibility=False
                 ), n
 
-    def test_nonorientable_fiber_rejected(self):
-        with pytest.raises(ValueError, match="orientable"):
-            prism_case_analysis(1, SurfaceData(1, 1, orientable=False))
-
     def test_chi_values_first_parameter(self):
-        results = prism_case_analysis(1, self.fiber)
+        results = prism_case_analysis(1)
         assert [r.chi_orb for r in results] == [
             Fraction(0),
             Fraction(-1, 2),
@@ -395,7 +391,7 @@ class TestPrismCaseAnalysis:
         assert [r.case for r in results] == [1, 2, 3, 4, 5]
 
     def test_base_orbifolds_first_parameter(self):
-        results = prism_case_analysis(1, self.fiber)
+        results = prism_case_analysis(1)
         assert results[0].orbifold == MOEBIUS
         assert results[1].orbifold == Orbifold2D(False, 1, 1, (2,))
         assert results[2].orbifold == DISK_2_2_3
@@ -403,37 +399,37 @@ class TestPrismCaseAnalysis:
         assert results[4].orbifold == Orbifold2D(True, 0, 1, (2, 3))
 
     def test_degrees_first_parameter(self):
-        results = prism_case_analysis(1, self.fiber)
+        results = prism_case_analysis(1)
         assert [list(r.degrees) for r in results] == [[], [], [], [], [18]]
 
     def test_chi_only_near_miss_in_case_two(self):
-        results = prism_case_analysis(1, self.fiber)
+        results = prism_case_analysis(1)
         assert list(results[1].chi_only_degrees) == [6]
 
     def test_degrees_negative_parameter(self):
-        results = prism_case_analysis(-1, self.fiber)
+        results = prism_case_analysis(-1)
         assert [list(r.degrees) for r in results] == [[], [], [], [], [10]]
         assert results[4].orbifold == DISK_2_5
 
     def test_all_cases_empty_for_second_parameter(self):
-        results = prism_case_analysis(2, self.fiber)
+        results = prism_case_analysis(2)
         assert all(r.degrees == () for r in results)
 
     def test_degenerate_parameter_rejected(self):
         with pytest.raises(ValueError):
-            prism_case_analysis(0, self.fiber)
+            prism_case_analysis(0)
 
     def test_exceptional_parameters_in_wide_sweep(self):
         admitting = [
             n
             for n in range(-50, 51)
             if abs(4 * n - 1) >= 3
-            and any(r.degrees for r in prism_case_analysis(n, self.fiber))
+            and any(r.degrees for r in prism_case_analysis(n))
         ]
         assert admitting == [-1, 1]
 
     def test_report_schema(self):
-        report = case_analysis_report(1, self.fiber)
+        report = case_analysis_report(1)
         assert report["n"] == 1
         assert report["admits_horizontal"] is True
         assert len(report["cases"]) == 5
@@ -442,5 +438,5 @@ class TestPrismCaseAnalysis:
         assert row["chi_orb"] == "-2/3"
         assert row["orbifold"]["cones"] == [2, 2, 3]
         assert row["degrees"] == []
-        report2 = case_analysis_report(2, self.fiber)
+        report2 = case_analysis_report(2)
         assert report2["admits_horizontal"] is False

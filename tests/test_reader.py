@@ -13,14 +13,22 @@ from prismvol import (
     SeifertSymbol,
     Slope,
     SurfaceData,
+    case_analysis_report,
     count_representations,
     enumerate_constrained_slopes,
     link_from_json,
+    ln_link,
     orbifold_from_json,
     presentation_from_json,
+    prism_case_analysis,
+    prism_fibrations,
+    prism_rows,
+    prism_verify,
     riemann_hurwitz_cover,
     slope_from_json,
     symbol_from_json,
+    twisted_torus_braid,
+    wn_link,
     word_from_json,
 )
 from prismvol.reader import check, loads, read
@@ -189,6 +197,23 @@ class TestConstructors:
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2), "k1"),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, 2.0), "k2"),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, False), "k2"),
+            (lambda: prism_fibrations(True), "^n must be an integer"),
+            (lambda: prism_fibrations(1.0), "^n must be an integer"),
+            (lambda: prism_case_analysis(1.5), "^n must be an integer"),
+            (lambda: prism_case_analysis(True), "^n must be an integer"),
+            (lambda: case_analysis_report(True), "^n must be an integer"),
+            (lambda: ln_link(0.5), "^n must be an integer"),
+            (lambda: ln_link(True), "^n must be an integer"),
+            (lambda: wn_link(True), "^m must be an integer"),
+            (lambda: wn_link(2.0), "^m must be an integer"),
+            (lambda: twisted_torus_braid(3.0, 1, 2, 1), "^p must be an integer"),
+            (lambda: twisted_torus_braid(3, True, 2, 1), "^q must be an integer"),
+            (lambda: twisted_torus_braid(3, 1, 2.0, 1), "^r must be an integer"),
+            (lambda: twisted_torus_braid(3, 1, 2, "1"), "^s must be an integer"),
+            (lambda: prism_rows(True, 2), "^n_from must be an integer"),
+            (lambda: prism_rows(1, 2.0), "^n_to must be an integer"),
+            (lambda: prism_verify(1.0, 2), "^n_from must be an integer"),
+            (lambda: prism_verify(1, False), "^n_to must be an integer"),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import prismvol
@@ -27,3 +29,26 @@ def test_orbifolds_imports_nothing_from_seifert():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if "seifert" in name] == []
+
+
+def test_every_traced_target_is_a_function_of_its_module():
+    """``perfbench/run.py --trace 1`` wraps each ``tracing.TARGETS`` entry with
+    ``getattr``, so a renamed or removed function would break it.  The tuple
+    is read from the source, so this imports nothing from ``perfbench``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    targets = next(
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    )
+    entries = [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in targets.elts]
+    assert len(entries) > 10
+    missing = [
+        f"{layer}.{function}"
+        for layer, function in entries
+        if not inspect.isfunction(
+            getattr(importlib.import_module(f"prismvol.{layer}"), function, None)
+        )
+    ]
+    assert missing == []
