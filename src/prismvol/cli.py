@@ -279,20 +279,27 @@ def _indented(value: object, margin: str) -> str:
     """``json.dumps(value, indent=2)`` with each line after the first moved
     right by ``margin``.  The stdlib's indenting encoder is pure Python and
     each call leaves its closures in a reference cycle, which only the cyclic
-    collector frees; this leaves no garbage for it."""
+    collector frees; this leaves no garbage for it, and writes every leaf
+    but a float itself."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is not dict and kind is not list:
+        return json.dumps(value)  # a float
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = margin + "  "
-    if kind is dict and value:
+    if kind is dict:
         items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}}}"
-    if kind is list and value:
-        items = [_indented(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
-    return json.dumps(value)  # a float, a bool, None or an empty container
+    items = [_indented(v, inner) for v in value]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
 
 
 def _prism_json(rows) -> Iterator[str]:

@@ -60,10 +60,11 @@ def double_branched_cover(link: MontesinosLink) -> SeifertSymbol:
 
 def is_lens_space_symbol(s: SeifertSymbol) -> bool:
     """Whether the symbol is a lens-space one: orientable base of genus 0
-    with at most two exceptional fibers after normalization."""
-    ns = normalize(s)
-    exceptional = sum(1 for _, alpha in ns.fibers if alpha >= 2)
-    return ns.base_class == seifert.OO and ns.genus == 0 and exceptional <= 2
+    with at most two exceptional fibers.  Read on the symbol as given:
+    normalizing keeps the base class, the genus and every pair with
+    alpha >= 2, and only merges the alpha = 1 terms."""
+    exceptional = sum(1 for _, alpha in s.fibers if alpha >= 2)
+    return s.base_class == seifert.OO and s.genus == 0 and exceptional <= 2
 
 
 def ln_link(n: int) -> tuple[MontesinosLink, MontesinosLink]:

@@ -18,6 +18,7 @@ fibration of the prism manifold with parameter n; three do not depend on n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,11 +110,12 @@ def orbifold_from_json(data: object) -> Orbifold2D:
 
 
 def chi_orb(b: Orbifold2D) -> Fraction:
-    """Orbifold Euler characteristic, exact."""
-    total = Fraction(b.underlying_euler)
-    for index in b.cones:
-        total -= 1 - Fraction(1, index)
-    return total
+    """Orbifold Euler characteristic, exact: one ``Fraction`` over the least
+    common multiple L of the cone indices, since chi(underlying) - k + sum 1/i
+    over k cones is ((chi(underlying) - k) * L + sum L // i) / L."""
+    lcm = math.lcm(*b.cones)
+    excess = sum(lcm // index for index in b.cones)
+    return Fraction((b.underlying_euler - len(b.cones)) * lcm + excess, lcm)
 
 
 def riemann_hurwitz_cover(
@@ -286,10 +288,12 @@ def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
     )
 
 
-# the bases of cases 1, 2 and 4 do not depend on n, so neither do their results
-_CASE_1 = _solve_case(1, Orbifold2D(False, 1, 1, ()), fiber_surface().euler)
-_CASE_2 = _solve_case(2, Orbifold2D(False, 1, 1, (2,)), fiber_surface().euler)
-_CASE_4 = _solve_case(4, Orbifold2D(True, 0, 1, (2, 2)), fiber_surface().euler)
+# chi(F) of the family's fiber; the bases of cases 1, 2 and 4 do not depend
+# on n, so neither do their results
+_FIBER_EULER = fiber_surface().euler
+_CASE_1 = _solve_case(1, Orbifold2D(False, 1, 1, ()), _FIBER_EULER)
+_CASE_2 = _solve_case(2, Orbifold2D(False, 1, 1, (2,)), _FIBER_EULER)
+_CASE_4 = _solve_case(4, Orbifold2D(True, 0, 1, (2, 2)), _FIBER_EULER)
 
 
 def prism_case_analysis(n: int) -> list[CaseResult]:
@@ -310,22 +314,22 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    Cases 1, 2 and 4 were solved when the module was loaded, and every call
-    returns those same three results; cases 3 and 5 are solved per call by
-    the same step, ``_solve_case``, over the solver that
-    ``horizontal_degree_solutions`` and ``nonorientable_base_solutions`` wrap.
+    chi(F) was read once, when the module was loaded, and so were cases 1,
+    2 and 4: every call returns those same three results.  Cases 3 and 5
+    are solved per call by the same step, ``_solve_case``, over the solver
+    that ``horizontal_degree_solutions`` and ``nonorientable_base_solutions``
+    wrap.
     """
     require_int(n=n)
     mu = abs(4 * n - 1)
     if mu < 3:
         raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
-    chi_f = fiber_surface().euler
     return [
         _CASE_1,
         _CASE_2,
-        _solve_case(3, Orbifold2D(True, 0, 1, (2, 2, mu)), chi_f),
+        _solve_case(3, Orbifold2D(True, 0, 1, (2, 2, mu)), _FIBER_EULER),
         _CASE_4,
-        _solve_case(5, Orbifold2D(True, 0, 1, (2, mu)), chi_f),
+        _solve_case(5, Orbifold2D(True, 0, 1, (2, mu)), _FIBER_EULER),
     ]
 
 

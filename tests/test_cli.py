@@ -741,6 +741,21 @@ class TestStreamedVerify:
             pass
         assert gc.collect() == 0
 
+    def test_json_dumps_at_most_once_per_row(self, monkeypatch):
+        rows = list(prism_rows(-50, 50))
+        expected = json.dumps(prism_verify(-50, 50), indent=2) + "\n"
+        calls = []
+        original = json.dumps
+
+        def counting(value, **kwargs):
+            calls.append(value)
+            return original(value, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", counting)
+        assert "".join(cli._prism_json(iter(rows))) == expected
+        assert len(calls) <= len(rows)
+        assert all(type(value) is float for value in calls)
+
     @staticmethod
     def _peak_bytes(n_from, n_to, fmt):
         argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), fmt]
@@ -761,3 +776,25 @@ class TestStreamedVerify:
         small_peak = self._peak_bytes(-small, small, fmt)
         large_peak = self._peak_bytes(-10000, 10000, fmt)
         assert large_peak < 2 * small_peak, (small_peak, large_peak)
+
+
+json_leaves_st = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(max_codepoint=127)),
+    st.text(),
+)
+json_values_st = st.recursive(
+    json_leaves_st,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values_st, st.sampled_from(["", "  ", "    ", "\t"]))
+def test_indented_is_json_dumps_shifted(value, margin):
+    expected = json.dumps(value, indent=2).replace("\n", "\n" + margin)
+    assert cli._indented(value, margin) == expected

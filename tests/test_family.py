@@ -3,6 +3,7 @@
 import pytest
 
 from prismvol import (
+    fiber_surface,
     prism_case_analysis,
     prism_fibrations,
     prism_verify,
@@ -100,3 +101,16 @@ def test_chi_orb_once_per_base(monkeypatch):
     calls.clear()
     prism_verify(-50, 50)
     assert len(calls) == 2 * 100
+
+
+def test_fiber_is_read_once_per_process(monkeypatch):
+    calls = []
+
+    def counting():
+        calls.append(None)
+        return fiber_surface()
+
+    monkeypatch.setattr(orbifolds, "fiber_surface", counting)
+    prism_verify(-50, 50)
+    assert calls == []
+    assert orbifolds._FIBER_EULER == fiber_surface().euler == -3

@@ -10,12 +10,28 @@ from prismvol import (
     is_lens_space_symbol,
     link_from_json,
     ln_link,
+    normalize,
     prism_fibrations,
+    prism_verify,
     wn_link,
 )
+from prismvol import montesinos, seifert
 from support import fiber_pairs_st
 
 tangle_lists_st = st.lists(fiber_pairs_st(), min_size=1, max_size=4)
+# both classes, unreduced betas, alpha = 1 terms and a repeated first pair,
+# over the least genus or one more, so that lens-space symbols are common
+lens_candidates_st = st.builds(
+    lambda orientable, genus, fibers, repeats: SeifertSymbol(
+        "Oo" if orientable else "On",
+        genus if orientable else genus + 1,
+        tuple(fibers + fibers[:1] * repeats),
+    ),
+    st.booleans(),
+    st.integers(0, 1),
+    st.lists(fiber_pairs_st(max_alpha=4), max_size=4),
+    st.integers(0, 3),
+)
 
 
 class TestMontesinosLink:
@@ -98,6 +114,25 @@ class TestIsLensSpaceSymbol:
         # 5/2 and -5/2 cancel into integer terms plus two genuine cones
         s = SeifertSymbol("Oo", 0, ((5, 2), (-5, 2), (7, 1)))
         assert is_lens_space_symbol(s)
+
+    @given(lens_candidates_st)
+    def test_normalizing_never_changes_the_answer(self, s):
+        assert is_lens_space_symbol(s) == is_lens_space_symbol(normalize(s))
+
+    def test_audit_normalizes_three_times_per_row(self, monkeypatch):
+        calls = []
+        original = seifert.normalize
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(seifert, "normalize", counting)
+        monkeypatch.setattr(montesinos, "normalize", counting)
+        result = prism_verify(-50, 50)
+        rows = [r for r in result["reports"] if r["status"] != "excluded"]
+        assert len(rows) == 100
+        assert len(calls) == 3 * len(rows)
 
 
 class TestBranchingLinkFamily:

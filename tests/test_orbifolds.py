@@ -113,6 +113,20 @@ class TestChiOrb:
         )
         assert chi_orb(b) == expected
 
+    # large, mostly coprime indices: the common denominator has up to 72 digits
+    @given(
+        st.booleans(),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.lists(st.integers(2, 10**6), max_size=12),
+    )
+    def test_large_cones_against_the_fraction_sum(self, orientable, genus, boundary, cones):
+        b = Orbifold2D(orientable, max(genus, 0 if orientable else 1), boundary, tuple(cones))
+        expected = Fraction(b.underlying_euler) - sum(
+            1 - Fraction(1, c) for c in b.cones
+        )
+        assert chi_orb(b) == expected
+
 
 class TestRiemannHurwitzCover:
     def test_five_fully_branched_points_over_disk(self):
