@@ -39,7 +39,6 @@ from .exact import (
     elementary_divisors,
     extended_gcd,
     frac_str,
-    smith_normal_form,
 )
 from .montesinos import (
     MontesinosLink,
@@ -73,7 +72,6 @@ from .seifert import (
     homology_order,
     normalize,
     prism_fibrations,
-    remove_fiber,
     symbol_from_json,
 )
 from .slopes import Slope, delta, enumerate_constrained_slopes, slope_from_json
@@ -131,10 +129,8 @@ __all__ = [
     "prism_fibrations",
     "prism_rows",
     "prism_verify",
-    "remove_fiber",
     "riemann_hurwitz_cover",
     "slope_from_json",
-    "smith_normal_form",
     "symbol_from_json",
     "twisted_torus_braid",
     "upper_bound_value",

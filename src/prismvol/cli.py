@@ -113,7 +113,7 @@ def _use_json(args: argparse.Namespace) -> bool:
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> None:
     if _use_json(args):
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload, ""))
     else:
         print("\n".join(lines))
 
@@ -277,10 +277,10 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
 
 def _indented(value: object, margin: str) -> str:
     """``json.dumps(value, indent=2)`` with each line after the first moved
-    right by ``margin``.  The stdlib's indenting encoder is pure Python and
-    each call leaves its closures in a reference cycle, which only the cyclic
-    collector frees; this leaves no garbage for it, and writes every leaf
-    but a float itself."""
+    right by ``margin``; it writes every ``--json`` document.  The stdlib's
+    indenting encoder leaves its closures in a reference cycle per call, which
+    only the cyclic collector frees; this leaves no garbage for it, and writes
+    every leaf but a float itself."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -320,7 +320,7 @@ def _prism_json(rows) -> Iterator[str]:
 def _prism_table(rows) -> Iterator[str]:
     """The table of audit rows, one line at a time."""
     yield (
-        f"upper bound {covers.UPPER_BOUND_LABEL} = {covers.upper_bound_value():.12f}"
+        f"upper bound {covers.UPPER_BOUND.label} = {covers.upper_bound_value():.12f}"
         " (degree-2 certificate)"
     )
     yield (

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .montesinos import double_branched_cover, is_lens_space_symbol, wn_link
-from .orbifolds import case_analysis_report, fiber_surface  # noqa: F401 (covers.fiber_surface)
+from .orbifolds import case_analysis_report
 from .reader import read, require_int
 from .seifert import prism_fibrations
 from .slopes import Slope, enumerate_constrained_slopes
@@ -282,8 +282,7 @@ def degree_bound_for_budget(budget: float, floor: float) -> int:
     return max(p, 0)
 
 
-UPPER_BOUND_LABEL = "2*V0"
-UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, UPPER_BOUND_LABEL)
+UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, "2*V0")
 # every audit row reports this bound and the degree cap it allows
 _UPPER_BOUND_VALUE = round(complexity(UPPER_BOUND), 12)
 _MAX_DEGREE = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
@@ -314,7 +313,7 @@ def _report_for(n: int, counts: list[int]) -> dict:
     if abs(4 * n - 1) < 3:
         return {
             "n": n,
-            "upper_bound": UPPER_BOUND_LABEL,
+            "upper_bound": UPPER_BOUND.label,
             "upper_bound_value": _UPPER_BOUND_VALUE,
             "status": "excluded",
             "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
@@ -338,7 +337,7 @@ def _report_for(n: int, counts: list[int]) -> dict:
         )
     return {
         "n": n,
-        "upper_bound": UPPER_BOUND_LABEL,
+        "upper_bound": UPPER_BOUND.label,
         "upper_bound_value": _UPPER_BOUND_VALUE,
         "twist_knot_excluded": twist_knot_excluded,
         "case_analysis": analysis,

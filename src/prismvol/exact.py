@@ -5,8 +5,9 @@ equations, homology presentations) is decided by exact comparisons, so this
 module never touches floating point.  Rationals are stdlib
 ``fractions.Fraction`` values: always stored reduced, denominator positive.
 
-Provides Smith normal form over the integers with the unimodular transforms,
-and its diagonal alone computed modulo a determinant.
+``elementary_divisors`` gives the Smith normal form diagonal, computed modulo
+a determinant.  ``smith_normal_form`` adds the unimodular transforms; it is
+kept as the transform oracle for the tests and is not exported.
 """
 
 from __future__ import annotations

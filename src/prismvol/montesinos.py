@@ -11,7 +11,6 @@ what excludes twist knots as branching sets for the prism family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import seifert
@@ -28,16 +27,9 @@ class MontesinosLink:
         require_int(genus=self.genus)
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
-        tangles = tuple((b, a) for b, a in self.tangles)
+        tangles = seifert.check_pairs(self.tangles, "tangles", "tangle")
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")
-        for beta, alpha in tangles:
-            if type(beta) is not int or type(alpha) is not int:
-                raise ValueError(f"tangles: pair ({beta!r}, {alpha!r}) must be two integers")
-            if alpha < 1:
-                raise ValueError(f"tangle ({beta}, {alpha}): alpha must be >= 1")
-            if math.gcd(beta, alpha) != 1:
-                raise ValueError(f"tangle ({beta}, {alpha}) is not reduced")
         object.__setattr__(self, "tangles", tangles)
 
     def to_json(self) -> dict:

@@ -41,6 +41,11 @@ def _check_surface_fields(x: SurfaceData | Orbifold2D, what: str) -> None:
         raise ValueError(f"a non-orientable {what} needs at least one cross-cap")
 
 
+def _euler(x: SurfaceData | Orbifold2D) -> int:
+    """chi of the (underlying) surface: 2 - 2g - b, or 2 - g - b for g cross-caps."""
+    return 2 - (2 if x.orientable else 1) * x.genus - x.boundary
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """A compact connected surface: genus, boundary circles, orientability.
@@ -55,11 +60,7 @@ class SurfaceData:
     def __post_init__(self) -> None:
         _check_surface_fields(self, "surface")
 
-    @property
-    def euler(self) -> int:
-        if self.orientable:
-            return 2 - 2 * self.genus - self.boundary
-        return 2 - self.genus - self.boundary
+    euler = property(_euler)
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +90,7 @@ class Orbifold2D:
             raise ValueError("cones: cone indices must be integers >= 2")
         object.__setattr__(self, "cones", tuple(sorted(cones)))
 
-    @property
-    def underlying_euler(self) -> int:
-        if self.orientable:
-            return 2 - 2 * self.genus - self.boundary
-        return 2 - self.genus - self.boundary
+    underlying_euler = property(_euler)
 
     def to_json(self) -> dict:
         return {

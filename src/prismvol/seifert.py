@@ -39,6 +39,21 @@ class UnsupportedBaseClass(ValueError):
     """Raised when an operation does not cover the symbol's base class."""
 
 
+def check_pairs(pairs, field: str, item: str) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as a tuple of (beta, alpha) tuples of two exact ints with
+    alpha >= 1 and gcd(beta, alpha) = 1; a refusal names ``field`` or ``item``."""
+    checked = tuple(tuple(pair) for pair in pairs)
+    for pair in checked:
+        if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+            raise ValueError(f"{field}: pair {pair!r} must be two integers")
+        beta, alpha = pair
+        if alpha < 1:
+            raise ValueError(f"{item} ({beta}, {alpha}): alpha must be >= 1")
+        if math.gcd(beta, alpha) != 1:
+            raise ValueError(f"{item} ({beta}, {alpha}) is not reduced")
+    return checked
+
+
 @dataclass(frozen=True)
 class SeifertSymbol:
     base_class: str
@@ -53,15 +68,7 @@ class SeifertSymbol:
             raise ValueError("genus must be non-negative")
         if self.base_class == ON and self.genus < 1:
             raise ValueError("a non-orientable base needs at least one cross-cap")
-        fibers = tuple((b, a) for b, a in self.fibers)
-        for beta, alpha in fibers:
-            if type(beta) is not int or type(alpha) is not int:
-                raise ValueError(f"fibers: pair ({beta!r}, {alpha!r}) must be two integers")
-            if alpha < 1:
-                raise ValueError(f"fiber pair ({beta}, {alpha}): alpha must be >= 1")
-            if math.gcd(beta, alpha) != 1:
-                raise ValueError(f"fiber pair ({beta}, {alpha}) is not reduced")
-        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "fibers", check_pairs(self.fibers, "fibers", "fiber pair"))
 
     def to_json(self) -> dict:
         return {

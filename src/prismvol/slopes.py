@@ -26,10 +26,7 @@ class Slope:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        if type(p) is not int:
-            raise ValueError(f"slope p must be an integer, got {p!r}")
-        if type(q) is not int:
-            raise ValueError(f"slope q must be an integer, got {q!r}")
+        require_int(**{"slope p": p, "slope q": q})
         if (p, q) == (0, 0):
             raise ValueError("(0, 0) is not a slope")
         if math.gcd(abs(p), abs(q)) != 1:

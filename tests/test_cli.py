@@ -798,3 +798,47 @@ json_values_st = st.recursive(
 def test_indented_is_json_dumps_shifted(value, margin):
     expected = json.dumps(value, indent=2).replace("\n", "\n" + margin)
     assert cli._indented(value, margin) == expected
+
+
+# one --json invocation per subcommand but ``prism verify``, whose streamed
+# rows ``TestStreamedVerify`` compares with ``json.dumps`` itself
+ONE_JSON_INVOCATION = {
+    ("seifert", "normalize"): ["@m1_oo"],
+    ("seifert", "euler"): ["@m1_on"],
+    ("seifert", "h1"): ['{"class": "Oo", "genus": 1, "fibers": []}'],
+    ("seifert", "base"): ["@m1_oo"],
+    ("orbifold", "chi"): ["--orientable", "true", "--genus", "0", "--boundary", "1"],
+    ("orbifold", "cover"): ["--genus", "0", "--boundary", "1", "--degree", "2"]
+    + ["--branch", "2"] * 5,
+    ("orbifold", "solve"): [
+        "--fiber-genus", "2", "--fiber-boundary", "1",
+        "--orientable", "false", "--genus", "1", "--boundary", "1", "--cones", "2",
+    ],
+    ("montesinos", "cover"): ['{"genus": 1, "tangles": [[3, 2]]}'],
+    ("montesinos", "ln"): ["-3"],
+    ("slopes", "delta"): ["-2,1", "1,0"],
+    ("slopes", "enumerate"): ["1,0", "0,1"],
+    ("braid", "ttk"): ["5", "1", "2", "1"],
+    ("braid", "components"): ['{"strands": 3, "letters": []}'],
+    ("braid", "chi"): ['{"strands": 5, "letters": [1, 2, 3, 4, 1, 1]}'],
+    ("covers", "count"): ["@trefoil", "--degree", "3", "--transitive"],
+}
+
+
+def test_one_json_invocation_per_subcommand():
+    top = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands = {
+        (command, name)
+        for command, parser in top.choices.items()
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    }
+    assert set(ONE_JSON_INVOCATION) == subcommands - {("prism", "verify")}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_JSON_INVOCATION), ids=" ".join)
+def test_json_output_is_json_dumps_indent_2(command):
+    code, out, err = run_cli([*command, *ONE_JSON_INVOCATION[command], "--json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

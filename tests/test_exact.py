@@ -14,8 +14,8 @@ from prismvol import (
     elementary_divisors,
     extended_gcd,
     frac_str,
-    smith_normal_form,
 )
+from prismvol.exact import smith_normal_form
 from support import (
     AffineRatio,
     bounded_diophantine,

@@ -7,9 +7,9 @@ from prismvol import (
     prism_case_analysis,
     prism_fibrations,
     prism_verify,
-    remove_fiber,
 )
 from prismvol import covers, orbifolds
+from prismvol.seifert import remove_fiber
 
 
 def _fiber_index(symbol, alpha):

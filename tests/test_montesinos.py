@@ -63,6 +63,23 @@ class TestMontesinosLink:
         with pytest.raises(ValueError, match=r"tangles\[0\]"):
             link_from_json({"genus": 0, "tangles": [[True, 2]]})
 
+    @pytest.mark.parametrize(
+        "tangles, message",
+        [
+            (((1, 2.0),), "tangles: pair (1, 2.0) must be two integers"),
+            (((1, 2), (True, 3)), "tangles: pair (True, 3) must be two integers"),
+            (([None, 3],), "tangles: pair (None, 3) must be two integers"),
+            (((1, -2),), "tangle (1, -2): alpha must be >= 1"),
+            (((5, 0),), "tangle (5, 0): alpha must be >= 1"),
+            (((1, 2), (2, 4)), "tangle (2, 4) is not reduced"),
+            (((0, 3),), "tangle (0, 3) is not reduced"),
+        ],
+    )
+    def test_pair_refusal_messages(self, tangles, message):
+        with pytest.raises(ValueError) as refused:
+            MontesinosLink(0, tangles)
+        assert str(refused.value) == message
+
 
 class TestDoubleBranchedCover:
     def test_spherical_presentation_covers_to_prism_fibration(self):

@@ -77,6 +77,14 @@ class TestOrbifold2D:
         with pytest.raises(ValueError):
             Orbifold2D(False, 0, 1, ())
 
+    @given(st.booleans(), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_underlying_euler_is_the_surface_euler(self, orientable, genus, boundary):
+        genus += not orientable  # a non-orientable surface has a cross-cap
+        assert (
+            Orbifold2D(orientable, genus, boundary, ()).underlying_euler
+            == SurfaceData(genus, boundary, orientable).euler
+        )
+
     def test_from_json_round_trip(self):
         assert orbifold_from_json(DISK_2_5.to_json()) == DISK_2_5
 

@@ -157,9 +157,17 @@ class TestConstructors:
         [
             (lambda: SeifertSymbol("Oo", 0, ((1.5, 2),)), "fibers"),
             (lambda: SeifertSymbol("Oo", 0, ((1, True),)), "fibers"),
+            (
+                lambda: SeifertSymbol("Oo", 0, ((1, 2, 3),)),
+                r"^fibers: pair \(1, 2, 3\) must be two integers$",
+            ),
             (lambda: SeifertSymbol("Oo", "0", ()), "genus"),
             (lambda: SeifertSymbol("Oo", 0.0, ()), "genus"),
             (lambda: MontesinosLink(0, ((1, 2.0),)), "tangles"),
+            (
+                lambda: MontesinosLink(0, ((1,),)),
+                r"^tangles: pair \(1,\) must be two integers$",
+            ),
             (lambda: MontesinosLink(False, ((1, 2),)), "genus"),
             (lambda: BraidWord(3, (1.9, True)), "letters"),
             (lambda: BraidWord(3, (True,)), "letters"),

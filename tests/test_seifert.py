@@ -15,9 +15,9 @@ from prismvol import (
     homology_order,
     normalize,
     prism_fibrations,
-    remove_fiber,
     symbol_from_json,
 )
+from prismvol.seifert import remove_fiber
 from support import fiber_pairs_st, symbols_st
 
 genus_zero_oo_st = st.builds(
@@ -54,6 +54,23 @@ class TestSymbolValidation:
     def test_from_json_names_bad_pair(self):
         with pytest.raises(ValueError, match=r"fibers\[1\]"):
             symbol_from_json({"class": "Oo", "genus": 0, "fibers": [[1, 2], [1]]})
+
+    @pytest.mark.parametrize(
+        "fibers, message",
+        [
+            (((1.5, 2),), "fibers: pair (1.5, 2) must be two integers"),
+            (((1, 2), (1, True)), "fibers: pair (1, True) must be two integers"),
+            (([1, "3"],), "fibers: pair (1, '3') must be two integers"),
+            (((1, 0),), "fiber pair (1, 0): alpha must be >= 1"),
+            (((3, -2),), "fiber pair (3, -2): alpha must be >= 1"),
+            (((1, 2), (2, 4)), "fiber pair (2, 4) is not reduced"),
+            (((0, 2),), "fiber pair (0, 2) is not reduced"),
+        ],
+    )
+    def test_pair_refusal_messages(self, fibers, message):
+        with pytest.raises(ValueError) as refused:
+            SeifertSymbol("Oo", 0, fibers)
+        assert str(refused.value) == message
 
 
 class TestNormalize:

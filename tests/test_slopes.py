@@ -32,6 +32,22 @@ class TestSlopeCanonicalForm:
             with pytest.raises(ValueError):
                 slope_from_json(bad)
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (True, 0, "slope p must be an integer, got True"),
+            (1.0, 0, "slope p must be an integer, got 1.0"),
+            ("1", 2.0, "slope p must be an integer, got '1'"),
+            (1, 2.0, "slope q must be an integer, got 2.0"),
+            (0, False, "slope q must be an integer, got False"),
+            (2, None, "slope q must be an integer, got None"),
+        ],
+    )
+    def test_type_refusal_messages(self, p, q, message):
+        with pytest.raises(ValueError) as refused:
+            Slope(p, q)
+        assert str(refused.value) == message
+
 
 class TestDelta:
     def test_standard_basis(self):

@@ -6,15 +6,18 @@ from pathlib import Path
 import prismvol
 
 
+def _package_nodes():
+    """(file name, node) for every syntax node of the package's modules."""
+    for path in sorted(Path(prismvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_assert_in_package():
     """``python -O`` strips asserts, so the package states its checks as
     raised errors and leaves self-checks of proved facts to the tests."""
-    package = Path(prismvol.__file__).parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Assert)
     ]
     assert found == []
 
@@ -52,3 +55,29 @@ def test_every_traced_target_is_a_function_of_its_module():
         )
     ]
     assert missing == []
+
+
+def test_no_call_passes_indent():
+    """``cli._indented`` is the one indenting JSON writer of the package."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
+
+
+def test_all_is_what_the_package_imports():
+    """``__all__`` lists each public name that ``__init__`` imports, once, and
+    leaves out the test oracles that stay in their modules."""
+    tree = ast.parse(Path(prismvol.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert len(prismvol.__all__) == len(set(prismvol.__all__))
+    assert set(prismvol.__all__) == imported
+    assert {"smith_normal_form", "remove_fiber"}.isdisjoint(prismvol.__all__)
