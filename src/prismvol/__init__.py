@@ -46,7 +46,6 @@ from .montesinos import (
     is_lens_space_symbol,
     link_from_json,
     ln_link,
-    wn_link,
 )
 from .orbifolds import (
     CaseResult,
@@ -134,6 +133,5 @@ __all__ = [
     "symbol_from_json",
     "twisted_torus_braid",
     "upper_bound_value",
-    "wn_link",
     "word_from_json",
 ]

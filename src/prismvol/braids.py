@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reader import read, require_int
+from .reader import read, require_array, require_int
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class BraidWord:
         require_int(strands=self.strands)
         if self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
-        letters = tuple(self.letters)
+        letters = require_array(self.letters, "letters")
         for letter in letters:
             if type(letter) is not int:
                 raise ValueError(f"letters: {letter!r} must be an integer")

@@ -177,7 +177,7 @@ def _orbifold_from_flags(args: argparse.Namespace) -> orbifolds.Orbifold2D:
         orientable=args.orientable,
         genus=args.genus,
         boundary=args.boundary,
-        cones=tuple(args.cones),
+        cones=args.cones,
     )
 
 
@@ -190,17 +190,13 @@ def _cmd_orbifold_cover(args: argparse.Namespace) -> None:
     base = orbifolds.SurfaceData(
         genus=args.genus, boundary=args.boundary, orientable=args.orientable
     )
-    branch = [tuple(_parse_int_list(point)) for point in args.branch or []]
+    branch = [_parse_int_list(point) for point in args.branch or []]
     cover = orbifolds.riemann_hurwitz_cover(base, args.degree, branch)
     _emit(args, cover.to_json(), [_surface_line(cover)])
 
 
 def _cmd_orbifold_solve(args: argparse.Namespace) -> None:
-    fiber = orbifolds.SurfaceData(
-        genus=args.fiber_genus,
-        boundary=args.fiber_boundary,
-        orientable=args.fiber_orientable,
-    )
+    fiber = orbifolds.SurfaceData(args.fiber_genus, args.fiber_boundary)
     base = _orbifold_from_flags(args)
     solve = (
         orbifolds.horizontal_degree_solutions
@@ -429,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--fiber-genus", type=integer_arg, required=True)
     solve.add_argument("--fiber-boundary", type=integer_arg, required=True)
-    solve.add_argument("--fiber-orientable", type=_parse_bool, default=True)
     solve.add_argument("--orientable", type=_parse_bool, required=True)
     solve.add_argument("--genus", type=integer_arg, required=True)
     solve.add_argument("--boundary", type=integer_arg, required=True)

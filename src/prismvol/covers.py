@@ -27,9 +27,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .montesinos import double_branched_cover, is_lens_space_symbol, wn_link
+from .montesinos import is_lens_space_symbol
 from .orbifolds import case_analysis_report
-from .reader import read, require_int
+from .reader import read, require_array, require_int
 from .seifert import prism_fibrations
 from .slopes import Slope, enumerate_constrained_slopes
 
@@ -52,7 +52,10 @@ class GroupPresentation:
         require_int(generators=self.generators)
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
-        relators = tuple(tuple(word) for word in self.relators)
+        relators = tuple(
+            require_array(word, f"relators[{i}]")
+            for i, word in enumerate(require_array(self.relators, "relators"))
+        )
         for word in relators:
             for letter in word:
                 if type(letter) is not int:
@@ -318,11 +321,8 @@ def _report_for(n: int, counts: list[int]) -> dict:
             "status": "excluded",
             "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
         }
-    oo_symbol, _ = prism_fibrations(n)
-    twist_cover = double_branched_cover(wn_link(n))
-    twist_knot_excluded = is_lens_space_symbol(twist_cover) and not is_lens_space_symbol(
-        oo_symbol
-    )
+    # a twist knot is a two-tangle Montesinos knot, so its double cover is a lens space
+    twist_knot_excluded = not is_lens_space_symbol(prism_fibrations(n)[0])
     analysis = case_analysis_report(n)
     status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
     unresolved = list(_NONEFFECTIVE_STEPS)
@@ -370,12 +370,13 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     """Audit every parameter in [n_from, n_to].
 
     Per parameter: the 2-fold upper-bound certificate (budget 2*V0), the
-    twist-knot lens-space exclusion, the five-case horizontal-surface
-    analysis, a slope-enumeration demonstration, and the degree cap from the
-    volume floor.  Parameters whose computable obstructions all vanish are
-    "conditional" (the remaining steps are finite but not effective);
-    parameters where the case analysis finds a candidate degree are
-    "candidate-exceptional"; degenerate parameters are "excluded".
+    twist-knot exclusion (a twist knot's double branched cover is a lens space,
+    so it holds when ``prism_fibrations(n)[0]`` is not one), the five-case
+    horizontal-surface analysis, a slope-enumeration demonstration, and the
+    degree cap from the volume floor.  Parameters whose computable
+    obstructions all vanish are "conditional" (the remaining steps are finite
+    but not effective); parameters where the case analysis finds a candidate
+    degree are "candidate-exceptional"; degenerate parameters are "excluded".
 
     The rows come from ``prism_rows``, which the command line streams; this
     function holds them all, so its memory grows with the range.

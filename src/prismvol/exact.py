@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .reader import require_int
+from .reader import require_array, require_int
 
 
 def frac_str(q: Fraction) -> str:
@@ -53,12 +53,12 @@ class IntMatrix:
         require_int(rows=self.rows, cols=self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if not all(type(e) is int for e in self.entries):
+        entries = require_array(self.entries, "entries")
+        if len(entries) != self.rows * self.cols:
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(entries)}")
+        if not all(type(e) is int for e in entries):
             raise ValueError("matrix entries must be integers")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -70,29 +70,11 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), width, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[int]]:
         return [
             list(self.entries[i * self.cols : (i + 1) * self.cols])
             for i in range(self.rows)
         ]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.at(i, k) * other.at(k, j) for k in range(self.cols)))
-            rows.append(row)
-        return IntMatrix.from_rows(rows)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[list[int], tuple[IntMatrix, IntMatrix]]:
@@ -106,8 +88,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], tuple[IntMatrix, IntMatr
     """
     R, C = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(R).to_rows()
-    v = IntMatrix.identity(C).to_rows()
+    u = [[int(i == j) for j in range(R)] for i in range(R)]
+    v = [[int(i == j) for j in range(C)] for i in range(C)]
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]

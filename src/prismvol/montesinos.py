@@ -73,16 +73,3 @@ def ln_link(n: int) -> tuple[MontesinosLink, MontesinosLink]:
     spherical = MontesinosLink(0, ((1, 2), (-1, 2), third))
     crosscap = MontesinosLink(1, ((m, 2),))
     return spherical, crosscap
-
-
-def wn_link(m: int) -> MontesinosLink:
-    """Two-tangle Montesinos data for the m-twist knot.
-
-    Tangles 1/2 and m/(2m + 1), stored with positive alpha.  Only the
-    two-tangle shape is consumed downstream: it guarantees the double
-    branched cover is a lens space.
-    """
-    require_int(m=m)
-    a = 2 * m + 1
-    tangle = (m, a) if a > 0 else (-m, -a)
-    return MontesinosLink(0, ((1, 2), tangle))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac_str
-from .reader import read, require_int
+from .reader import read, require_array, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -85,7 +85,7 @@ class Orbifold2D:
 
     def __post_init__(self) -> None:
         _check_surface_fields(self, "base")
-        cones = tuple(self.cones)
+        cones = require_array(self.cones, "cones")
         if any(type(c) is not int or c < 2 for c in cones):
             raise ValueError("cones: cone indices must be integers >= 2")
         object.__setattr__(self, "cones", tuple(sorted(cones)))
@@ -137,7 +137,10 @@ def riemann_hurwitz_cover(
     require_int(degree=degree)
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    branch = [tuple(sorted(point)) for point in branch_local_degrees]
+    branch = [
+        tuple(sorted(require_array(point, f"branch_local_degrees[{i}]")))
+        for i, point in enumerate(require_array(branch_local_degrees, "branch_local_degrees"))
+    ]
     for point in branch:
         if any(type(local) is not int or local < 1 for local in point):
             raise ValueError(f"local degrees must be positive integers, got {point}")
@@ -224,12 +227,15 @@ def horizontal_degree_solutions(
     (the local degree over a cone point equals its index).  When
     chi_orb(b) != 0 there is at most one solution.  When chi_orb(b) == 0 the
     equation is either empty (chi(f) != 0) or satisfied by every degree, in
-    which case ``InfiniteSolutionsError`` is raised.
+    which case ``InfiniteSolutionsError`` is raised.  A branched cover of an
+    orientable base is orientable, so a non-orientable ``f`` is refused.
     """
     if not b.orientable:
         raise ValueError(
             "base is non-orientable; use nonorientable_base_solutions"
         )
+    if not f.orientable:
+        raise ValueError("the covering surface must be orientable here")
     degrees, chi_only = _degree_solutions(f.euler, chi_orb(b), b.cones)
     return degrees if require_cone_divisibility else chi_only
 
@@ -247,8 +253,6 @@ def nonorientable_base_solutions(
     """
     if b.orientable:
         raise ValueError("base is orientable; use horizontal_degree_solutions")
-    if not f.orientable:
-        raise ValueError("the covering surface must be orientable here")
     cover = orientation_double_cover(b)
     return [2 * d for d in horizontal_degree_solutions(f, cover, require_cone_divisibility)]
 

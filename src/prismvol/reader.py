@@ -30,6 +30,14 @@ def require_int(**values: object) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_array(value: object, name: str) -> tuple:
+    """``value`` as a tuple if it is a list or a tuple; anything else (a dict,
+    a generator, a number) is refused, naming ``name``, not coerced."""
+    if type(value) is not tuple and type(value) is not list:
+        raise ValueError(f"{name} must be a list or a tuple, got {value!r}")
+    return tuple(value)
+
+
 def read(data: object, what: str, fields: dict, defaults: dict | None = None) -> tuple:
     """The values of ``fields``, in order, from an object with exactly those keys."""
     if type(data) is not dict:

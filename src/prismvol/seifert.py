@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .exact import IntMatrix, elementary_divisors
 from .orbifolds import Orbifold2D
-from .reader import read, require_int
+from .reader import read, require_array, require_int
 
 OO = "Oo"
 ON = "On"
@@ -40,11 +40,14 @@ class UnsupportedBaseClass(ValueError):
 
 
 def check_pairs(pairs, field: str, item: str) -> tuple[tuple[int, int], ...]:
-    """``pairs`` as a tuple of (beta, alpha) tuples of two exact ints with
-    alpha >= 1 and gcd(beta, alpha) = 1; a refusal names ``field`` or ``item``."""
-    checked = tuple(tuple(pair) for pair in pairs)
+    """``pairs``, a list or tuple of (beta, alpha) lists or tuples, as a tuple
+    of tuples of two exact ints with alpha >= 1 and gcd(beta, alpha) = 1; a
+    refusal names ``field`` or ``item``."""
+    checked = tuple(tuple(p) if type(p) is list else p for p in require_array(pairs, field))
     for pair in checked:
-        if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+        if type(pair) is not tuple or len(pair) != 2 or (
+            type(pair[0]) is not int or type(pair[1]) is not int
+        ):
             raise ValueError(f"{field}: pair {pair!r} must be two integers")
         beta, alpha = pair
         if alpha < 1:

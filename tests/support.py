@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from hypothesis import strategies as st
 
-from prismvol import Slope, SeifertSymbol, delta
+from prismvol import MontesinosLink, Slope, SeifertSymbol, delta
 from prismvol import seifert as seifert_mod
 
 
@@ -81,6 +81,15 @@ def brute_hom_count(
 
 
 # --- Smith normal form via determinantal divisors ------------------------
+
+def identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matmul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
 
 def det_int(rows: list[list[int]]) -> int:
     """Integer determinant by Laplace expansion (fine for the sizes tested)."""
@@ -256,6 +265,17 @@ def bounded_diophantine(
         if value_filter is None or value_filter(n):
             out.append((x, n))
     return out
+
+
+# --- twist knots --------------------------------------------------------
+
+def wn_link(m: int) -> MontesinosLink:
+    """Two-tangle Montesinos data for the m-twist knot: tangles 1/2 and
+    m/(2m + 1), stored with positive alpha.  Its double branched cover is a
+    lens space for every m, which is why the audit never builds it."""
+    a = 2 * m + 1
+    tangle = (m, a) if a > 0 else (-m, -a)
+    return MontesinosLink(0, ((1, 2), tangle))
 
 
 # --- Catalan's constant ----------------------------------------------------

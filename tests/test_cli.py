@@ -102,6 +102,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_fiber_orientable_is_usage_error(self):
+        fiber = ["--fiber-genus", "2", "--fiber-boundary", "1", "--fiber-orientable", "false"]
+        base = ["--orientable", "true", "--genus", "0", "--boundary", "1", "--cones", "2,3"]
+        code, out, err = run_cli(["orbifold", "solve", *fiber, *base])
+        assert code == 2
+        assert out == ""
+        assert "--fiber-orientable" in err
+
     def test_conflicting_formats_is_usage_error(self):
         code, _, _ = run_cli(["montesinos", "ln", "1", "--json", "--table"])
         assert code == 2

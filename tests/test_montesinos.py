@@ -12,11 +12,11 @@ from prismvol import (
     ln_link,
     normalize,
     prism_fibrations,
+    prism_rows,
     prism_verify,
-    wn_link,
 )
-from prismvol import montesinos, seifert
-from support import fiber_pairs_st
+from prismvol import covers, montesinos, seifert
+from support import fiber_pairs_st, wn_link
 
 tangle_lists_st = st.lists(fiber_pairs_st(), min_size=1, max_size=4)
 # both classes, unreduced betas, alpha = 1 terms and a repeated first pair,
@@ -136,7 +136,7 @@ class TestIsLensSpaceSymbol:
     def test_normalizing_never_changes_the_answer(self, s):
         assert is_lens_space_symbol(s) == is_lens_space_symbol(normalize(s))
 
-    def test_audit_normalizes_three_times_per_row(self, monkeypatch):
+    def test_audit_normalizes_twice_per_row(self, monkeypatch):
         calls = []
         original = seifert.normalize
 
@@ -149,7 +149,7 @@ class TestIsLensSpaceSymbol:
         result = prism_verify(-50, 50)
         rows = [r for r in result["reports"] if r["status"] != "excluded"]
         assert len(rows) == 100
-        assert len(calls) == 3 * len(rows)
+        assert len(calls) == 2 * len(rows)
 
 
 class TestBranchingLinkFamily:
@@ -194,6 +194,33 @@ class TestTwistKnotExclusion:
             if abs(4 * n - 1) < 3:
                 continue
             assert not is_lens_space_symbol(prism_fibrations(n)[0])
+
+    def test_audit_verdict_matches_the_twist_knot_cover(self):
+        # the expression the audit evaluated per row before it read the
+        # family fact, with the twist knot's cover built each time
+        for row in prism_rows(-1000, 1000):
+            n = row["n"]
+            if row["status"] == "excluded":
+                assert abs(4 * n - 1) < 3
+                continue
+            twist_cover = double_branched_cover(wn_link(n))
+            built = is_lens_space_symbol(twist_cover) and not is_lens_space_symbol(
+                prism_fibrations(n)[0]
+            )
+            assert row["twist_knot_excluded"] is built
+
+    def test_audit_builds_no_twist_knot_cover(self, monkeypatch):
+        calls = []
+        original = montesinos.double_branched_cover
+
+        def counting(link):
+            calls.append(link)
+            return original(link)
+
+        monkeypatch.setattr(montesinos, "double_branched_cover", counting)
+        monkeypatch.setattr(covers, "double_branched_cover", counting, raising=False)
+        prism_verify(-50, 50)
+        assert calls == []
 
     @given(fiber_pairs_st(), fiber_pairs_st())
     @settings(max_examples=80)

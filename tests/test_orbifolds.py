@@ -258,6 +258,15 @@ class TestHorizontalDegreeSolutions:
         with pytest.raises(ValueError, match="nonorientable_base_solutions"):
             horizontal_degree_solutions(self.fiber, MOEBIUS)
 
+    def test_nonorientable_fiber_rejected(self):
+        # the chi equation alone reads 6 here, but no such cover exists: a
+        # branched cover of an orientable orbifold is orientable
+        fiber = SurfaceData(2, 1, orientable=False)
+        base = Orbifold2D(True, 0, 1, (2, 3))
+        for divisibility in (True, False):
+            with pytest.raises(ValueError, match="^the covering surface must be orientable here$"):
+                horizontal_degree_solutions(fiber, base, divisibility)
+
     @given(
         st.integers(0, 2),
         st.integers(0, 2),

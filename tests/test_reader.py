@@ -28,7 +28,6 @@ from prismvol import (
     slope_from_json,
     symbol_from_json,
     twisted_torus_braid,
-    wn_link,
     word_from_json,
 )
 from prismvol.reader import check, loads, read
@@ -212,8 +211,6 @@ class TestConstructors:
             (lambda: case_analysis_report(True), "^n must be an integer"),
             (lambda: ln_link(0.5), "^n must be an integer"),
             (lambda: ln_link(True), "^n must be an integer"),
-            (lambda: wn_link(True), "^m must be an integer"),
-            (lambda: wn_link(2.0), "^m must be an integer"),
             (lambda: twisted_torus_braid(3.0, 1, 2, 1), "^p must be an integer"),
             (lambda: twisted_torus_braid(3, True, 2, 1), "^q must be an integer"),
             (lambda: twisted_torus_braid(3, 1, 2.0, 1), "^r must be an integer"),
@@ -222,6 +219,37 @@ class TestConstructors:
             (lambda: prism_rows(1, 2.0), "^n_to must be an integer"),
             (lambda: prism_verify(1.0, 2), "^n_from must be an integer"),
             (lambda: prism_verify(1, False), "^n_to must be an integer"),
+            # arrays are lists or tuples; nothing else is iterated into one
+            (lambda: SeifertSymbol("Oo", 0, (5,)), "^fibers: pair 5 must be two integers$"),
+            (lambda: SeifertSymbol("Oo", 0, 5), "^fibers must be a list or a tuple, got 5$"),
+            (lambda: MontesinosLink(0, 5), "^tangles must be a list or a tuple, got 5$"),
+            (lambda: Orbifold2D(True, 0, 1, 5), "^cones must be a list or a tuple, got 5$"),
+            (
+                lambda: Orbifold2D(True, 0, 1, {3: 0, 2: 0}),
+                r"^cones must be a list or a tuple, got \{3: 0, 2: 0\}$",
+            ),
+            (
+                lambda: GroupPresentation(1, (5,)),
+                r"^relators\[0\] must be a list or a tuple, got 5$",
+            ),
+            (lambda: GroupPresentation(1, 5), "^relators must be a list or a tuple, got 5$"),
+            (lambda: IntMatrix(1, 1, 5), "^entries must be a list or a tuple, got 5$"),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, 5),
+                "^branch_local_degrees must be a list or a tuple, got 5$",
+            ),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, [2]),
+                r"^branch_local_degrees\[0\] must be a list or a tuple, got 2$",
+            ),
+            (
+                lambda: BraidWord(3, {1: 2}),
+                r"^letters must be a list or a tuple, got \{1: 2\}$",
+            ),
+            (
+                lambda: BraidWord(3, (letter for letter in (1,))),
+                "^letters must be a list or a tuple, got <generator",
+            ),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):
@@ -233,3 +261,5 @@ class TestConstructors:
         assert BraidWord(3, [1, -2]).letters == (1, -2)
         assert GroupPresentation(1, [[1, 1]]).relators == ((1, 1),)
         assert Orbifold2D(False, 1, 1, [3, 2]).cones == (2, 3)
+        assert IntMatrix(1, 2, [3, 4]).entries == (3, 4)
+        assert MontesinosLink(0, [[1, 2], (1, 3)]).tangles == ((1, 2), (1, 3))

@@ -81,3 +81,21 @@ def test_all_is_what_the_package_imports():
     assert len(prismvol.__all__) == len(set(prismvol.__all__))
     assert set(prismvol.__all__) == imported
     assert {"smith_normal_form", "remove_fiber"}.isdisjoint(prismvol.__all__)
+
+
+def test_no_constructor_coerces_a_field_to_a_tuple():
+    """``tuple(self.<field>)`` iterates a dict's keys or drains a generator;
+    constructors read array fields with ``reader.require_array``, which
+    refuses anything but a list or a tuple."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and isinstance(node.args[0].value, ast.Name)
+        and node.args[0].value.id == "self"
+    ]
+    assert found == []
