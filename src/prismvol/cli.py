@@ -16,13 +16,16 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import re
 import sys
 from collections.abc import Iterator
+from functools import reduce
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 from pathlib import Path
 
 from . import braids, covers, montesinos, orbifolds, seifert, slopes
@@ -298,18 +301,45 @@ def _indented(value: object, margin: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
 
 
+# The leaves of a "conditional" row that depend on n, in text order: n twice,
+# then mu and chi_orb of cases 3 and 5.  The rest is the same for all such
+# rows of one call, with every degree list empty: 3 mu/(mu - 1) is an integer
+# for no odd mu, and 6 mu/(mu - 2) only at the candidates mu = 3 and 5.
+_ROW_LEAVES = (
+    ("n",),
+    ("case_analysis", "n"),
+    ("case_analysis", "cases", 2, "orbifold", "cones", 2),
+    ("case_analysis", "cases", 2, "chi_orb"),
+    ("case_analysis", "cases", 4, "orbifold", "cones", 1),
+    ("case_analysis", "cases", 4, "chi_orb"),
+)
+
+
 def _prism_json(rows) -> Iterator[str]:
     """What ``print(json.dumps(report, indent=2))`` writes for the report
     ``{"reports": rows, "candidate_exceptional": [...]}``, one row at a time;
-    the candidates are collected along the way."""
+    the candidates are collected along the way.  The first "conditional" row
+    is also written with "\\0", which no row holds, at each ``_ROW_LEAVES``
+    leaf; every conditional row is that text with its own leaves in the gaps."""
     candidates = []
+    gaps = None
     yield '{\n  "reports": ['
     separator, closing = "\n    ", "]"
     for row in rows:
-        yield separator + _indented(row, "    ")
+        if row["status"] == "conditional":
+            if gaps is None:
+                marked = copy.deepcopy(row)
+                for *path, key in _ROW_LEAVES:
+                    reduce(getitem, path, marked)[key] = "\0"
+                gaps = _indented(marked, "    ").split(_indented("\0", ""))
+            leaves = [_indented(reduce(getitem, path, row), "") for path in _ROW_LEAVES]
+            text = "".join(gap + leaf for gap, leaf in zip(gaps, leaves)) + gaps[-1]
+        else:
+            text = _indented(row, "    ")
+            if row["status"] == "candidate-exceptional":
+                candidates.append(row["n"])
+        yield separator + text
         separator, closing = ",\n    ", "\n  ]"
-        if row["status"] == "candidate-exceptional":
-            candidates.append(row["n"])
     yield f'{closing},\n  "candidate_exceptional": {_indented(candidates, "  ")}\n}}\n'
 
 

@@ -27,10 +27,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .montesinos import is_lens_space_symbol
-from .orbifolds import case_analysis_report
+from .orbifolds import _CASE_1, _CASE_2, _CASE_4, _FIBER_EULER
 from .reader import read, require_array, require_int
-from .seifert import prism_fibrations
 from .slopes import Slope, enumerate_constrained_slopes
 
 MAX_ENUMERATION = 10**8
@@ -312,41 +310,52 @@ def upper_bound_value() -> float:
     return _UPPER_BOUND_VALUE
 
 
+def _disk_case(case: int, cones: list[int], chi_num: int, chi_den: int) -> dict:
+    """``CaseResult.to_json`` of the disk with ``cones``, whose chi_orb is
+    chi_num/chi_den in lowest terms: one division solves chi(F) = d * chi_orb."""
+    d, rest = divmod(_FIBER_EULER * chi_den, chi_num)
+    chi_only = [d] if rest == 0 and d > 0 else []
+    return {
+        "case": case,
+        "orbifold": {"orientable": True, "genus": 0, "boundary": 1, "cones": cones},
+        "chi_orb": f"{chi_num}/{chi_den}",
+        "degrees": [d for d in chi_only if all(d % index == 0 for index in cones)],
+        "chi_only_degrees": chi_only,
+    }
+
+
 def _report_for(n: int, counts: list[int]) -> dict:
-    if abs(4 * n - 1) < 3:
-        return {
-            "n": n,
-            "upper_bound": UPPER_BOUND.label,
-            "upper_bound_value": _UPPER_BOUND_VALUE,
-            "status": "excluded",
-            "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
-        }
-    # a twist knot is a two-tangle Montesinos knot, so its double cover is a lens space
-    twist_knot_excluded = not is_lens_space_symbol(prism_fibrations(n)[0])
-    analysis = case_analysis_report(n)
-    status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
+    """The audit row of parameter n, in closed form in mu = |4n - 1|, made of
+    fresh dicts and lists; cases 1, 2 and 4 are module facts of ``orbifolds``."""
+    mu = abs(4 * n - 1)
+    row = {"n": n, "upper_bound": UPPER_BOUND.label, "upper_bound_value": _UPPER_BOUND_VALUE}
+    if mu < 3:
+        reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
+        return {**row, "status": "excluded", "reason": reason}
+    # mu is odd, so chi_orb = (1 - mu)/mu (case 3) and (2 - mu)/(2 mu) (case 5)
+    # are in lowest terms: gcd(mu - 1, mu) = 1 and gcd(mu - 2, 2 mu) = gcd(2, mu) = 1
+    cases = [_CASE_1.to_json(), _CASE_2.to_json(), _disk_case(3, [2, 2, mu], 1 - mu, mu)]
+    cases += [_CASE_4.to_json(), _disk_case(5, [2, mu], 2 - mu, 2 * mu)]
+    degrees = sorted(d for case in cases for d in case["degrees"])
     unresolved = list(_NONEFFECTIVE_STEPS)
-    if status == "candidate-exceptional":
-        degrees = sorted(
-            d for case in analysis["cases"] for d in case["degrees"]
-        )
+    if degrees:
         unresolved.insert(
             0,
             "periodic monodromy admits a horizontal genus-2 fiber candidate "
             f"at degrees {degrees}",
         )
     return {
-        "n": n,
-        "upper_bound": UPPER_BOUND.label,
-        "upper_bound_value": _UPPER_BOUND_VALUE,
-        "twist_knot_excluded": twist_knot_excluded,
-        "case_analysis": analysis,
+        **row,
+        # a twist knot's double branched cover is a lens space; the family's
+        # sphere fibration has cones 2, 2, mu with mu >= 3, so it never is one
+        "twist_knot_excluded": True,
+        "case_analysis": {"n": n, "cases": cases, "admits_horizontal": bool(degrees)},
         "slope_demo": {
             "pairs": [[f.to_json(), c.to_json()] for f, c in _SLOPE_DEMO_PAIRS],
             "counts": list(counts),
         },
         "max_degree": _MAX_DEGREE,
-        "status": status,
+        "status": "candidate-exceptional" if degrees else "conditional",
         "unresolved_steps": unresolved,
     }
 
@@ -355,11 +364,11 @@ def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
     """The audit rows of ``prism_verify``, one per parameter in [n_from, n_to],
     made one at a time so that a caller can write each out and let it go.
 
-    The bound and the degree cap are module constants, and the five-case
-    analysis solves its three n-independent cases once per process.  The
-    slope demonstration is an enumeration, so it runs once per call, at the
-    call, where an ``n_from`` or ``n_to`` that is not an ``int`` is refused.
-    No row raises: a degenerate parameter is reported as "excluded".
+    Each row is in closed form in mu = |4n - 1|, with the twist-knot verdict
+    a fact of the family.  The slope demonstration is an enumeration, so it
+    runs once per call, at the call, where an ``n_from`` or ``n_to`` that is
+    not an ``int`` is refused.  No row raises: a degenerate parameter is
+    reported as "excluded".
     """
     require_int(n_from=n_from, n_to=n_to)
     counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
@@ -370,8 +379,8 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     """Audit every parameter in [n_from, n_to].
 
     Per parameter: the 2-fold upper-bound certificate (budget 2*V0), the
-    twist-knot exclusion (a twist knot's double branched cover is a lens space,
-    so it holds when ``prism_fibrations(n)[0]`` is not one), the five-case
+    twist-knot exclusion (a twist knot's double branched cover is a lens
+    space, and the family's sphere fibration never is one), the five-case
     horizontal-surface analysis, a slope-enumeration demonstration, and the
     degree cap from the volume floor.  Parameters whose computable
     obstructions all vanish are "conditional" (the remaining steps are finite

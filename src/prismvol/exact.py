@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .reader import require_array, require_int
 
@@ -61,8 +60,9 @@ class IntMatrix:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+    def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
+        """Rows are lists or tuples: a dict or a generator is refused, not iterated."""
+        rows = [require_array(r, f"rows[{i}]") for i, r in enumerate(require_array(rows, "rows"))]
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])

@@ -137,8 +137,9 @@ def riemann_hurwitz_cover(
     require_int(degree=degree)
     if degree < 1:
         raise ValueError("degree must be a positive integer")
+    # unsorted until the types are checked: sorting would compare a str with an int
     branch = [
-        tuple(sorted(require_array(point, f"branch_local_degrees[{i}]")))
+        require_array(point, f"branch_local_degrees[{i}]")
         for i, point in enumerate(require_array(branch_local_degrees, "branch_local_degrees"))
     ]
     for point in branch:
@@ -146,7 +147,7 @@ def riemann_hurwitz_cover(
             raise ValueError(f"local degrees must be positive integers, got {point}")
         if sum(point) != degree:
             raise ValueError(
-                f"local degrees {point} do not partition the degree {degree}"
+                f"local degrees {tuple(sorted(point))} do not partition the degree {degree}"
             )
     genuine = sum(1 for point in branch if len(point) < degree)
     total_defect = sum(local - 1 for point in branch for local in point)

@@ -9,7 +9,8 @@ from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
 rule.  Degree equations over the whole family are cross-checked by a bounded
 integrality scan of affine ratios, and the Whitehead volume by Catalan's
-alternating series.
+alternating series.  Audit rows are rebuilt the way the audit once built
+them, from the fibrations, the lens-space test and the five-case report.
 """
 
 from __future__ import annotations
@@ -276,6 +277,56 @@ def wn_link(m: int) -> MontesinosLink:
     a = 2 * m + 1
     tangle = (m, a) if a > 0 else (-m, -a)
     return MontesinosLink(0, ((1, 2), tangle))
+
+
+# --- audit rows ----------------------------------------------------------
+
+def audit_row_oracle(n: int) -> dict:
+    """The audit row of parameter n as the audit built it before its rows
+    were in closed form: the twist-knot verdict from the lens-space test on
+    ``prism_fibrations(n)[0]``, the cases from ``case_analysis_report(n)``."""
+    from prismvol import covers
+    from prismvol.montesinos import is_lens_space_symbol
+    from prismvol.orbifolds import case_analysis_report
+    from prismvol.seifert import prism_fibrations
+    from prismvol.slopes import enumerate_constrained_slopes
+
+    head = {
+        "n": n,
+        "upper_bound": covers.UPPER_BOUND.label,
+        "upper_bound_value": covers.upper_bound_value(),
+    }
+    if abs(4 * n - 1) < 3:
+        return {
+            **head,
+            "status": "excluded",
+            "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
+        }
+    analysis = case_analysis_report(n)
+    status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
+    unresolved = list(covers._NONEFFECTIVE_STEPS)
+    if status == "candidate-exceptional":
+        degrees = sorted(d for case in analysis["cases"] for d in case["degrees"])
+        unresolved.insert(
+            0,
+            "periodic monodromy admits a horizontal genus-2 fiber candidate "
+            f"at degrees {degrees}",
+        )
+    return {
+        **head,
+        "twist_knot_excluded": not is_lens_space_symbol(prism_fibrations(n)[0]),
+        "case_analysis": analysis,
+        "slope_demo": {
+            "pairs": [[f.to_json(), c.to_json()] for f, c in covers._SLOPE_DEMO_PAIRS],
+            "counts": [
+                len(enumerate_constrained_slopes(f, c, 1, 2))
+                for f, c in covers._SLOPE_DEMO_PAIRS
+            ],
+        },
+        "max_degree": covers._MAX_DEGREE,
+        "status": status,
+        "unresolved_steps": unresolved,
+    }
 
 
 # --- Catalan's constant ----------------------------------------------------

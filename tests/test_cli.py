@@ -711,6 +711,35 @@ class TestStreamedVerify:
         assert (code, err) == (0, "")
         assert out == json.dumps(prism_verify(n_from, n_to), indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "n_from, n_to",
+        [
+            # all conditional
+            (2, 60),
+            (-60, -2),
+            # single rows
+            (0, 0),
+            (1, 1),
+            (-1, -1),
+            (2, 2),
+            (-2, -2),
+            # starting or ending on n = -1, 0 or 1
+            (-1, 6),
+            (-6, -1),
+            (0, 6),
+            (-6, 0),
+            (1, 6),
+            (-6, 1),
+            (-1, 1),
+            # far from the candidates
+            (10**6 - 4, 10**6 + 4),
+            (-(10**6) - 4, -(10**6) + 4),
+        ],
+    )
+    def test_written_rows_equal_the_whole_dump(self, n_from, n_to):
+        out = "".join(cli._prism_json(prism_rows(n_from, n_to)))
+        assert out == json.dumps(prism_verify(n_from, n_to), indent=2) + "\n"
+
     def test_empty_range_json(self):
         # the command line refuses an empty range, so call the emitter
         out = "".join(cli._prism_json(prism_rows(1, 0)))

@@ -23,11 +23,16 @@ from prismvol import (
     degree_bound_for_budget,
     fiber_surface,
     presentation_from_json,
+    prism_case_analysis,
+    prism_rows,
     prism_verify,
     upper_bound_value,
 )
 from prismvol.covers import UPPER_BOUND, _conjugacy_classes
+from prismvol.exact import frac_str
+from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (
+    audit_row_oracle,
     brute_hom_count,
     catalan_alternating,
     presentations_st,
@@ -400,6 +405,52 @@ class TestPrismVerify:
     def test_json_serializable(self):
         payload = prism_verify(-1, 2)
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestClosedFormRows:
+    """Each audit row is built from mu = |4n - 1| alone; these tests hold it to
+    the rows the audit built from the fibrations and the case analysis."""
+
+    def test_rows_equal_the_oracle(self):
+        checked = 0
+        for row in prism_rows(-1000, 1000):
+            oracle = audit_row_oracle(row["n"])
+            # json.dumps also tells True from 1 and keeps the key order
+            assert row == oracle and json.dumps(row) == json.dumps(oracle), row["n"]
+            checked += 1
+        assert checked == 2001
+
+    @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
+    @settings(max_examples=200)
+    def test_large_n_matches_the_case_analysis(self, n):
+        [row] = prism_rows(n, n)
+        cases = row["case_analysis"]["cases"]
+        mu = abs(4 * n - 1)
+        assert cases[2]["chi_orb"] == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, 2, mu))))
+        assert cases[4]["chi_orb"] == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, mu))))
+        assert cases == [r.to_json() for r in prism_case_analysis(n)]
+        assert (row["status"] == "conditional") is (abs(n) != 1)
+
+    @staticmethod
+    def _scribble(value):
+        """Add an entry to every dict and list inside ``value``."""
+        if type(value) is dict:
+            for item in list(value.values()):
+                TestClosedFormRows._scribble(item)
+            value["scribbled"] = True
+        elif type(value) is list:
+            for item in list(value):
+                TestClosedFormRows._scribble(item)
+            value.append("scribbled")
+
+    @pytest.mark.parametrize("n", [1, 2, -1, -2])
+    def test_rows_share_no_object(self, n):
+        rows = list(prism_rows(-3, 3))
+        self._scribble(rows[n + 3])
+        for row in rows:
+            if row["n"] != n:
+                assert row == audit_row_oracle(row["n"]), row["n"]
+        assert list(prism_rows(-3, 3)) == [audit_row_oracle(m) for m in range(-3, 4)]
 
 
 class TestDegreeOne:

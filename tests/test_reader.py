@@ -250,6 +250,27 @@ class TestConstructors:
                 lambda: BraidWord(3, (letter for letter in (1,))),
                 "^letters must be a list or a tuple, got <generator",
             ),
+            (
+                lambda: IntMatrix.from_rows([{3: 0, 4: 0}]),
+                r"^rows\[0\] must be a list or a tuple, got \{3: 0, 4: 0\}$",
+            ),
+            (
+                lambda: IntMatrix.from_rows({1: 2}),
+                r"^rows must be a list or a tuple, got \{1: 2\}$",
+            ),
+            (
+                lambda: IntMatrix.from_rows([(x for x in (1, 2))]),
+                r"^rows\[0\] must be a list or a tuple, got <generator",
+            ),
+            # types are checked before the local degrees are sorted
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, [(1, "a")]),
+                r"^local degrees must be positive integers, got \(1, 'a'\)$",
+            ),
+            (
+                lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 5, [(3, 2.0)]),
+                r"^local degrees must be positive integers, got \(3, 2\.0\)$",
+            ),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):

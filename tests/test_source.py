@@ -34,6 +34,19 @@ def test_orbifolds_imports_nothing_from_seifert():
     assert [name for name in imported if "seifert" in name] == []
 
 
+def test_covers_imports_nothing_from_seifert_or_montesinos():
+    """The audit rows are in closed form in mu = |4n - 1|: ``covers`` builds
+    them without a Seifert symbol or a Montesinos link."""
+    tree = ast.parse((Path(prismvol.__file__).parent / "covers.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "seifert" in name or "montesinos" in name] == []
+
+
 def test_every_traced_target_is_a_function_of_its_module():
     """``perfbench/run.py --trace 1`` wraps each ``tracing.TARGETS`` entry with
     ``getattr``, so a renamed or removed function would break it.  The tuple
