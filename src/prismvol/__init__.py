@@ -7,131 +7,110 @@ Montesinos double branched covers, horizontal-surface degree equations over
 invariants, and bounded-degree branched-cover counting, assembled by
 ``prism_verify`` into per-parameter reports that are explicit about which
 finiteness steps are computed and which remain conditional.
+
+Each layer module is registered in ``sys.modules`` and set as an attribute of
+the package when the package is imported, but its code runs on first attribute
+access (``importlib.util.LazyLoader``); the public names below resolve through
+the module ``__getattr__`` of PEP 562.  A command thus runs only the layers it
+calls.
 """
 
-from .braids import (
-    BraidWord,
-    bennequin_chi,
-    bennequin_genus,
-    closure_components,
-    exponent_sum,
-    twisted_torus_braid,
-    word_from_json,
-)
-from .covers import (
-    FIGURE_EIGHT_VOLUME,
-    ONE_CUSP_VOLUME_FLOOR,
-    WHITEHEAD_VOLUME,
-    CoverCertificate,
-    EnumerationTooLargeError,
-    GroupPresentation,
-    VolumeConstant,
-    complexity,
-    count_representations,
-    degree_bound_for_budget,
-    presentation_from_json,
-    prism_rows,
-    prism_verify,
-    upper_bound_value,
-)
-from .exact import (
-    IntMatrix,
-    elementary_divisors,
-    extended_gcd,
-    frac_str,
-)
-from .montesinos import (
-    MontesinosLink,
-    double_branched_cover,
-    is_lens_space_symbol,
-    link_from_json,
-    ln_link,
-)
-from .orbifolds import (
-    CaseResult,
-    InfiniteSolutionsError,
-    Orbifold2D,
-    SurfaceData,
-    case_analysis_report,
-    chi_orb,
-    fiber_surface,
-    horizontal_degree_solutions,
-    nonorientable_base_solutions,
-    orbifold_from_json,
-    orientation_double_cover,
-    prism_case_analysis,
-    riemann_hurwitz_cover,
-)
-from .seifert import (
-    SeifertSymbol,
-    UnsupportedBaseClass,
-    base_orbifold,
-    euler_number,
-    first_homology,
-    homology_order,
-    normalize,
-    prism_fibrations,
-    symbol_from_json,
-)
-from .slopes import Slope, delta, enumerate_constrained_slopes, slope_from_json
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidWord",
-    "CaseResult",
-    "CoverCertificate",
-    "EnumerationTooLargeError",
-    "FIGURE_EIGHT_VOLUME",
-    "GroupPresentation",
-    "InfiniteSolutionsError",
-    "IntMatrix",
-    "MontesinosLink",
-    "ONE_CUSP_VOLUME_FLOOR",
-    "Orbifold2D",
-    "SeifertSymbol",
-    "Slope",
-    "SurfaceData",
-    "UnsupportedBaseClass",
-    "VolumeConstant",
-    "WHITEHEAD_VOLUME",
-    "base_orbifold",
-    "bennequin_chi",
-    "bennequin_genus",
-    "case_analysis_report",
-    "chi_orb",
-    "closure_components",
-    "complexity",
-    "count_representations",
-    "degree_bound_for_budget",
-    "delta",
-    "double_branched_cover",
-    "elementary_divisors",
-    "enumerate_constrained_slopes",
-    "euler_number",
-    "exponent_sum",
-    "extended_gcd",
-    "fiber_surface",
-    "first_homology",
-    "frac_str",
-    "homology_order",
-    "horizontal_degree_solutions",
-    "is_lens_space_symbol",
-    "link_from_json",
-    "ln_link",
-    "nonorientable_base_solutions",
-    "normalize",
-    "orbifold_from_json",
-    "orientation_double_cover",
-    "presentation_from_json",
-    "prism_case_analysis",
-    "prism_fibrations",
-    "prism_rows",
-    "prism_verify",
-    "riemann_hurwitz_cover",
-    "slope_from_json",
-    "symbol_from_json",
-    "twisted_torus_braid",
-    "upper_bound_value",
-    "word_from_json",
-]
+# layer -> its public names; ``reader`` has none, but is loaded lazily too
+_PUBLIC = {
+    "braids": (
+        "BraidWord",
+        "bennequin_chi",
+        "bennequin_genus",
+        "closure_components",
+        "exponent_sum",
+        "twisted_torus_braid",
+        "word_from_json",
+    ),
+    "covers": (
+        "CoverCertificate",
+        "EnumerationTooLargeError",
+        "FIGURE_EIGHT_VOLUME",
+        "GroupPresentation",
+        "ONE_CUSP_VOLUME_FLOOR",
+        "VolumeConstant",
+        "WHITEHEAD_VOLUME",
+        "complexity",
+        "count_representations",
+        "degree_bound_for_budget",
+        "presentation_from_json",
+        "prism_rows",
+        "prism_verify",
+        "upper_bound_value",
+    ),
+    "exact": ("IntMatrix", "elementary_divisors", "extended_gcd", "frac_str"),
+    "montesinos": (
+        "MontesinosLink",
+        "double_branched_cover",
+        "is_lens_space_symbol",
+        "link_from_json",
+        "ln_link",
+    ),
+    "orbifolds": (
+        "CaseResult",
+        "InfiniteSolutionsError",
+        "Orbifold2D",
+        "SurfaceData",
+        "case_analysis_report",
+        "chi_orb",
+        "fiber_surface",
+        "horizontal_degree_solutions",
+        "nonorientable_base_solutions",
+        "orbifold_from_json",
+        "orientation_double_cover",
+        "prism_case_analysis",
+        "riemann_hurwitz_cover",
+    ),
+    "reader": (),
+    "seifert": (
+        "SeifertSymbol",
+        "UnsupportedBaseClass",
+        "base_orbifold",
+        "euler_number",
+        "first_homology",
+        "homology_order",
+        "normalize",
+        "prism_fibrations",
+        "symbol_from_json",
+    ),
+    "slopes": ("Slope", "delta", "enumerate_constrained_slopes", "slope_from_json"),
+}
+_LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def _register(layer: str):
+    """The module ``prismvol.<layer>``, in ``sys.modules``, not yet executed."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _layer in _PUBLIC:
+    globals()[_layer] = _register(_layer)
+del _layer
+
+
+def __getattr__(name: str):
+    try:
+        layer = _LAYER_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[layer], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -28,8 +28,7 @@ from json.encoder import encode_basestring_ascii
 from operator import getitem
 from pathlib import Path
 
-from . import braids, covers, montesinos, orbifolds, seifert, slopes
-from .exact import frac_str
+from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
 
 FORMAT_ENV_VAR = "PRISMVOL_FORMAT"
@@ -155,7 +154,7 @@ def _cmd_seifert_normalize(args: argparse.Namespace) -> None:
 def _cmd_seifert_euler(args: argparse.Namespace) -> None:
     s = seifert.symbol_from_json(_load_input(args.symbol, args.fixtures))
     e = seifert.euler_number(s)
-    _emit(args, {"euler": frac_str(e)}, [frac_str(e)])
+    _emit(args, {"euler": exact.frac_str(e)}, [exact.frac_str(e)])
 
 
 def _cmd_seifert_h1(args: argparse.Namespace) -> None:
@@ -186,7 +185,7 @@ def _orbifold_from_flags(args: argparse.Namespace) -> orbifolds.Orbifold2D:
 
 def _cmd_orbifold_chi(args: argparse.Namespace) -> None:
     value = orbifolds.chi_orb(_orbifold_from_flags(args))
-    _emit(args, {"chi_orb": frac_str(value)}, [frac_str(value)])
+    _emit(args, {"chi_orb": exact.frac_str(value)}, [exact.frac_str(value)])
 
 
 def _cmd_orbifold_cover(args: argparse.Namespace) -> None:

@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .orbifolds import _CASE_1, _CASE_2, _CASE_4, _FIBER_EULER
+from . import orbifolds
 from .reader import read, require_array, require_int
 from .slopes import Slope, enumerate_constrained_slopes
 
@@ -313,7 +313,7 @@ def upper_bound_value() -> float:
 def _disk_case(case: int, cones: list[int], chi_num: int, chi_den: int) -> dict:
     """``CaseResult.to_json`` of the disk with ``cones``, whose chi_orb is
     chi_num/chi_den in lowest terms: one division solves chi(F) = d * chi_orb."""
-    d, rest = divmod(_FIBER_EULER * chi_den, chi_num)
+    d, rest = divmod(orbifolds._FIBER_EULER * chi_den, chi_num)
     chi_only = [d] if rest == 0 and d > 0 else []
     return {
         "case": case,
@@ -334,8 +334,13 @@ def _report_for(n: int, counts: list[int]) -> dict:
         return {**row, "status": "excluded", "reason": reason}
     # mu is odd, so chi_orb = (1 - mu)/mu (case 3) and (2 - mu)/(2 mu) (case 5)
     # are in lowest terms: gcd(mu - 1, mu) = 1 and gcd(mu - 2, 2 mu) = gcd(2, mu) = 1
-    cases = [_CASE_1.to_json(), _CASE_2.to_json(), _disk_case(3, [2, 2, mu], 1 - mu, mu)]
-    cases += [_CASE_4.to_json(), _disk_case(5, [2, mu], 2 - mu, 2 * mu)]
+    cases = [
+        orbifolds._CASE_1.to_json(),
+        orbifolds._CASE_2.to_json(),
+        _disk_case(3, [2, 2, mu], 1 - mu, mu),
+        orbifolds._CASE_4.to_json(),
+        _disk_case(5, [2, mu], 2 - mu, 2 * mu),
+    ]
     degrees = sorted(d for case in cases for d in case["degrees"])
     unresolved = list(_NONEFFECTIVE_STEPS)
     if degrees:

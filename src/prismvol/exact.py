@@ -19,9 +19,12 @@ from fractions import Fraction
 from .reader import require_array, require_int
 
 
-def frac_str(q: Fraction) -> str:
-    """Render a rational as ``p/q`` with positive denominator (``0`` -> ``0/1``)."""
-    q = Fraction(q)
+def frac_str(q: Fraction | int) -> str:
+    """Render an exact ``int`` or ``Fraction`` as ``p/q`` with positive
+    denominator (``0`` -> ``0/1``); anything else, a ``bool`` or ``float``
+    included, is refused, not coerced."""
+    if type(q) is not Fraction and type(q) is not int:
+        raise ValueError(f"frac_str needs an int or a Fraction, got {type(q).__name__}")
     return f"{q.numerator}/{q.denominator}"
 
 

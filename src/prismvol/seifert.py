@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import orbifolds
 from .exact import IntMatrix, elementary_divisors
-from .orbifolds import Orbifold2D
 from .reader import read, require_array, require_int
 
 OO = "Oo"
@@ -111,9 +111,9 @@ def euler_number(s: SeifertSymbol) -> Fraction:
     return -sum((Fraction(beta, alpha) for beta, alpha in s.fibers), Fraction(0))
 
 
-def base_orbifold(s: SeifertSymbol) -> Orbifold2D:
+def base_orbifold(s: SeifertSymbol) -> orbifolds.Orbifold2D:
     """The closed base orbifold: one cone of index alpha per fiber with alpha >= 2."""
-    return Orbifold2D(
+    return orbifolds.Orbifold2D(
         orientable=s.base_class == OO,
         genus=s.genus,
         boundary=0,
@@ -121,7 +121,7 @@ def base_orbifold(s: SeifertSymbol) -> Orbifold2D:
     )
 
 
-def remove_fiber(s: SeifertSymbol, which: int | str) -> Orbifold2D:
+def remove_fiber(s: SeifertSymbol, which: int | str) -> orbifolds.Orbifold2D:
     """Base orbifold after drilling one fiber out of the total space.
 
     Removing a fibered solid-torus neighborhood punches one open disk out of
@@ -140,7 +140,7 @@ def remove_fiber(s: SeifertSymbol, which: int | str) -> Orbifold2D:
         if alpha < 2:
             raise ValueError(f"fiber {which} has alpha = 1 and is not exceptional")
         cones.remove(alpha)
-    return Orbifold2D(
+    return orbifolds.Orbifold2D(
         orientable=closed.orientable,
         genus=closed.genus,
         boundary=1,

@@ -83,6 +83,11 @@ class TestFracStr:
     def test_integer_input(self):
         assert frac_str(5) == "5/1"
 
+    @pytest.mark.parametrize("value", [True, 0.5, 1.0, "1/2", None])
+    def test_refuses_a_value_that_is_not_exact(self, value):
+        with pytest.raises(ValueError, match=type(value).__name__):
+            frac_str(value)
+
 
 class TestExtendedGcd:
     @given(st.integers(-200, 200), st.integers(-200, 200))

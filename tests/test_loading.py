@@ -1,0 +1,90 @@
+"""The package registers each layer module without running it: a command
+executes only the layers it calls, and ``import prismvol`` executes none."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a layer still waiting for its first attribute access is of a ModuleType
+# subclass, and becomes a plain ModuleType when its code runs
+_REPORT = (
+    "import json, sys, types\n"
+    "print(json.dumps({'executed': sorted(n for n, m in sys.modules.items()"
+    " if n.split('.')[0] == 'prismvol' and type(m) is types.ModuleType),"
+    " 'registered': sorted(n for n in sys.modules if n.split('.')[0] == 'prismvol')}))\n"
+)
+
+
+def _modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; the ``prismvol`` modules it left."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _REPORT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_prismvol_executes_no_layer():
+    modules = _modules("import prismvol\n")
+    assert modules["executed"] == ["prismvol"]
+    layers = ["braids", "covers", "exact", "montesinos", "orbifolds", "reader", "seifert", "slopes"]
+    assert modules["registered"] == ["prismvol"] + [f"prismvol.{layer}" for layer in layers]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["seifert", "h1", "@m1_oo"], ["exact", "reader", "seifert"]),
+        (["covers", "count", "@trefoil", "--degree", "3"], ["covers", "exact", "reader", "slopes"]),
+        (["braid", "ttk", "3", "2", "2", "1"], ["braids", "reader"]),
+        (
+            ["orbifold", "chi", "--orientable", "true", "--genus", "0", "--boundary", "0",
+             "--cones", "2,3,5"],
+            ["exact", "orbifolds", "reader"],
+        ),
+        (
+            ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
+            ["covers", "exact", "orbifolds", "reader", "slopes"],
+        ),
+    ],
+)
+def test_a_command_executes_only_the_layers_it_calls(argv, layers):
+    """``python -m prismvol argv``, run as ``-m`` runs it; a module-level import
+    that pulls in a layer the command does not call fails this."""
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['prismvol', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('prismvol', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+    )
+    executed = _modules(code)["executed"]
+    assert executed == sorted(["prismvol", "prismvol.cli"] + [f"prismvol.{m}" for m in layers])
+
+
+def test_import_cli_registers_every_traced_layer():
+    """``perfbench/run.py --trace 1`` reads ``sys.modules["prismvol.<layer>"]``
+    for each ``tracing.TARGETS`` layer right after ``import prismvol.cli``.
+    The tuple is read from the source, so this imports nothing from
+    ``perfbench``."""
+    path = ROOT / "perfbench" / "tracing.py"
+    targets = next(
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    )
+    layers = {ast.literal_eval(entry.elts[0]) for entry in targets.elts}
+    assert len(layers) > 5
+    registered = _modules("import prismvol.cli\n")["registered"]
+    assert [layer for layer in sorted(layers) if f"prismvol.{layer}" not in registered] == []

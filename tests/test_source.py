@@ -81,19 +81,16 @@ def test_no_call_passes_indent():
 
 
 def test_all_is_what_the_package_imports():
-    """``__all__`` lists each public name that ``__init__`` imports, once, and
-    leaves out the test oracles that stay in their modules."""
-    tree = ast.parse(Path(prismvol.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    }
-    assert len(prismvol.__all__) == len(set(prismvol.__all__))
-    assert set(prismvol.__all__) == imported
+    """``__all__`` is the names of ``__init__``'s layer table, once each; each
+    resolves to its layer's own object, and the test oracles that stay in
+    their modules are left out."""
+    table = [(name, layer) for layer, names in prismvol._PUBLIC.items() for name in names]
+    assert len(prismvol.__all__) == len(set(prismvol.__all__)) == len(table)
+    assert set(prismvol.__all__) == {name for name, _ in table}
+    for name, layer in table:
+        assert getattr(prismvol, name) is getattr(importlib.import_module(f"prismvol.{layer}"), name)
     assert {"smith_normal_form", "remove_fiber"}.isdisjoint(prismvol.__all__)
+    assert set(prismvol.__all__) <= set(dir(prismvol))
 
 
 def test_no_constructor_coerces_a_field_to_a_tuple():
