@@ -9,13 +9,10 @@ its inverse.  The twisted torus braid T(p, q; r, s) is the torus braid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .reader import read, require_array, require_int
+from .reader import Record, read, require_array, require_int
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     strands: int
     letters: tuple[int, ...]
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import orbifolds
-from .reader import read, require_array, require_int
+from .reader import Record, check, read, require_array, require_int
 from .slopes import Slope, enumerate_constrained_slopes
 
 MAX_ENUMERATION = 10**8
@@ -38,8 +37,7 @@ class EnumerationTooLargeError(ValueError):
     """Raised instead of attempting a hopeless exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """Finitely presented group; relators are words of signed 1-based
     generator indices."""
 
@@ -209,15 +207,29 @@ def count_representations(
     return count
 
 
-@dataclass(frozen=True)
-class VolumeConstant:
+def _require_volume(refusal: str, **values: object) -> None:
+    """Refuse any value that is not a finite, positive ``float`` or ``int`` by
+    exact type (``True`` is not a volume): a wrong type or infinity names its
+    argument, and a value that is not positive gets ``refusal``."""
+    for name, value in values.items():
+        if type(value) is not float and type(value) is not int:
+            raise ValueError(f"{name} must be a float or an integer, got {value!r}")
+    if not all(value > 0 for value in values.values()):
+        raise ValueError(refusal)
+    for name, value in values.items():
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+class VolumeConstant(Record):
     name: str
     value: float
     provenance: str
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ValueError("volume constants are positive")
+        _require_volume("volume constants are positive", value=self.value)
+        check(self.name, str, "name")
+        check(self.provenance, str, "provenance")
 
 
 WHITEHEAD_VOLUME = VolumeConstant(
@@ -248,8 +260,7 @@ FIGURE_EIGHT_VOLUME = VolumeConstant(
 )
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     """A branched cover with known branching-complement volume.
 
     Genuine branched covers have degree >= 2; degree 1 is admitted as the
@@ -264,8 +275,8 @@ class CoverCertificate:
         require_int(degree=self.degree)
         if self.degree < 1:
             raise ValueError("degree must be a positive integer")
-        if not self.branch_volume > 0:
-            raise ValueError("branch volume must be positive")
+        _require_volume("branch volume must be positive", branch_volume=self.branch_volume)
+        check(self.label, str, "label")
 
 
 def complexity(cert: CoverCertificate) -> float:
@@ -275,9 +286,11 @@ def complexity(cert: CoverCertificate) -> float:
 
 def degree_bound_for_budget(budget: float, floor: float) -> int:
     """Largest integer p with p * floor strictly below the budget."""
-    if not budget > 0 or not floor > 0:
-        raise ValueError("budget and floor must be positive")
-    p = int(math.floor(budget / floor))
+    _require_volume("budget and floor must be positive", budget=budget, floor=floor)
+    quotient = budget / floor
+    if quotient == math.inf:
+        raise ValueError(f"budget / floor overflows a float: {budget!r} / {floor!r}")
+    p = int(math.floor(quotient))
     while p * floor >= budget:
         p -= 1
     return max(p, 0)

@@ -13,10 +13,9 @@ kept as the transform oracle for the tests and is not exported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .reader import require_array, require_int
+from .reader import Record, require_array, require_int
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -43,8 +42,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, entries stored row-major."""
 
     rows: int

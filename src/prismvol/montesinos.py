@@ -11,15 +11,12 @@ what excludes twist knots as branching sets for the prism family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import seifert
-from .reader import read, require_int
+from .reader import Record, read, require_int
 from .seifert import SeifertSymbol, normalize
 
 
-@dataclass(frozen=True)
-class MontesinosLink:
+class MontesinosLink(Record):
     genus: int
     tangles: tuple[tuple[int, int], ...]
 

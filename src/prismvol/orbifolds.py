@@ -19,11 +19,10 @@ fibration of the prism manifold with parameter n; three do not depend on n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac_str
-from .reader import read, require_array, require_int
+from .reader import Record, read, require_array, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -46,8 +45,7 @@ def _euler(x: SurfaceData | Orbifold2D) -> int:
     return 2 - (2 if x.orientable else 1) * x.genus - x.boundary
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Record):
     """A compact connected surface: genus, boundary circles, orientability.
 
     For non-orientable surfaces ``genus`` counts cross-caps.
@@ -71,8 +69,7 @@ class SurfaceData:
         }
 
 
-@dataclass(frozen=True)
-class Orbifold2D:
+class Orbifold2D(Record):
     """A compact 2-orbifold with cone singularities only.
 
     ``cones`` is the multiset of cone indices (each >= 2), stored sorted.
@@ -258,8 +255,7 @@ def nonorientable_base_solutions(
     return [2 * d for d in horizontal_degree_solutions(f, cover, require_cone_divisibility)]
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Record):
     """One row of the five-case fiber-removal analysis."""
 
     case: int

@@ -1,9 +1,15 @@
 """The one strict reader of JSON input.  A kind is ``int``, ``bool`` or ``str``
 by exact type (``true`` is not an integer), ``[kind]`` for an array of that kind,
 or a tuple of kinds for an array of exactly that length.  Nothing is coerced: a
-refusal names the field path, e.g. ``symbol: fibers[1][0] must be an integer``."""
+refusal names the field path, e.g. ``symbol: fibers[1][0] must be an integer``.
+
+``Record`` is the base of the package's immutable value types.  It lives here
+because every layer imports this module; unlike ``dataclasses`` it generates
+no source, so it needs neither ``inspect`` nor its imports.
+"""
 
 import json
+from operator import attrgetter
 
 _NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
@@ -64,3 +70,75 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
 def loads(text: str) -> object:
     """``json.loads`` that refuses an object with a repeated key."""
     return json.loads(text, object_pairs_hook=_unique)
+
+
+class Record:
+    """An immutable value with named fields.  A subclass declares its fields as
+    class annotations, in order, with class-level defaults where it has them:
+    the constructor binds positional and keyword arguments to them, then calls
+    ``__post_init__``, which checks the values and may normalise a field with
+    ``object.__setattr__``.  A record equals only a record of its own class
+    with equal fields, hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    ``AttributeError``.  ``class C(Record, order=True)`` also orders the
+    records of ``C`` by that tuple."""
+
+    def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        # an attrgetter is no descriptor: ``self._key(self)`` is the field tuple
+        cls._key = attrgetter(*cls._fields)
+        if order:
+            for op in (tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__):
+                setattr(cls, op.__name__, _ordered(op))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, what = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{what}() takes at most {len(fields)} arguments")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{what}() got an unknown or repeated field {name!r}")
+            values[name] = value
+        if len(values) < len(fields):
+            for name in fields:
+                if name not in values:
+                    if name not in self._defaults:
+                        raise TypeError(f"{what}() missing field {name!r}")
+                    values[name] = self._defaults[name]
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _ordered(op):
+    """The comparison ``op`` of two records of one class, by their field tuples."""
+
+    def compare(self: Record, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return op(self._key(self), self._key(other))
+
+    return compare

@@ -24,12 +24,11 @@ single index-2 fiber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import orbifolds
 from .exact import IntMatrix, elementary_divisors
-from .reader import read, require_array, require_int
+from .reader import Record, read, require_array, require_int
 
 OO = "Oo"
 ON = "On"
@@ -57,8 +56,7 @@ def check_pairs(pairs, field: str, item: str) -> tuple[tuple[int, int], ...]:
     return checked
 
 
-@dataclass(frozen=True)
-class SeifertSymbol:
+class SeifertSymbol(Record):
     base_class: str
     genus: int
     fibers: tuple[tuple[int, int], ...]

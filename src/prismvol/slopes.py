@@ -13,14 +13,12 @@ an adapted basis that it builds itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exact import extended_gcd
-from .reader import check, require_int
+from .reader import Record, check, require_int
 
 
-@dataclass(frozen=True, order=True)
-class Slope:
+class Slope(Record, order=True):
     p: int
     q: int
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from importlib import resources
 
@@ -333,6 +334,55 @@ class TestDegreeBoundForBudget:
         assert p >= 0
         assert p * floor < budget
         assert (p + 1) * floor >= budget
+
+
+NOT_A_NUMBER = "must be a float or an integer, got"
+
+
+class TestVolumeArguments:
+    """A volume is a finite, positive float or int by exact type, a name or
+    label is a str; anything else is refused with the field's name."""
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (CoverCertificate, (2, True, "x"), f"branch_volume {NOT_A_NUMBER} True"),
+            (CoverCertificate, (2, "3", "x"), f"branch_volume {NOT_A_NUMBER} '3'"),
+            (CoverCertificate, (2, None, "x"), f"branch_volume {NOT_A_NUMBER} None"),
+            (CoverCertificate, (2, math.inf, "x"), "branch_volume must be finite, got inf"),
+            (CoverCertificate, (2, 1.5, 5), "label must be a string"),
+            (VolumeConstant, ("n", math.inf, "p"), "value must be finite, got inf"),
+            (VolumeConstant, ("n", False, "p"), f"value {NOT_A_NUMBER} False"),
+            (VolumeConstant, (b"n", 1.0, "p"), "name must be a string"),
+            (VolumeConstant, ("n", 1.0, None), "provenance must be a string"),
+            (degree_bound_for_budget, (math.inf, 2.0), "budget must be finite, got inf"),
+            (degree_bound_for_budget, (7.0, math.inf), "floor must be finite, got inf"),
+            (degree_bound_for_budget, (True, 2.0), f"budget {NOT_A_NUMBER} True"),
+            (degree_bound_for_budget, (7.0, "2"), f"floor {NOT_A_NUMBER} '2'"),
+            (degree_bound_for_budget, (1e308, 1e-10), "budget / floor overflows a float"),
+        ],
+    )
+    def test_refused_with_the_field_named(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build(*args)
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (CoverCertificate, (2, -math.inf, "x"), "branch volume must be positive"),
+            (CoverCertificate, (2, math.nan, "x"), "branch volume must be positive"),
+            (VolumeConstant, ("n", -1, "p"), "volume constants are positive"),
+            (degree_bound_for_budget, (math.inf, -2.0), "budget and floor must be positive"),
+        ],
+    )
+    def test_a_number_that_is_not_positive_keeps_its_message(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(*args)
+
+    def test_an_int_is_a_volume(self):
+        assert complexity(CoverCertificate(2, 3, "x")) == 6
+        assert VolumeConstant("n", 2, "p").value == 2
+        assert degree_bound_for_budget(7, 2) == 3
 
 
 class TestPrismVerify:

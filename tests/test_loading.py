@@ -18,7 +18,8 @@ _REPORT = (
     "import json, sys, types\n"
     "print(json.dumps({'executed': sorted(n for n, m in sys.modules.items()"
     " if n.split('.')[0] == 'prismvol' and type(m) is types.ModuleType),"
-    " 'registered': sorted(n for n in sys.modules if n.split('.')[0] == 'prismvol')}))\n"
+    " 'registered': sorted(n for n in sys.modules if n.split('.')[0] == 'prismvol'),"
+    " 'slow_stdlib': sorted(n for n in ('dataclasses', 'inspect') if n in sys.modules)}))\n"
 )
 
 
@@ -40,26 +41,24 @@ def test_import_prismvol_executes_no_layer():
     assert modules["registered"] == ["prismvol"] + [f"prismvol.{layer}" for layer in layers]
 
 
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (["seifert", "h1", "@m1_oo"], ["exact", "reader", "seifert"]),
-        (["covers", "count", "@trefoil", "--degree", "3"], ["covers", "exact", "reader", "slopes"]),
-        (["braid", "ttk", "3", "2", "2", "1"], ["braids", "reader"]),
-        (
-            ["orbifold", "chi", "--orientable", "true", "--genus", "0", "--boundary", "0",
-             "--cones", "2,3,5"],
-            ["exact", "orbifolds", "reader"],
-        ),
-        (
-            ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
-            ["covers", "exact", "orbifolds", "reader", "slopes"],
-        ),
-    ],
-)
-def test_a_command_executes_only_the_layers_it_calls(argv, layers):
-    """``python -m prismvol argv``, run as ``-m`` runs it; a module-level import
-    that pulls in a layer the command does not call fails this."""
+COMMANDS = [
+    (["seifert", "h1", "@m1_oo"], ["exact", "reader", "seifert"]),
+    (["covers", "count", "@trefoil", "--degree", "3"], ["covers", "exact", "reader", "slopes"]),
+    (["braid", "ttk", "3", "2", "2", "1"], ["braids", "reader"]),
+    (
+        ["orbifold", "chi", "--orientable", "true", "--genus", "0", "--boundary", "0",
+         "--cones", "2,3,5"],
+        ["exact", "orbifolds", "reader"],
+    ),
+    (
+        ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
+        ["covers", "exact", "orbifolds", "reader", "slopes"],
+    ),
+]
+
+
+def _run(argv: list[str]) -> dict:
+    """The modules left by ``python -m prismvol argv``, run as ``-m`` runs it."""
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['prismvol', *{argv!r}]\n"
@@ -68,8 +67,23 @@ def test_a_command_executes_only_the_layers_it_calls(argv, layers):
         "except SystemExit as exit:\n"
         "    assert exit.code == 0, exit.code\n"
     )
-    executed = _modules(code)["executed"]
+    return _modules(code)
+
+
+@pytest.mark.parametrize("argv, layers", COMMANDS)
+def test_a_command_executes_only_the_layers_it_calls(argv, layers):
+    """A module-level import that pulls in a layer the command does not call
+    fails this."""
+    executed = _run(argv)["executed"]
     assert executed == sorted(["prismvol", "prismvol.cli"] + [f"prismvol.{m}" for m in layers])
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
+    """``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and
+    ``tokenize``: several milliseconds of every cold start.  The value types
+    are ``reader.Record``s, so no command needs either."""
+    assert _run(argv)["slow_stdlib"] == []
 
 
 def test_import_cli_registers_every_traced_layer():

@@ -109,3 +109,15 @@ def test_no_constructor_coerces_a_field_to_a_tuple():
         and node.args[0].value.id == "self"
     ]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    """``dataclasses`` imports ``inspect`` and its chain on every cold start;
+    the value types derive from ``reader.Record`` instead."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
