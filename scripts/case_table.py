@@ -25,10 +25,11 @@ from prismvol.cli import integer_arg
 
 
 def print_case_table(n: int) -> None:
+    results = prism_case_analysis(n)  # a degenerate n is refused before any output
     print(f"five-case analysis for n = {n} (fiber: genus 2, one boundary circle)")
     header = f"{'case':>4}  {'base orbifold':<40}  {'chi_orb':>8}  {'degrees':<10}  chi-only"
     print(header)
-    for r in prism_case_analysis(n):
+    for r in results:
         b = r.orbifold
         kind = "orientable" if b.orientable else "non-orientable"
         cones = ",".join(map(str, b.cones)) if b.cones else "-"
@@ -69,7 +70,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=integer_arg, default=1, help="family parameter")
     args = parser.parse_args(argv)
-    print_case_table(args.n)
+    try:
+        print_case_table(args.n)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     decide_family()
     return 0
 

@@ -17,6 +17,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--from", dest="n_from", type=integer_arg, default=-5)
     parser.add_argument("--to", dest="n_to", type=integer_arg, default=25)
     args = parser.parse_args(argv)
+    if args.n_from > args.n_to:  # refused as ``prismvol prism verify`` refuses it
+        print(
+            f"error: --from {args.n_from} is greater than --to {args.n_to}; the range is empty",
+            file=sys.stderr,
+        )
+        return 2
 
     by_status: dict[str, list[int]] = {}
     candidate_lines = []

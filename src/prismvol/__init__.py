@@ -10,13 +10,13 @@ finiteness steps are computed and which remain conditional.
 
 Each layer module is registered in ``sys.modules`` and set as an attribute of
 the package when the package is imported, but its code runs on first attribute
-access (``importlib.util.LazyLoader``); the public names below resolve through
-the module ``__getattr__`` of PEP 562.  A command thus runs only the layers it
-calls.
+access (``_Layer``); the public names below resolve through the module
+``__getattr__`` of PEP 562.  A command thus runs only the layers it calls.
 """
 
 import importlib.util
 import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -89,13 +89,28 @@ _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_LAYER_OF)
 
 
+class _Layer(types.ModuleType):
+    """A layer whose code has not run: any attribute access runs it.  A run that
+    raises puts the module back as it was, so the next access raises again."""
+
+    def __getattribute__(self, name: str):
+        blank = dict(super().__getattribute__("__dict__"))
+        self.__class__ = types.ModuleType
+        try:
+            self.__spec__.loader.exec_module(self)
+        except BaseException:
+            vars(self).clear()
+            vars(self).update(blank)
+            self.__class__ = _Layer
+            raise
+        return getattr(self, name)
+
+
 def _register(layer: str):
     """The module ``prismvol.<layer>``, in ``sys.modules``, not yet executed."""
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    module.__class__ = _Layer
     return module
 
 

@@ -11,6 +11,9 @@ environment variable ``PRISMVOL_FORMAT=json`` flips the default.  Rationals
 always print as ``p/q`` and volumes with 12 decimal places.  Exit status is
 0 on success, 1 on a domain error (one diagnostic line on stderr), 2 on a
 usage error.
+
+Each command is declared once, in ``_COMMANDS``: its group, name, handler, help
+and arguments.  ``build_parser`` builds the whole parser from that table.
 """
 
 from __future__ import annotations
@@ -384,15 +387,95 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
         sys.stdout.write(chunk)
 
 
+# Argument specs shared by several commands: a name or flag, and add_argument options
+_INT, _REQUIRED_INT = {"type": integer_arg}, {"type": integer_arg, "required": True}
+_SLOPE = {"help": "slope p,q"}
+_BASE = [  # the base orbifold: --orientable --genus --boundary --cones
+    ("--orientable", {"type": _parse_bool, "required": True}),
+    ("--genus", _REQUIRED_INT), ("--boundary", _REQUIRED_INT),
+    ("--cones", {"type": _parse_int_list, "default": (), "help": "comma-separated indices"}),
+]
+_INLINE = "{} as inline JSON {{{}}} or @ref"  # the help of a structured input
+_SYMBOL = ("symbol", {"help": _INLINE.format("symbol", '"class","genus","fibers"')})
+_WORD = ("word", {"help": _INLINE.format("braid word", '"strands","letters"')})
+
+# Every command: group -> (help, {command: (handler, help, arguments)}).  Each
+# command also takes the --json, --table and --fixtures flags of build_parser.
+_COMMANDS = {
+    "seifert": ("Seifert symbol operations", {
+        "normalize": (_cmd_seifert_normalize, "canonical form of a symbol", [_SYMBOL]),
+        "euler": (_cmd_seifert_euler, "Euler number -sum(beta/alpha)", [_SYMBOL]),
+        "h1": (_cmd_seifert_h1, "first homology divisors and order", [_SYMBOL]),
+        "base": (_cmd_seifert_base, "closed base orbifold", [_SYMBOL]),
+    }),
+    "orbifold": ("2-orbifold operations", {
+        "chi": (_cmd_orbifold_chi, "orbifold Euler characteristic", _BASE),
+        "cover": (_cmd_orbifold_cover, "branched cover of a surface", [
+            ("--orientable", {"type": _parse_bool, "default": True}),
+            *_BASE[1:3],  # --genus, --boundary
+            ("--degree", _REQUIRED_INT),
+            ("--branch", {
+                "action": "append", "metavar": "LOCALS",
+                "help": "one branch point as comma-separated local degrees; repeatable",
+            }),
+        ]),
+        "solve": (_cmd_orbifold_solve, "degrees d with chi(fiber) = d * chi_orb(base)", [
+            ("--fiber-genus", _REQUIRED_INT), ("--fiber-boundary", _REQUIRED_INT), *_BASE,
+        ]),
+    }),
+    "montesinos": ("Montesinos link operations", {
+        "cover": (_cmd_montesinos_cover, "double branched cover symbol", [
+            ("link", {"help": _INLINE.format("link", '"genus","tangles"')}),
+        ]),
+        "ln": (
+            _cmd_montesinos_ln,
+            "the two Montesinos presentations of the n-th family branching link",
+            [("n", _INT)],
+        ),
+    }),
+    "slopes": ("torus slope operations", {
+        "delta": (_cmd_slopes_delta, "geometric intersection number", [(c, _SLOPE) for c in "ab"]),
+        "enumerate": (
+            _cmd_slopes_enumerate,
+            "all alpha with delta(fiber, alpha) = k1 and delta(constraint, alpha) <= k2",
+            [("fiber", _SLOPE), ("constraint", _SLOPE),
+             ("--k1", {**_INT, "default": 1}), ("--k2", {**_INT, "default": 2})],
+        ),
+    }),
+    "braid": ("braid word operations", {
+        "ttk": (_cmd_braid_ttk, "twisted torus braid word", [(c, _INT) for c in "pqrs"]),
+        "components": (_cmd_braid_components, "closure component count", [_WORD]),
+        "chi": (
+            _cmd_braid_chi,
+            "Bennequin surface chi of a positive word (and genus for knots)",
+            [_WORD],
+        ),
+    }),
+    "covers": ("branched-cover counting", {
+        "count": (
+            _cmd_covers_count,
+            "homomorphisms of a presented group into a symmetric group",
+            [("presentation", {"help": _INLINE.format("presentation", '"generators","relators"')}),
+             ("--degree", _REQUIRED_INT),
+             ("--transitive", {"action": "store_true", "help": "count transitive images only"})],
+        ),
+    }),
+    "prism": ("prism-family pipeline", {
+        "verify": (_cmd_prism_verify, "audit every parameter in [--from, --to]", [
+            ("--from", {"dest": "n_from", **_REQUIRED_INT}),
+            ("--to", {"dest": "n_to", **_REQUIRED_INT}),
+        ]),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit JSON")
     fmt.add_argument("--table", action="store_true", help="emit a table (default)")
     common.add_argument(
-        "--fixtures",
-        metavar="DIR",
-        default=None,
+        "--fixtures", metavar="DIR",
         help="directory for @name fixture references (default: packaged fixtures)",
     )
 
@@ -402,164 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
         "branched-cover computations for the prism-family link-volume audit.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    seifert_p = top.add_parser("seifert", help="Seifert symbol operations")
-    seifert_sub = seifert_p.add_subparsers(dest="subcommand", required=True)
-    for name, handler, text in (
-        ("normalize", _cmd_seifert_normalize, "canonical form of a symbol"),
-        ("euler", _cmd_seifert_euler, "Euler number -sum(beta/alpha)"),
-        ("h1", _cmd_seifert_h1, "first homology divisors and order"),
-        ("base", _cmd_seifert_base, "closed base orbifold"),
-    ):
-        sub = seifert_sub.add_parser(name, parents=[common], help=text)
-        sub.add_argument(
-            "symbol",
-            help='symbol as inline JSON {"class","genus","fibers"} or @ref',
-        )
-        sub.set_defaults(func=handler)
-
-    orbifold_p = top.add_parser("orbifold", help="2-orbifold operations")
-    orbifold_sub = orbifold_p.add_subparsers(dest="subcommand", required=True)
-
-    chi = orbifold_sub.add_parser(
-        "chi", parents=[common], help="orbifold Euler characteristic"
-    )
-    chi.add_argument("--orientable", type=_parse_bool, required=True)
-    chi.add_argument("--genus", type=integer_arg, required=True)
-    chi.add_argument("--boundary", type=integer_arg, required=True)
-    chi.add_argument(
-        "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
-    )
-    chi.set_defaults(func=_cmd_orbifold_chi)
-
-    cover = orbifold_sub.add_parser(
-        "cover", parents=[common], help="branched cover of a surface"
-    )
-    cover.add_argument("--orientable", type=_parse_bool, default=True)
-    cover.add_argument("--genus", type=integer_arg, required=True)
-    cover.add_argument("--boundary", type=integer_arg, required=True)
-    cover.add_argument("--degree", type=integer_arg, required=True)
-    cover.add_argument(
-        "--branch",
-        action="append",
-        metavar="LOCALS",
-        help="one branch point as comma-separated local degrees; repeatable",
-    )
-    cover.set_defaults(func=_cmd_orbifold_cover)
-
-    solve = orbifold_sub.add_parser(
-        "solve",
-        parents=[common],
-        help="degrees d with chi(fiber) = d * chi_orb(base)",
-    )
-    solve.add_argument("--fiber-genus", type=integer_arg, required=True)
-    solve.add_argument("--fiber-boundary", type=integer_arg, required=True)
-    solve.add_argument("--orientable", type=_parse_bool, required=True)
-    solve.add_argument("--genus", type=integer_arg, required=True)
-    solve.add_argument("--boundary", type=integer_arg, required=True)
-    solve.add_argument(
-        "--cones", type=_parse_int_list, default=[], help="comma-separated indices"
-    )
-    solve.set_defaults(func=_cmd_orbifold_solve)
-
-    montesinos_p = top.add_parser("montesinos", help="Montesinos link operations")
-    montesinos_sub = montesinos_p.add_subparsers(dest="subcommand", required=True)
-
-    mcover = montesinos_sub.add_parser(
-        "cover", parents=[common], help="double branched cover symbol"
-    )
-    mcover.add_argument(
-        "link", help='link as inline JSON {"genus","tangles"} or @ref'
-    )
-    mcover.set_defaults(func=_cmd_montesinos_cover)
-
-    ln = montesinos_sub.add_parser(
-        "ln",
-        parents=[common],
-        help="the two Montesinos presentations of the n-th family branching link",
-    )
-    ln.add_argument("n", type=integer_arg)
-    ln.set_defaults(func=_cmd_montesinos_ln)
-
-    slopes_p = top.add_parser("slopes", help="torus slope operations")
-    slopes_sub = slopes_p.add_subparsers(dest="subcommand", required=True)
-
-    sdelta = slopes_sub.add_parser(
-        "delta", parents=[common], help="geometric intersection number"
-    )
-    sdelta.add_argument("a", help="slope p,q")
-    sdelta.add_argument("b", help="slope p,q")
-    sdelta.set_defaults(func=_cmd_slopes_delta)
-
-    senum = slopes_sub.add_parser(
-        "enumerate",
-        parents=[common],
-        help="all alpha with delta(fiber, alpha) = k1 and delta(constraint, alpha) <= k2",
-    )
-    senum.add_argument("fiber", help="slope p,q")
-    senum.add_argument("constraint", help="slope p,q")
-    senum.add_argument("--k1", type=integer_arg, default=1)
-    senum.add_argument("--k2", type=integer_arg, default=2)
-    senum.set_defaults(func=_cmd_slopes_enumerate)
-
-    braid_p = top.add_parser("braid", help="braid word operations")
-    braid_sub = braid_p.add_subparsers(dest="subcommand", required=True)
-
-    ttk = braid_sub.add_parser(
-        "ttk", parents=[common], help="twisted torus braid word"
-    )
-    ttk.add_argument("p", type=integer_arg)
-    ttk.add_argument("q", type=integer_arg)
-    ttk.add_argument("r", type=integer_arg)
-    ttk.add_argument("s", type=integer_arg)
-    ttk.set_defaults(func=_cmd_braid_ttk)
-
-    components = braid_sub.add_parser(
-        "components", parents=[common], help="closure component count"
-    )
-    components.add_argument(
-        "word", help='braid word as inline JSON {"strands","letters"} or @ref'
-    )
-    components.set_defaults(func=_cmd_braid_components)
-
-    bchi = braid_sub.add_parser(
-        "chi",
-        parents=[common],
-        help="Bennequin surface chi of a positive word (and genus for knots)",
-    )
-    bchi.add_argument(
-        "word", help='braid word as inline JSON {"strands","letters"} or @ref'
-    )
-    bchi.set_defaults(func=_cmd_braid_chi)
-
-    covers_p = top.add_parser("covers", help="branched-cover counting")
-    covers_sub = covers_p.add_subparsers(dest="subcommand", required=True)
-
-    ccount = covers_sub.add_parser(
-        "count",
-        parents=[common],
-        help="homomorphisms of a presented group into a symmetric group",
-    )
-    ccount.add_argument(
-        "presentation",
-        help='presentation as inline JSON {"generators","relators"} or @ref',
-    )
-    ccount.add_argument("--degree", type=integer_arg, required=True)
-    ccount.add_argument(
-        "--transitive", action="store_true", help="count transitive images only"
-    )
-    ccount.set_defaults(func=_cmd_covers_count)
-
-    prism_p = top.add_parser("prism", help="prism-family pipeline")
-    prism_sub = prism_p.add_subparsers(dest="subcommand", required=True)
-
-    verify = prism_sub.add_parser(
-        "verify", parents=[common], help="audit every parameter in [--from, --to]"
-    )
-    verify.add_argument("--from", dest="n_from", type=integer_arg, required=True)
-    verify.add_argument("--to", dest="n_to", type=integer_arg, required=True)
-    verify.set_defaults(func=_cmd_prism_verify)
-
+    for group, (about, commands) in _COMMANDS.items():
+        sub = top.add_parser(group, help=about).add_subparsers(dest="subcommand", required=True)
+        for name, (handler, text, arguments) in commands.items():
+            command = sub.add_parser(name, parents=[common], help=text)
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+            command.set_defaults(func=handler)
     return parser
 
 

@@ -162,6 +162,7 @@ def count_representations(
     abandoned as soon as it passes the limit.
     """
     require_int(degree=degree)
+    check(transitive, bool, "transitive")
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     if degree == 1:

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .exact import frac_str
-from .reader import Record, read, require_array, require_int
+from .reader import Record, check, read, require_array, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -228,6 +228,7 @@ def horizontal_degree_solutions(
     which case ``InfiniteSolutionsError`` is raised.  A branched cover of an
     orientable base is orientable, so a non-orientable ``f`` is refused.
     """
+    check(require_cone_divisibility, bool, "require_cone_divisibility")
     if not b.orientable:
         raise ValueError(
             "base is non-orientable; use nonorientable_base_solutions"

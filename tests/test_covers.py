@@ -107,6 +107,15 @@ class TestCountRepresentations:
         with pytest.raises(ValueError):
             count_representations(UNKNOT, 0)
 
+    @pytest.mark.parametrize("flag", ["false", "true", None, 0, 1, [], 0.0])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_transitive_must_be_a_bool(self, flag, degree):
+        """``"false"`` is truthy: it gave the transitive count 8 where
+        ``False`` gives 12, and ``None``, ``0`` and ``[]`` were read as
+        ``False``."""
+        with pytest.raises(ValueError, match="^transitive must be a boolean$"):
+            count_representations(TREFOIL, degree, transitive=flag)
+
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationTooLargeError, match="10"):
             count_representations(GroupPresentation(3, ()), 10)

@@ -4,6 +4,7 @@ executes only the layers it calls, and ``import prismvol`` executes none."""
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,45 @@ def test_import_cli_registers_every_traced_layer():
     assert len(layers) > 5
     registered = _modules("import prismvol.cli\n")["registered"]
     assert [layer for layer in sorted(layers) if f"prismvol.{layer}" not in registered] == []
+
+
+_FAILED_LAYER = """
+import json, sys
+import prismvol
+import prismvol.cli as cli
+
+def outcome(get):
+    try:
+        get()
+    except RuntimeError as err:
+        return str(err)
+    return "returned"
+
+layer = sys.modules["prismvol.braids"]
+print(json.dumps([
+    outcome(lambda: prismvol.twisted_torus_braid(3, 2, 2, 1)),
+    outcome(lambda: prismvol.twisted_torus_braid(3, 2, 2, 1)),
+    outcome(lambda: prismvol.BraidWord),
+    outcome(lambda: prismvol.braids.BraidWord),
+    outcome(lambda: cli.braids.twisted_torus_braid),
+    outcome(lambda: cli.main(["braid", "ttk", "3", "2", "2", "1"])),
+    layer is prismvol.braids is cli.braids,
+    prismvol.frac_str(3),
+]))
+"""
+
+
+def test_a_layer_whose_code_raises_raises_at_every_access(tmp_path):
+    """A failed first run leaves nothing of the layer behind: ``BraidWord``,
+    defined before the fault, is not served from a half-run module, and the
+    layers the fault does not touch still load."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    braids = tmp_path / "src" / "prismvol" / "braids.py"
+    braids.write_text(braids.read_text() + '\nraise RuntimeError("braids is broken")\n')
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILED_LAYER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["braids is broken"] * 6 + [True, "3/1"]

@@ -258,6 +258,15 @@ class TestHorizontalDegreeSolutions:
         with pytest.raises(ValueError, match="nonorientable_base_solutions"):
             horizontal_degree_solutions(self.fiber, MOEBIUS)
 
+    @pytest.mark.parametrize("flag", ["no", "false", None, 0, 1, []])
+    def test_require_cone_divisibility_must_be_a_bool(self, flag):
+        """The cones 2, 2, 2, 2 divide no degree 3: ``"no"`` is truthy, so it
+        gave ``[]`` where ``False`` gives ``[3]``."""
+        disk = Orbifold2D(True, 0, 1, (2, 2, 2, 2))
+        assert horizontal_degree_solutions(self.fiber, disk, require_cone_divisibility=False) == [3]
+        with pytest.raises(ValueError, match="^require_cone_divisibility must be a boolean$"):
+            horizontal_degree_solutions(self.fiber, disk, require_cone_divisibility=flag)
+
     def test_nonorientable_fiber_rejected(self):
         # the chi equation alone reads 6 here, but no such cover exists: a
         # branched cover of an orientable orbifold is orientable
@@ -322,6 +331,12 @@ class TestNonorientableBaseSolutions:
     def test_orientable_base_redirected(self):
         with pytest.raises(ValueError, match="horizontal_degree_solutions"):
             nonorientable_base_solutions(self.fiber, DISK_2_5)
+
+    @pytest.mark.parametrize("flag", ["no", None, 0, 1, []])
+    def test_require_cone_divisibility_must_be_a_bool(self, flag):
+        base = Orbifold2D(False, 1, 1, (2,))
+        with pytest.raises(ValueError, match="^require_cone_divisibility must be a boolean$"):
+            nonorientable_base_solutions(self.fiber, base, require_cone_divisibility=flag)
 
     def test_nonorientable_fiber_rejected(self):
         with pytest.raises(ValueError, match="orientable"):

@@ -70,3 +70,22 @@ def test_integer_options_are_strict(script, flag, token):
     proc = run(script, f"{flag}={token}")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert f"expected an integer, got {token!r}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args, code, message",
+    [
+        ("case_table.py", ["--n", "0"], 1, "error: parameter n = 0 is degenerate: |4n - 1| = 1 < 3"),
+        (
+            "verify_family.py",
+            ["--from", "3", "--to", "1"],
+            2,
+            "error: --from 3 is greater than --to 1; the range is empty",
+        ),
+    ],
+)
+def test_refusals_are_one_stderr_line(script, args, code, message):
+    """As the command line refuses: no traceback, and no empty audit with status 0."""
+    proc = run(script, *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+
