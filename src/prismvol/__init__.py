@@ -27,7 +27,6 @@ _PUBLIC = {
         "bennequin_chi",
         "bennequin_genus",
         "closure_components",
-        "exponent_sum",
         "twisted_torus_braid",
         "word_from_json",
     ),
@@ -65,7 +64,6 @@ _PUBLIC = {
         "fiber_surface",
         "horizontal_degree_solutions",
         "nonorientable_base_solutions",
-        "orbifold_from_json",
         "orientation_double_cover",
         "prism_case_analysis",
         "riemann_hurwitz_cover",
@@ -82,7 +80,7 @@ _PUBLIC = {
         "prism_fibrations",
         "symbol_from_json",
     ),
-    "slopes": ("Slope", "delta", "enumerate_constrained_slopes", "slope_from_json"),
+    "slopes": ("Slope", "delta", "enumerate_constrained_slopes"),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 

@@ -103,7 +103,3 @@ def bennequin_genus(w: BraidWord) -> int:
     if closure_components(w) != 1:
         raise ValueError("genus is reported only for a 1-component closure")
     return (1 - chi) // 2  # 1 - chi is even (test_genus_parity_consistency)
-
-
-def exponent_sum(w: BraidWord) -> int:
-    return sum(1 if letter > 0 else -1 for letter in w.letters)

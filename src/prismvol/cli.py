@@ -192,9 +192,7 @@ def _cmd_orbifold_chi(args: argparse.Namespace) -> None:
 
 
 def _cmd_orbifold_cover(args: argparse.Namespace) -> None:
-    base = orbifolds.SurfaceData(
-        genus=args.genus, boundary=args.boundary, orientable=args.orientable
-    )
+    base = orbifolds.SurfaceData(genus=args.genus, boundary=args.boundary)
     branch = [_parse_int_list(point) for point in args.branch or []]
     cover = orbifolds.riemann_hurwitz_cover(base, args.degree, branch)
     _emit(args, cover.to_json(), [_surface_line(cover)])
@@ -411,7 +409,6 @@ _COMMANDS = {
     "orbifold": ("2-orbifold operations", {
         "chi": (_cmd_orbifold_chi, "orbifold Euler characteristic", _BASE),
         "cover": (_cmd_orbifold_cover, "branched cover of a surface", [
-            ("--orientable", {"type": _parse_bool, "default": True}),
             *_BASE[1:3],  # --genus, --boundary
             ("--degree", _REQUIRED_INT),
             ("--branch", {
@@ -491,13 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
             command = sub.add_parser(name, parents=[common], help=text)
             for flag, options in arguments:
                 command.add_argument(flag, **options)
-            command.set_defaults(func=handler)
+            command.set_defaults(func=handler, parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:  # reported with the usage of the command they follow
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         args.func(args)
     except UsageError as err:

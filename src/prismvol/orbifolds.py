@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .exact import frac_str
-from .reader import Record, check, read, require_array, require_int
+from .reader import Record, check, require_array, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -96,11 +96,6 @@ class Orbifold2D(Record):
             "boundary": self.boundary,
             "cones": list(self.cones),
         }
-
-
-def orbifold_from_json(data: object) -> Orbifold2D:
-    fields = {"orientable": bool, "genus": int, "boundary": int, "cones": [int]}
-    return Orbifold2D(*read(data, "orbifold", fields, {"cones": []}))
 
 
 def chi_orb(b: Orbifold2D) -> Fraction:

@@ -2,6 +2,7 @@
 by exact type (``true`` is not an integer), ``[kind]`` for an array of that kind,
 or a tuple of kinds for an array of exactly that length.  Nothing is coerced: a
 refusal names the field path, e.g. ``symbol: fibers[1][0] must be an integer``.
+An object must have exactly the fields asked for: none is optional.
 
 ``Record`` is the base of the package's immutable value types.  It lives here
 because every layer imports this module; unlike ``dataclasses`` it generates
@@ -44,18 +45,17 @@ def require_array(value: object, name: str) -> tuple:
     return tuple(value)
 
 
-def read(data: object, what: str, fields: dict, defaults: dict | None = None) -> tuple:
+def read(data: object, what: str, fields: dict) -> tuple:
     """The values of ``fields``, in order, from an object with exactly those keys."""
     if type(data) is not dict:
         raise ValueError(f"{what}: expected a JSON object")
     for key in data:
         if key not in fields:
             raise ValueError(f"{what}: unknown field {key!r}")
-    values = {**(defaults or {}), **data}
     for key in fields:
-        if key not in values:
+        if key not in data:
             raise ValueError(f"{what}: missing field {key!r}")
-    return tuple(check(values[key], kind, f"{what}: {key}") for key, kind in fields.items())
+    return tuple(check(data[key], kind, f"{what}: {key}") for key, kind in fields.items())
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
@@ -80,18 +80,15 @@ class Record:
     ``object.__setattr__``.  A record equals only a record of its own class
     with equal fields, hashes as the tuple of its fields and prints as
     ``Name(field=value, ...)``; assigning or deleting an attribute raises
-    ``AttributeError``.  ``class C(Record, order=True)`` also orders the
-    records of ``C`` by that tuple."""
+    ``AttributeError``.  No record is ordered: ``<`` between two records
+    raises ``TypeError``."""
 
-    def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         # an attrgetter is no descriptor: ``self._key(self)`` is the field tuple
         cls._key = attrgetter(*cls._fields)
-        if order:
-            for op in (tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__):
-                setattr(cls, op.__name__, _ordered(op))
 
     def __init__(self, *args, **kwargs) -> None:
         fields, what = self._fields, type(self).__name__
@@ -131,14 +128,3 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _ordered(op):
-    """The comparison ``op`` of two records of one class, by their field tuples."""
-
-    def compare(self: Record, other: object):
-        if type(other) is not type(self):
-            return NotImplemented
-        return op(self._key(self), self._key(other))
-
-    return compare

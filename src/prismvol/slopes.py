@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 
 from .exact import extended_gcd
-from .reader import Record, check, require_int
+from .reader import Record, require_int
 
 
-class Slope(Record, order=True):
+class Slope(Record):
     p: int
     q: int
 
@@ -35,10 +35,6 @@ class Slope(Record, order=True):
 
     def to_json(self) -> list[int]:
         return [self.p, self.q]
-
-
-def slope_from_json(data: object) -> Slope:
-    return Slope(*check(data, (int, int), "slope"))
 
 
 def delta(a: Slope, b: Slope) -> int:

@@ -9,7 +9,6 @@ from prismvol import (
     bennequin_chi,
     bennequin_genus,
     closure_components,
-    exponent_sum,
     twisted_torus_braid,
     word_from_json,
 )
@@ -88,7 +87,8 @@ class TestTwistedTorusBraid:
     def test_exponent_sum_formula(self, p, q, r, s):
         r = min(r, p)
         w = twisted_torus_braid(p, q, r, s)
-        assert exponent_sum(w) == q * (p - 1) + s * r * (r - 1)
+        exponent_sum = sum(1 if letter > 0 else -1 for letter in w.letters)
+        assert exponent_sum == q * (p - 1) + s * r * (r - 1)
 
 
 class TestClosureComponents:
@@ -170,10 +170,3 @@ class TestBennequin:
         assert g >= 0
         assert 1 - 2 * g == bennequin_chi(w)
 
-
-class TestExponentSum:
-    def test_mixed_word(self):
-        assert exponent_sum(BraidWord(4, (1, -2, 3, -1, -1))) == -1
-
-    def test_empty_word(self):
-        assert exponent_sum(BraidWord(2, ())) == 0

@@ -37,6 +37,9 @@ USAGE_ERRORS = [
     ["seifert"],
     ["covers", "frobnicate", "@trefoil"],
     ["braid", "ttk", "3", "2", "2", "1", "--bogus"],
+    ["orbifold", "cover", "--orientable", "true", "--genus", "0", "--boundary", "1",
+     "--degree", "2"],
+    ["slopes", "delta", "1,0", "0,1", "--verbose"],
     ["prism", "verify", "--from", "1"],
     ["orbifold", "chi", "--orientable", "maybe", "--genus", "0", "--boundary", "0"],
     ["prism", "verify", "--from", "1", "--to", "2", "--json", "--table"],

@@ -13,7 +13,6 @@ from prismvol import (
     chi_orb,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
-    orbifold_from_json,
     orientation_double_cover,
     prism_case_analysis,
     riemann_hurwitz_cover,
@@ -84,19 +83,6 @@ class TestOrbifold2D:
             Orbifold2D(orientable, genus, boundary, ()).underlying_euler
             == SurfaceData(genus, boundary, orientable).euler
         )
-
-    def test_from_json_round_trip(self):
-        assert orbifold_from_json(DISK_2_5.to_json()) == DISK_2_5
-
-    def test_from_json_missing_field(self):
-        with pytest.raises(ValueError, match="boundary"):
-            orbifold_from_json({"orientable": True, "genus": 0})
-
-    def test_from_json_bad_cones(self):
-        with pytest.raises(ValueError, match="cones"):
-            orbifold_from_json(
-                {"orientable": True, "genus": 0, "boundary": 1, "cones": "2,3"}
-            )
 
 
 class TestChiOrb:

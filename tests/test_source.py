@@ -3,6 +3,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import prismvol
 
 
@@ -91,6 +93,17 @@ def test_all_is_what_the_package_imports():
         assert getattr(prismvol, name) is getattr(importlib.import_module(f"prismvol.{layer}"), name)
     assert {"smith_normal_form", "remove_fiber"}.isdisjoint(prismvol.__all__)
     assert set(prismvol.__all__) <= set(dir(prismvol))
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [("orbifolds", "orbifold_from_json"), ("slopes", "slope_from_json"), ("braids", "exponent_sum")],
+)
+def test_removed_helpers_are_gone(layer, name):
+    """Helpers that only tests called are in neither the package nor their layer."""
+    assert name not in prismvol.__all__
+    assert not hasattr(prismvol, name)
+    assert not hasattr(importlib.import_module(f"prismvol.{layer}"), name)
 
 
 def test_no_constructor_coerces_a_field_to_a_tuple():

@@ -1,14 +1,13 @@
 """The contract of the package's eleven immutable value types: construction by
 position, keyword and default, the exact repr, equality and hash within one
-class only, immutability, and the ordering of ``Slope`` alone."""
+class only, immutability, and no ordering."""
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prismvol import (
     BraidWord,
@@ -23,7 +22,7 @@ from prismvol import (
     SurfaceData,
     VolumeConstant,
 )
-from support import slope_pairs_st
+from prismvol.reader import Record
 
 # (class, every field's argument in order, repr of the value they build);
 # array fields are given as lists, so the repr also pins their normalisation
@@ -162,17 +161,18 @@ def test_copies_and_pickles_are_equal(cls, args, text):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
-@given(st.lists(slope_pairs_st(), max_size=12))
-@settings(max_examples=120)
-def test_slopes_sort_as_their_pairs(slopes):
-    assert [(s.p, s.q) for s in sorted(slopes)] == sorted((s.p, s.q) for s in slopes)
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_slopes_are_not_ordered(compare):
+    for a, b in [(Slope(1, 2), Slope(1, 3)), (Slope(1, 0), Slope(1, 0))]:
+        with pytest.raises(TypeError):
+            compare(a, b)
 
 
-@given(slope_pairs_st(), slope_pairs_st())
-@settings(max_examples=120)
-def test_slope_comparisons_are_pair_comparisons(a, b):
-    x, y = (a.p, a.q), (b.p, b.q)
-    assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+def test_a_record_class_takes_no_order_option():
+    with pytest.raises(TypeError):
+
+        class Ordered(Record, order=True):
+            x: int
 
 
 def test_only_slopes_of_one_class_compare():
