@@ -13,13 +13,14 @@ always print as ``p/q`` and volumes with 12 decimal places.  Exit status is
 usage error.
 
 Each command is declared once, in ``_COMMANDS``: its group, name, handler, help
-and arguments.  ``build_parser`` builds the whole parser from that table.
+and arguments.  ``build_parser`` builds the parser from that table: the top and
+group parsers always, the command parsers only for the groups the command line
+names, since argparse enters no other group.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import re
@@ -318,21 +319,21 @@ _ROW_LEAVES = (
 def _prism_json(rows) -> Iterator[str]:
     """What ``print(json.dumps(report, indent=2))`` writes for the report
     ``{"reports": rows, "candidate_exceptional": [...]}``, one row at a time;
-    the candidates are collected along the way.  The first "conditional" row
-    is also written with "\\0", which no row holds, at each ``_ROW_LEAVES``
-    leaf; every conditional row is that text with its own leaves in the gaps."""
+    the candidates are collected along the way.  The first "conditional" row,
+    fresh like every row, is also written with "\\0", which no row holds, put
+    in place at each ``_ROW_LEAVES`` leaf once its leaves are read; every
+    conditional row is that text with its own leaves in the gaps."""
     candidates = []
     gaps = None
     yield '{\n  "reports": ['
     separator, closing = "\n    ", "]"
     for row in rows:
         if row["status"] == "conditional":
-            if gaps is None:
-                marked = copy.deepcopy(row)
-                for *path, key in _ROW_LEAVES:
-                    reduce(getitem, path, marked)[key] = "\0"
-                gaps = _indented(marked, "    ").split(_indented("\0", ""))
             leaves = [_indented(reduce(getitem, path, row), "") for path in _ROW_LEAVES]
+            if gaps is None:
+                for *path, key in _ROW_LEAVES:
+                    reduce(getitem, path, row)[key] = "\0"
+                gaps = _indented(row, "    ").split(_indented("\0", ""))
             text = "".join(gap + leaf for gap, leaf in zip(gaps, leaves)) + gaps[-1]
         else:
             text = _indented(row, "    ")
@@ -466,7 +467,12 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every group, with command parsers only for the groups
+    named in ``argv`` (default ``sys.argv[1:]``, as ``parse_known_args``):
+    argparse enters a group only at its name, so every help, choice list and
+    error reads the same.  ``build_parser(list(_COMMANDS))`` builds them all."""
+    named = set(sys.argv[1:] if argv is None else argv)
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit JSON")
@@ -484,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
     for group, (about, commands) in _COMMANDS.items():
         sub = top.add_parser(group, help=about).add_subparsers(dest="subcommand", required=True)
+        if group not in named:
+            continue
         for name, (handler, text, arguments) in commands.items():
             command = sub.add_parser(name, parents=[common], help=text)
             for flag, options in arguments:
@@ -493,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
+    args, extras = build_parser(argv).parse_known_args(argv)
     if extras:  # reported with the usage of the command they follow
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:

@@ -26,9 +26,8 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from . import orbifolds
+from . import orbifolds, slopes
 from .reader import Record, check, read, require_array, require_int
-from .slopes import Slope, enumerate_constrained_slopes
 
 MAX_ENUMERATION = 10**8
 
@@ -314,10 +313,8 @@ _NONEFFECTIVE_STEPS = (
     "over the finite list of small-volume knot complements, not enumerated",
 )
 
-_SLOPE_DEMO_PAIRS = (
-    (Slope(1, 0), Slope(0, 1)),
-    (Slope(1, 0), Slope(1, 2)),
-)
+# (fiber, constraint) slopes of the demonstration, as (p, q) pairs
+_SLOPE_DEMO_PAIRS = (((1, 0), (0, 1)), ((1, 0), (1, 2)))
 
 
 def upper_bound_value() -> float:
@@ -370,7 +367,7 @@ def _report_for(n: int, counts: list[int]) -> dict:
         "twist_knot_excluded": True,
         "case_analysis": {"n": n, "cases": cases, "admits_horizontal": bool(degrees)},
         "slope_demo": {
-            "pairs": [[f.to_json(), c.to_json()] for f, c in _SLOPE_DEMO_PAIRS],
+            "pairs": [[list(f), list(c)] for f, c in _SLOPE_DEMO_PAIRS],
             "counts": list(counts),
         },
         "max_degree": _MAX_DEGREE,
@@ -390,7 +387,10 @@ def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
     reported as "excluded".
     """
     require_int(n_from=n_from, n_to=n_to)
-    counts = [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in _SLOPE_DEMO_PAIRS]
+    counts = [
+        len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
+        for f, c in _SLOPE_DEMO_PAIRS
+    ]
     return (_report_for(n, counts) for n in range(n_from, n_to + 1))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from . import seifert
 from .reader import Record, read, require_int
-from .seifert import SeifertSymbol, normalize
 
 
 class MontesinosLink(Record):
@@ -41,13 +40,13 @@ def link_from_json(data: object) -> MontesinosLink:
     return MontesinosLink(*read(data, "montesinos link", fields))
 
 
-def double_branched_cover(link: MontesinosLink) -> SeifertSymbol:
+def double_branched_cover(link: MontesinosLink) -> seifert.SeifertSymbol:
     """Normalized Seifert symbol of the double cover branched over the link."""
     base_class = seifert.OO if link.genus == 0 else seifert.ON
-    return normalize(SeifertSymbol(base_class, link.genus, link.tangles))
+    return seifert.normalize(seifert.SeifertSymbol(base_class, link.genus, link.tangles))
 
 
-def is_lens_space_symbol(s: SeifertSymbol) -> bool:
+def is_lens_space_symbol(s: seifert.SeifertSymbol) -> bool:
     """Whether the symbol is a lens-space one: orientable base of genus 0
     with at most two exceptional fibers.  Read on the symbol as given:
     normalizing keeps the base class, the genus and every pair with

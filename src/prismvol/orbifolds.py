@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import frac_str
+from . import exact
 from .reader import Record, check, require_array, require_int
 
 
@@ -264,7 +264,7 @@ class CaseResult(Record):
         return {
             "case": self.case,
             "orbifold": self.orbifold.to_json(),
-            "chi_orb": frac_str(self.chi_orb),
+            "chi_orb": exact.frac_str(self.chi_orb),
             "degrees": list(self.degrees),
             "chi_only_degrees": list(self.chi_only_degrees),
         }

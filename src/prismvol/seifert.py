@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import orbifolds
-from .exact import IntMatrix, elementary_divisors
+from . import exact, orbifolds
 from .reader import Record, read, require_array, require_int
 
 OO = "Oo"
@@ -167,7 +166,7 @@ def first_homology(s: SeifertSymbol) -> list[int]:
         row[r] = beta
         rows.append(row)
     rows.append([1] * r + [0])
-    diagonal = elementary_divisors(IntMatrix.from_rows(rows))
+    diagonal = exact.elementary_divisors(exact.IntMatrix.from_rows(rows))
     divisors = [d for d in diagonal if d != 1]
     divisors.extend([0] * (2 * s.genus))
     return divisors

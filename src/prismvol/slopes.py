@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import extended_gcd
+from . import exact
 from .reader import Record, require_int
 
 
@@ -65,7 +65,7 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
         )
 
     # unimodular M = [[f.p, r], [f.q, s]] with det 1 maps (1,0) to f
-    _, x, y = extended_gcd(f.p, f.q)  # gcd 1: slopes are primitive
+    _, x, y = exact.extended_gcd(f.p, f.q)  # gcd 1: slopes are primitive
     r, s = -y, x
     # c in the new basis: c' = M^-1 c = (s*c.p - r*c.q, -f.q*c.p + f.p*c.q)
     c1 = s * c.p - r * c.q

@@ -312,16 +312,14 @@ def audit_row_oracle(n: int) -> dict:
             "periodic monodromy admits a horizontal genus-2 fiber candidate "
             f"at degrees {degrees}",
         )
+    demo_pairs = [(Slope(1, 0), Slope(0, 1)), (Slope(1, 0), Slope(1, 2))]
     return {
         **head,
         "twist_knot_excluded": not is_lens_space_symbol(prism_fibrations(n)[0]),
         "case_analysis": analysis,
         "slope_demo": {
-            "pairs": [[f.to_json(), c.to_json()] for f, c in covers._SLOPE_DEMO_PAIRS],
-            "counts": [
-                len(enumerate_constrained_slopes(f, c, 1, 2))
-                for f, c in covers._SLOPE_DEMO_PAIRS
-            ],
+            "pairs": [[f.to_json(), c.to_json()] for f, c in demo_pairs],
+            "counts": [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in demo_pairs],
         },
         "max_degree": covers._MAX_DEGREE,
         "status": status,

@@ -8,7 +8,10 @@ import json
 import math
 import random
 import re
+import shlex
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from prismvol.cli import FORMAT_ENV_VAR, build_parser, main
 from support import symbols_st
 
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
+SURFACE = Path(__file__).with_name("cli_surface.txt")
 
 
 def run_cli(argv):
@@ -575,7 +579,7 @@ def _actions(parser: argparse.ArgumentParser):
 
 class TestStrictIntegers:
     def test_no_argument_uses_builtin_int(self):
-        assert [a.dest for a in _actions(build_parser()) if a.type is int] == []
+        assert [a.dest for a in _actions(build_parser(list(cli._COMMANDS))) if a.type is int] == []
 
     @pytest.mark.parametrize("token", ["1_0", " 1", "1 ", "+1", "\u0661", "1.0", "0x1", ""])
     def test_flag_refused(self, token):
@@ -862,7 +866,8 @@ ONE_JSON_INVOCATION = {
 
 
 def test_one_json_invocation_per_subcommand():
-    top = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    whole = build_parser(list(cli._COMMANDS))
+    top = next(a for a in whole._actions if isinstance(a, argparse._SubParsersAction))
     subcommands = {
         (command, name)
         for command, parser in top.choices.items()
@@ -878,3 +883,56 @@ def test_json_output_is_json_dumps_indent_2(command):
     code, out, err = run_cli([*command, *ONE_JSON_INVOCATION[command], "--json"])
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """What ``parser`` makes of ``argv``: the namespace but its parser and
+    handler, the leftovers and the chosen command's help; or the exit status
+    and output of a refusal or ``--help``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, extras = parser.parse_known_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    fields = {k: v for k, v in vars(args).items() if k not in ("parser", "func")}
+    return fields, extras, args.parser.format_help()
+
+
+# every argv that cli_surface.txt pins, one --json invocation per command, and
+# group names where argparse does not read them as groups
+EQUIVALENCE_ARGV = [
+    *(
+        shlex.split(header.rsplit(" -> ", 1)[0])
+        for header in re.findall(r"^### (.*)$", SURFACE.read_text(), flags=re.M)
+    ),
+    *([*command, *rest, "--json"] for command, rest in sorted(ONE_JSON_INVOCATION.items())),
+    ["seifert", "h1", "--fixtures", "covers", "@m1_oo"],
+    ["braid", "ttk", "3", "2", "2", "1", "prism"],
+    ["--json", "covers", "count", "@trefoil", "--degree", "3"],
+    ["--", "covers", "count", "@trefoil", "--degree", "3"],
+    ["cover", "count"],
+]
+
+
+@pytest.mark.parametrize("argv", EQUIVALENCE_ARGV, ids=shlex.join)
+def test_the_named_groups_parse_as_the_whole_parser(argv, monkeypatch):
+    """``build_parser(argv)`` leaves out the command parsers of every group
+    that ``argv`` does not name; argparse never enters those groups."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(list(cli._COMMANDS)), argv)
+
+
+def test_build_parser_reads_sys_argv_by_default(monkeypatch):
+    def groups(parser):
+        top = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [
+            group
+            for group, sub in top.choices.items()
+            if next(a for a in sub._actions if isinstance(a, argparse._SubParsersAction)).choices
+        ]
+
+    monkeypatch.setattr(sys, "argv", ["prismvol", "slopes", "delta", "1,0", "0,1"])
+    assert groups(build_parser()) == ["slopes"]
+    assert groups(build_parser([])) == []
+    assert groups(build_parser(list(cli._COMMANDS))) == list(cli._COMMANDS)

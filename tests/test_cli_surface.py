@@ -106,7 +106,7 @@ def _commands(parser: argparse.ArgumentParser):
 
 
 def test_each_handler_runs_exactly_one_command():
-    funcs = [parser.get_default("func") for parser in _commands(cli.build_parser())]
+    funcs = [parser.get_default("func") for parser in _commands(cli.build_parser(list(cli._COMMANDS)))]
     handlers = [value for name, value in vars(cli).items() if name.startswith("_cmd_")]
     assert len(handlers) == 16
     assert sorted(f.__name__ for f in funcs) == sorted(f.__name__ for f in handlers)

@@ -8,7 +8,7 @@ from prismvol import (
     prism_fibrations,
     prism_verify,
 )
-from prismvol import covers, orbifolds
+from prismvol import orbifolds, slopes
 from prismvol.seifert import remove_fiber
 
 
@@ -70,13 +70,13 @@ def test_fixed_cases_are_the_same_objects_for_every_n():
 
 def test_slope_demo_counted_once_per_call(monkeypatch):
     calls = []
-    original = covers.enumerate_constrained_slopes
+    original = slopes.enumerate_constrained_slopes
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(covers, "enumerate_constrained_slopes", counting)
+    monkeypatch.setattr(slopes, "enumerate_constrained_slopes", counting)
     result = prism_verify(-50, 50)
     assert len(calls) == 2
     demos = [r["slope_demo"] for r in result["reports"] if "slope_demo" in r]

@@ -13,6 +13,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# stdlib modules whose import a command may not need
+_STDLIB = ("copy", "dataclasses", "decimal", "fractions", "inspect")
+
 # a layer still waiting for its first attribute access is of a ModuleType
 # subclass, and becomes a plain ModuleType when its code runs
 _REPORT = (
@@ -20,7 +23,7 @@ _REPORT = (
     "print(json.dumps({'executed': sorted(n for n, m in sys.modules.items()"
     " if n.split('.')[0] == 'prismvol' and type(m) is types.ModuleType),"
     " 'registered': sorted(n for n in sys.modules if n.split('.')[0] == 'prismvol'),"
-    " 'slow_stdlib': sorted(n for n in ('dataclasses', 'inspect') if n in sys.modules)}))\n"
+    f" 'stdlib': sorted(n for n in {_STDLIB!r} if n in sys.modules)}}))\n"
 )
 
 
@@ -42,9 +45,11 @@ def test_import_prismvol_executes_no_layer():
     assert modules["registered"] == ["prismvol"] + [f"prismvol.{layer}" for layer in layers]
 
 
+# every command, with the layers it runs: a layer reaches another only through
+# the package's lazy module, so a layer runs only when a name of it is used
 COMMANDS = [
     (["seifert", "h1", "@m1_oo"], ["exact", "reader", "seifert"]),
-    (["covers", "count", "@trefoil", "--degree", "3"], ["covers", "exact", "reader", "slopes"]),
+    (["covers", "count", "@trefoil", "--degree", "3"], ["covers", "reader"]),
     (["braid", "ttk", "3", "2", "2", "1"], ["braids", "reader"]),
     (
         ["orbifold", "chi", "--orientable", "true", "--genus", "0", "--boundary", "0",
@@ -55,6 +60,26 @@ COMMANDS = [
         ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
         ["covers", "exact", "orbifolds", "reader", "slopes"],
     ),
+    (["seifert", "normalize", "@m1_oo"], ["reader", "seifert"]),
+    (["seifert", "euler", "@m1_on"], ["exact", "reader", "seifert"]),
+    (["seifert", "base", "@m1_oo"], ["orbifolds", "reader", "seifert"]),
+    (
+        ["orbifold", "cover", "--genus", "0", "--boundary", "1", "--degree", "2",
+         "--branch", "2", "--branch", "2"],
+        ["orbifolds", "reader"],
+    ),
+    (
+        ["orbifold", "solve", "--fiber-genus", "2", "--fiber-boundary", "1",
+         "--orientable", "false", "--genus", "1", "--boundary", "1", "--cones", "2"],
+        ["orbifolds", "reader"],
+    ),
+    (["montesinos", "cover", '{"genus": 1, "tangles": [[3, 2]]}'],
+     ["montesinos", "reader", "seifert"]),
+    (["montesinos", "ln", "-3"], ["montesinos", "reader", "seifert"]),
+    (["slopes", "delta", "-2,1", "1,0"], ["reader", "slopes"]),
+    (["slopes", "enumerate", "1,0", "0,1"], ["exact", "reader", "slopes"]),
+    (["braid", "components", '{"strands": 3, "letters": [1, -2]}'], ["braids", "reader"]),
+    (["braid", "chi", '{"strands": 3, "letters": [1, 2, 1]}'], ["braids", "reader"]),
 ]
 
 
@@ -83,8 +108,16 @@ def test_a_command_executes_only_the_layers_it_calls(argv, layers):
 def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
     """``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and
     ``tokenize``: several milliseconds of every cold start.  The value types
-    are ``reader.Record``s, so no command needs either."""
-    assert _run(argv)["slow_stdlib"] == []
+    are ``reader.Record``s, so no command needs either; and none needs
+    ``copy``."""
+    assert {"copy", "dataclasses", "inspect"}.isdisjoint(_run(argv)["stdlib"])
+
+
+def test_covers_count_imports_no_probed_stdlib_module():
+    """``fractions``, which imports ``decimal``, comes with the layers that
+    compute with rationals (``exact``, ``seifert``, ``orbifolds``); the
+    representation count uses none of them."""
+    assert _run(["covers", "count", "@trefoil", "--degree", "3"])["stdlib"] == []
 
 
 def test_import_cli_registers_every_traced_layer():

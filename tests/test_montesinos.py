@@ -145,7 +145,6 @@ class TestIsLensSpaceSymbol:
             return original(s)
 
         monkeypatch.setattr(seifert, "normalize", counting)
-        monkeypatch.setattr(montesinos, "normalize", counting)
         result = prism_verify(-50, 50)
         rows = [r for r in result["reports"] if r["status"] != "excluded"]
         assert len(rows) == 100

@@ -119,7 +119,7 @@ class TestParsers:
         with pytest.raises(ValueError, match="^presentation: generators must be an integer$"):
             presentation_from_json({"generators": True, "relators": []})
 
-    def test_link_and_word_and_slope_refuse_floats(self):
+    def test_link_and_word_refuse_floats(self):
         with pytest.raises(ValueError, match=r"tangles\[0\]\[1\]"):
             link_from_json({"genus": 0, "tangles": [[1, 2.0]]})
         with pytest.raises(ValueError, match="strands"):

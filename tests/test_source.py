@@ -134,3 +134,17 @@ def test_no_module_imports_dataclasses():
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     ]
     assert found == []
+
+
+def test_layers_reach_each_other_through_the_lazy_module():
+    """``from .exact import frac_str`` runs ``exact`` when the importing layer
+    runs, whether or not the command calls ``frac_str``; ``from . import exact``
+    and ``exact.frac_str`` run it at the first call.  ``reader`` is the one
+    exception: ``Record`` is a base class, needed when a class is defined."""
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level else node.module.removeprefix("prismvol.")
+            if module in prismvol._PUBLIC and module != "reader":
+                found.append(f"{name}:{node.lineno} from {module}")
+    assert found == []

@@ -175,7 +175,7 @@ def test_a_record_class_takes_no_order_option():
             x: int
 
 
-def test_only_slopes_of_one_class_compare():
+def test_no_record_is_ordered():
     with pytest.raises(TypeError):
         Slope(1, 2) < SurfaceData(0, 1)
     with pytest.raises(TypeError):
