@@ -321,38 +321,17 @@ def upper_bound_value() -> float:
     return _UPPER_BOUND_VALUE
 
 
-def _disk_case(case: int, cones: list[int], chi_num: int, chi_den: int) -> dict:
-    """``CaseResult.to_json`` of the disk with ``cones``, whose chi_orb is
-    chi_num/chi_den in lowest terms: one division solves chi(F) = d * chi_orb."""
-    d, rest = divmod(orbifolds._FIBER_EULER * chi_den, chi_num)
-    chi_only = [d] if rest == 0 and d > 0 else []
-    return {
-        "case": case,
-        "orbifold": {"orientable": True, "genus": 0, "boundary": 1, "cones": cones},
-        "chi_orb": f"{chi_num}/{chi_den}",
-        "degrees": [d for d in chi_only if all(d % index == 0 for index in cones)],
-        "chi_only_degrees": chi_only,
-    }
-
-
 def _report_for(n: int, counts: list[int]) -> dict:
-    """The audit row of parameter n, in closed form in mu = |4n - 1|, made of
-    fresh dicts and lists; cases 1, 2 and 4 are module facts of ``orbifolds``."""
+    """The audit row of parameter n, made of fresh dicts and lists; its case
+    analysis is ``orbifolds.case_analysis_report(n)``, in closed form in
+    mu = |4n - 1|."""
     mu = abs(4 * n - 1)
     row = {"n": n, "upper_bound": UPPER_BOUND.label, "upper_bound_value": _UPPER_BOUND_VALUE}
     if mu < 3:
         reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
         return {**row, "status": "excluded", "reason": reason}
-    # mu is odd, so chi_orb = (1 - mu)/mu (case 3) and (2 - mu)/(2 mu) (case 5)
-    # are in lowest terms: gcd(mu - 1, mu) = 1 and gcd(mu - 2, 2 mu) = gcd(2, mu) = 1
-    cases = [
-        orbifolds._CASE_1.to_json(),
-        orbifolds._CASE_2.to_json(),
-        _disk_case(3, [2, 2, mu], 1 - mu, mu),
-        orbifolds._CASE_4.to_json(),
-        _disk_case(5, [2, mu], 2 - mu, 2 * mu),
-    ]
-    degrees = sorted(d for case in cases for d in case["degrees"])
+    analysis = orbifolds.case_analysis_report(n)
+    degrees = sorted(d for case in analysis["cases"] for d in case["degrees"])
     unresolved = list(_NONEFFECTIVE_STEPS)
     if degrees:
         unresolved.insert(
@@ -365,7 +344,7 @@ def _report_for(n: int, counts: list[int]) -> dict:
         # a twist knot's double branched cover is a lens space; the family's
         # sphere fibration has cones 2, 2, mu with mu >= 3, so it never is one
         "twist_knot_excluded": True,
-        "case_analysis": {"n": n, "cases": cases, "admits_horizontal": bool(degrees)},
+        "case_analysis": analysis,
         "slope_demo": {
             "pairs": [[list(f), list(c)] for f, c in _SLOPE_DEMO_PAIRS],
             "counts": list(counts),

@@ -193,21 +193,19 @@ def orientation_double_cover(b: Orbifold2D) -> Orbifold2D:
     )
 
 
-def _degree_solutions(
-    chi_f: int, chi_b: Fraction, cones: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
-    """Positive integer degrees d with chi_f == d * chi_b: those that every
-    cone index divides, and all of them, from one division."""
-    if chi_b == 0:
+def _degree_solutions(chi_f: int, num: int, den: int, cones) -> tuple[list[int], list[int]]:
+    """Positive integer degrees d with chi_f == d * num/den, for any nonzero den,
+    reduced or not: those that every cone index divides, and all of them, from
+    one ``divmod`` of chi_f * den by num."""
+    if num == 0:
         if chi_f == 0:
             raise InfiniteSolutionsError(
                 "chi(F) = 0 = chi_orb(B): every degree solves the equation"
             )
         return [], []
-    ratio = Fraction(chi_f, 1) / chi_b
-    if ratio.denominator != 1 or ratio <= 0:
+    d, rest = divmod(chi_f * den, num)
+    if rest or d <= 0:
         return [], []
-    d = int(ratio)
     return ([] if any(d % index for index in cones) else [d]), [d]
 
 
@@ -230,7 +228,7 @@ def horizontal_degree_solutions(
         )
     if not f.orientable:
         raise ValueError("the covering surface must be orientable here")
-    degrees, chi_only = _degree_solutions(f.euler, chi_orb(b), b.cones)
+    degrees, chi_only = _degree_solutions(f.euler, *chi_orb(b).as_integer_ratio(), b.cones)
     return degrees if require_cone_divisibility else chi_only
 
 
@@ -276,7 +274,9 @@ def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
     ``chi_orb`` is twice the base's with the same cones; its degrees double."""
     chi = chi_orb(base)
     sheets = 1 if base.orientable else 2
-    degrees, chi_only = _degree_solutions(chi_f, sheets * chi, base.cones)
+    degrees, chi_only = _degree_solutions(
+        chi_f, sheets * chi.numerator, chi.denominator, base.cones
+    )
     return CaseResult(
         case, base, chi, tuple(sheets * d for d in degrees), tuple(sheets * d for d in chi_only)
     )
@@ -288,6 +288,15 @@ _FIBER_EULER = fiber_surface().euler
 _CASE_1 = _solve_case(1, Orbifold2D(False, 1, 1, ()), _FIBER_EULER)
 _CASE_2 = _solve_case(2, Orbifold2D(False, 1, 1, (2,)), _FIBER_EULER)
 _CASE_4 = _solve_case(4, Orbifold2D(True, 0, 1, (2, 2)), _FIBER_EULER)
+
+
+def _prism_mu(n: int) -> int:
+    """mu = |4n - 1| of the prism parameter n; a non-integer or degenerate n is refused."""
+    require_int(n=n)
+    mu = abs(4 * n - 1)
+    if mu < 3:
+        raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
+    return mu
 
 
 def prism_case_analysis(n: int) -> list[CaseResult]:
@@ -308,16 +317,11 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    chi(F) was read once, when the module was loaded, and so were cases 1,
-    2 and 4: every call returns those same three results.  Cases 3 and 5
-    are solved per call by the same step, ``_solve_case``, over the solver
-    that ``horizontal_degree_solutions`` and ``nonorientable_base_solutions``
-    wrap.
+    The general path: cases 1, 2 and 4 were solved at load, 3 and 5 are solved
+    per call by ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.
+    The audit embeds the closed form ``case_analysis_report``, tested against it.
     """
-    require_int(n=n)
-    mu = abs(4 * n - 1)
-    if mu < 3:
-        raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
+    mu = _prism_mu(n)
     return [
         _CASE_1,
         _CASE_2,
@@ -327,11 +331,28 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     ]
 
 
-def case_analysis_report(n: int) -> dict:
-    """JSON-ready report of ``prism_case_analysis``."""
-    results = prism_case_analysis(n)
+def _disk_case(case: int, cones: list[int], num: int, den: int) -> dict:
+    """``CaseResult.to_json`` of the disk with ``cones``; chi_orb = num/den in lowest terms."""
+    degrees, chi_only = _degree_solutions(_FIBER_EULER, num, den, cones)
     return {
-        "n": n,
-        "cases": [r.to_json() for r in results],
-        "admits_horizontal": any(r.degrees for r in results),
+        "case": case,
+        "orbifold": {"orientable": True, "genus": 0, "boundary": 1, "cones": cones},
+        "chi_orb": f"{num}/{den}",
+        "degrees": degrees,
+        "chi_only_degrees": chi_only,
     }
+
+
+def case_analysis_report(n: int) -> dict:
+    """JSON-ready report of ``prism_case_analysis(n)`` in closed form in mu = |4n - 1|,
+    made of fresh dicts and lists, as the audit embeds one in every row: mu is
+    odd, so the disk cases' chi_orb (1 - mu)/mu and (2 - mu)/(2 mu) are in lowest terms."""
+    mu = _prism_mu(n)
+    cases = [
+        _CASE_1.to_json(),
+        _CASE_2.to_json(),
+        _disk_case(3, [2, 2, mu], 1 - mu, mu),
+        _CASE_4.to_json(),
+        _disk_case(5, [2, mu], 2 - mu, 2 * mu),
+    ]
+    return {"n": n, "cases": cases, "admits_horizontal": any(c["degrees"] for c in cases)}

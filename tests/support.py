@@ -10,7 +10,8 @@ checked against a plain window scan whose completeness follows from Cramer's
 rule.  Degree equations over the whole family are cross-checked by a bounded
 integrality scan of affine ratios, and the Whitehead volume by Catalan's
 alternating series.  Audit rows are rebuilt the way the audit once built
-them, from the fibrations, the lens-space test and the five-case report.
+them, from the fibrations, the lens-space test and the five-case report of
+the general path, ``prism_case_analysis``.
 """
 
 from __future__ import annotations
@@ -281,13 +282,26 @@ def wn_link(m: int) -> MontesinosLink:
 
 # --- audit rows ----------------------------------------------------------
 
+def case_report_oracle(n: int) -> dict:
+    """``case_analysis_report(n)`` as the general path gives it: the
+    ``CaseResult``s of ``prism_case_analysis(n)``, rendered."""
+    from prismvol.orbifolds import prism_case_analysis
+
+    results = prism_case_analysis(n)
+    return {
+        "n": n,
+        "cases": [r.to_json() for r in results],
+        "admits_horizontal": any(r.degrees for r in results),
+    }
+
+
 def audit_row_oracle(n: int) -> dict:
     """The audit row of parameter n as the audit built it before its rows
     were in closed form: the twist-knot verdict from the lens-space test on
-    ``prism_fibrations(n)[0]``, the cases from ``case_analysis_report(n)``."""
+    ``prism_fibrations(n)[0]``, the cases from ``case_report_oracle(n)``: the
+    general path, not the closed form the audit embeds."""
     from prismvol import covers
     from prismvol.montesinos import is_lens_space_symbol
-    from prismvol.orbifolds import case_analysis_report
     from prismvol.seifert import prism_fibrations
     from prismvol.slopes import enumerate_constrained_slopes
 
@@ -302,7 +316,7 @@ def audit_row_oracle(n: int) -> dict:
             "status": "excluded",
             "reason": f"degenerate parameter: |4n - 1| = {abs(4 * n - 1)} < 3",
         }
-    analysis = case_analysis_report(n)
+    analysis = case_report_oracle(n)
     status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
     unresolved = list(covers._NONEFFECTIVE_STEPS)
     if status == "candidate-exceptional":

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from prismvol import (
     riemann_hurwitz_cover,
 )
 from prismvol.orbifolds import _degree_solutions
+from support import case_report_oracle
 
 MOEBIUS = Orbifold2D(False, 1, 1)
 DISK_2_2_3 = Orbifold2D(True, 0, 1, (2, 2, 3))
@@ -354,7 +356,8 @@ class TestNonorientableBaseSolutions:
 
 class TestDegreeSolutions:
     """The one solver behind both public ones, which ``prism_case_analysis``
-    calls directly with each base's chi_orb."""
+    and the disk cases of ``case_analysis_report`` call with each base's
+    chi_orb as an integer numerator and denominator."""
 
     @given(
         small_orbifolds_st,
@@ -368,9 +371,10 @@ class TestDegreeSolutions:
             sheets, solve = 1, horizontal_degree_solutions
         else:
             sheets, solve = 2, nonorientable_base_solutions
+        chi = chi_orb(base)
         try:
             degrees, chi_only = _degree_solutions(
-                fiber.euler, sheets * chi_orb(base), base.cones
+                fiber.euler, sheets * chi.numerator, chi.denominator, base.cones
             )
         except InfiniteSolutionsError:
             assert fiber.euler == 0 and chi_orb(base) == 0
@@ -385,13 +389,32 @@ class TestDegreeSolutions:
 
     def test_zero_chi_on_both_sides_is_degenerate(self):
         with pytest.raises(InfiniteSolutionsError):
-            _degree_solutions(0, Fraction(0), (2, 2))
-        assert _degree_solutions(-3, Fraction(0), (2, 2)) == ([], [])
+            _degree_solutions(0, 0, 1, (2, 2))
+        assert _degree_solutions(-3, 0, 1, (2, 2)) == ([], [])
 
     def test_divisibility_filters_only_the_first_list(self):
         # chi -2 over chi_orb -2/3 gives d = 3, which the index 2 does not divide
-        assert _degree_solutions(-2, Fraction(-2, 3), (2, 2, 3)) == ([], [3])
-        assert _degree_solutions(-3, Fraction(-1, 6), (2, 3)) == ([18], [18])
+        assert _degree_solutions(-2, -2, 3, (2, 2, 3)) == ([], [3])
+        assert _degree_solutions(-3, -1, 6, (2, 3)) == ([18], [18])
+
+    @given(
+        st.integers(-12, 12),
+        st.integers(-12, 12),
+        st.integers(-12, 12).filter(bool),
+        st.lists(st.integers(2, 6), max_size=3),
+    )
+    @settings(max_examples=500)
+    def test_matches_a_search_over_d(self, chi_f, num, den, cones):
+        """Every sign of numerator and denominator, unreduced ratios included
+        (the non-orientable call passes 2 * numerator over the denominator)."""
+        if num == 0 and chi_f == 0:
+            with pytest.raises(InfiniteSolutionsError):
+                _degree_solutions(chi_f, num, den, cones)
+            return
+        # d * |num| = |chi_f * den| bounds d when num != 0
+        chi_only = [d for d in range(1, abs(chi_f * den) + 1) if chi_f * den == d * num]
+        degrees = [d for d in chi_only if all(d % c == 0 for c in cones)]
+        assert _degree_solutions(chi_f, num, den, cones) == (degrees, chi_only)
 
 
 class TestPrismCaseAnalysis:
@@ -472,3 +495,33 @@ class TestPrismCaseAnalysis:
         assert row["degrees"] == []
         report2 = case_analysis_report(2)
         assert report2["admits_horizontal"] is False
+
+
+class TestCaseAnalysisReport:
+    """``case_analysis_report`` is the closed form in mu = |4n - 1| that the
+    audit embeds; the general path, ``prism_case_analysis``, is its oracle."""
+
+    @staticmethod
+    def _assert_equals_the_general_path(n):
+        report, general = case_analysis_report(n), case_report_oracle(n)
+        # json.dumps also tells True from 1 and keeps the key order
+        assert report == general and json.dumps(report) == json.dumps(general), n
+
+    def test_equals_the_general_path_for_every_small_parameter(self):
+        checked = [n for n in range(-1000, 1001) if abs(4 * n - 1) >= 3]
+        for n in checked:
+            self._assert_equals_the_general_path(n)
+        assert len(checked) == 2000
+
+    @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
+    @settings(max_examples=200)
+    def test_equals_the_general_path_for_large_parameters(self, n):
+        self._assert_equals_the_general_path(n)
+
+    @pytest.mark.parametrize("n", [True, 1.0, 0])
+    def test_refuses_as_the_general_path(self, n):
+        with pytest.raises(ValueError) as general:
+            prism_case_analysis(n)
+        with pytest.raises(ValueError) as closed:
+            case_analysis_report(n)
+        assert str(closed.value) == str(general.value)

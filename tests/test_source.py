@@ -148,3 +148,19 @@ def test_layers_reach_each_other_through_the_lazy_module():
             if module in prismvol._PUBLIC and module != "reader":
                 found.append(f"{name}:{node.lineno} from {module}")
     assert found == []
+
+
+def test_no_layer_reads_another_layers_private_names():
+    """A layer reaches another only through its public names: ``covers``
+    embeds ``orbifolds.case_analysis_report`` and does not rebuild it from
+    ``orbifolds._CASE_1`` and the like."""
+    found = [
+        f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in prismvol._PUBLIC
+        and node.value.id != name.removesuffix(".py")
+        and node.attr.startswith("_")
+    ]
+    assert found == []
