@@ -2,15 +2,13 @@
 
 Every operation is exposed as a two-level subcommand.  Structured inputs
 (Seifert symbols, Montesinos links, braid words, group presentations) are
-given either as inline JSON or as ``@name`` references: a file path, or a
-bare fixture name resolved against ``--fixtures DIR`` or the fixtures
-shipped inside the package.
+given either as inline JSON or as ``@ref`` references: a file path, or
+else the name of a fixture shipped inside the package.
 
-Output is a human-readable table by default and JSON with ``--json``; the
-environment variable ``PRISMVOL_FORMAT=json`` flips the default.  Rationals
-always print as ``p/q`` and volumes with 12 decimal places.  Exit status is
-0 on success, 1 on a domain error (one diagnostic line on stderr), 2 on a
-usage error.
+Output is a human-readable table by default and JSON with ``--json``, the one
+option every command takes.  Rationals always print as ``p/q`` and volumes
+with 12 decimal places.  Exit status is 0 on success, 1 on a domain error
+(one diagnostic line on stderr), 2 on a usage error.
 
 Each command is declared once, in ``_COMMANDS``: its group, name, handler, help
 and arguments.  ``build_parser`` builds the parser from that table: the top and
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from collections.abc import Iterator
@@ -34,8 +31,6 @@ from pathlib import Path
 
 from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
-
-FORMAT_ENV_VAR = "PRISMVOL_FORMAT"
 
 _PAIR_TOKEN = re.compile(r"^-\d+,-?\d+$")
 _INT_TOKEN = re.compile(r"-?[0-9]+")
@@ -85,19 +80,15 @@ def _parse_slope(text: str) -> slopes.Slope:
     return slopes.Slope(*pair)
 
 
-def _load_input(text: str, fixtures_dir: str | None) -> object:
-    """Inline JSON, or ``@ref`` where ref is a file path or a fixture name."""
+def _load_input(text: str) -> object:
+    """Inline JSON, or ``@ref`` where ref is a file path or a packaged fixture name."""
     raw = text
     if text.startswith("@"):
         ref = text[1:]
-        name = ref if ref.endswith(".json") else f"{ref}.json"
         if Path(ref).is_file():
             fixture = Path(ref)
-        elif fixtures_dir is not None:
-            fixture = Path(fixtures_dir) / name
-            if not fixture.is_file():
-                raise ValueError(f"no fixture {name!r} in {fixtures_dir}")
         else:
+            name = ref if ref.endswith(".json") else f"{ref}.json"
             fixture = resources.files("prismvol").joinpath("fixtures", name)
             if not fixture.is_file():
                 raise ValueError(f"no packaged fixture named {name!r}")
@@ -109,16 +100,8 @@ def _load_input(text: str, fixtures_dir: str | None) -> object:
         raise ValueError(f"invalid JSON input{where}: {err}") from None
 
 
-def _use_json(args: argparse.Namespace) -> bool:
-    if args.json:
-        return True
-    if args.table:
-        return False
-    return os.environ.get(FORMAT_ENV_VAR, "").strip().lower() == "json"
-
-
 def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> None:
-    if _use_json(args):
+    if args.json:
         print(_indented(payload, ""))
     else:
         print("\n".join(lines))
@@ -150,19 +133,19 @@ def _degrees_str(degrees) -> str:
 
 
 def _cmd_seifert_normalize(args: argparse.Namespace) -> None:
-    s = seifert.symbol_from_json(_load_input(args.symbol, args.fixtures))
+    s = seifert.symbol_from_json(_load_input(args.symbol))
     normalized = seifert.normalize(s)
     _emit(args, normalized.to_json(), [_symbol_line(normalized)])
 
 
 def _cmd_seifert_euler(args: argparse.Namespace) -> None:
-    s = seifert.symbol_from_json(_load_input(args.symbol, args.fixtures))
+    s = seifert.symbol_from_json(_load_input(args.symbol))
     e = seifert.euler_number(s)
     _emit(args, {"euler": exact.frac_str(e)}, [exact.frac_str(e)])
 
 
 def _cmd_seifert_h1(args: argparse.Namespace) -> None:
-    s = seifert.symbol_from_json(_load_input(args.symbol, args.fixtures))
+    s = seifert.symbol_from_json(_load_input(args.symbol))
     divisors = seifert.first_homology(s)
     order = seifert.homology_order(divisors)
     lines = [
@@ -173,7 +156,7 @@ def _cmd_seifert_h1(args: argparse.Namespace) -> None:
 
 
 def _cmd_seifert_base(args: argparse.Namespace) -> None:
-    s = seifert.symbol_from_json(_load_input(args.symbol, args.fixtures))
+    s = seifert.symbol_from_json(_load_input(args.symbol))
     b = seifert.base_orbifold(s)
     _emit(args, b.to_json(), [_orbifold_line(b)])
 
@@ -217,7 +200,7 @@ def _cmd_orbifold_solve(args: argparse.Namespace) -> None:
 
 
 def _cmd_montesinos_cover(args: argparse.Namespace) -> None:
-    link = montesinos.link_from_json(_load_input(args.link, args.fixtures))
+    link = montesinos.link_from_json(_load_input(args.link))
     symbol = montesinos.double_branched_cover(link)
     _emit(args, symbol.to_json(), [_symbol_line(symbol)])
 
@@ -252,13 +235,13 @@ def _cmd_braid_ttk(args: argparse.Namespace) -> None:
 
 
 def _cmd_braid_components(args: argparse.Namespace) -> None:
-    word = braids.word_from_json(_load_input(args.word, args.fixtures))
+    word = braids.word_from_json(_load_input(args.word))
     count = braids.closure_components(word)
     _emit(args, {"components": count}, [str(count)])
 
 
 def _cmd_braid_chi(args: argparse.Namespace) -> None:
-    word = braids.word_from_json(_load_input(args.word, args.fixtures))
+    word = braids.word_from_json(_load_input(args.word))
     chi = braids.bennequin_chi(word)
     payload: dict[str, int] = {"chi": chi}
     lines = [f"chi: {chi}"]
@@ -270,7 +253,7 @@ def _cmd_braid_chi(args: argparse.Namespace) -> None:
 
 
 def _cmd_covers_count(args: argparse.Namespace) -> None:
-    pres = covers.presentation_from_json(_load_input(args.presentation, args.fixtures))
+    pres = covers.presentation_from_json(_load_input(args.presentation))
     count = covers.count_representations(pres, args.degree, transitive=args.transitive)
     _emit(args, {"count": count}, [str(count)])
 
@@ -378,7 +361,7 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
             f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
         )
     rows = covers.prism_rows(args.n_from, args.n_to)
-    if _use_json(args):
+    if args.json:
         chunks = _prism_json(rows)
     else:
         chunks = (line + "\n" for line in _prism_table(rows))
@@ -399,7 +382,7 @@ _SYMBOL = ("symbol", {"help": _INLINE.format("symbol", '"class","genus","fibers"
 _WORD = ("word", {"help": _INLINE.format("braid word", '"strands","letters"')})
 
 # Every command: group -> (help, {command: (handler, help, arguments)}).  Each
-# command also takes the --json, --table and --fixtures flags of build_parser.
+# command also takes the --json flag of build_parser.
 _COMMANDS = {
     "seifert": ("Seifert symbol operations", {
         "normalize": (_cmd_seifert_normalize, "canonical form of a symbol", [_SYMBOL]),
@@ -474,13 +457,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     error reads the same.  ``build_parser(list(_COMMANDS))`` builds them all."""
     named = set(sys.argv[1:] if argv is None else argv)
     common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit JSON")
-    fmt.add_argument("--table", action="store_true", help="emit a table (default)")
-    common.add_argument(
-        "--fixtures", metavar="DIR",
-        help="directory for @name fixture references (default: packaged fixtures)",
-    )
+    common.add_argument("--json", action="store_true", help="emit JSON (default: a table)")
 
     parser = _Parser(
         prog="prismvol",
@@ -509,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, argparse.ArgumentTypeError, ZeroDivisionError, IndexError, OSError) as err:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

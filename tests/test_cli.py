@@ -26,7 +26,7 @@ from prismvol import (
     word_from_json,
 )
 from prismvol import Orbifold2D, cli
-from prismvol.cli import FORMAT_ENV_VAR, build_parser, main
+from prismvol.cli import build_parser, main
 from support import symbols_st
 
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
@@ -41,11 +41,6 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse usage failures
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture(autouse=True)
-def clean_format_env(monkeypatch):
-    monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
 
 
 class TestHeadlineExamples:
@@ -174,28 +169,10 @@ class TestExitCodes:
 
 
 class TestOutputFormats:
-    def test_env_var_flips_default_to_json(self, monkeypatch):
-        monkeypatch.setenv(FORMAT_ENV_VAR, "json")
-        code, out, _ = run_cli(["slopes", "delta", "1,0", "0,1"])
-        assert code == 0
-        assert json.loads(out) == {"delta": 1}
-
-    def test_table_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(FORMAT_ENV_VAR, "json")
-        code, out, _ = run_cli(["slopes", "delta", "1,0", "0,1", "--table"])
-        assert code == 0
-        assert out.strip() == "1"
-
     def test_json_flag_without_env(self):
         code, out, _ = run_cli(["seifert", "euler", "@m1_on", "--json"])
         assert code == 0
         assert json.loads(out) == {"euler": "-3/2"}
-
-    def test_unrelated_env_value_keeps_table(self, monkeypatch):
-        monkeypatch.setenv(FORMAT_ENV_VAR, "fancy")
-        code, out, _ = run_cli(["slopes", "delta", "1,0", "0,1"])
-        assert code == 0
-        assert out.strip() == "1"
 
 
 class TestFixtureResolution:
@@ -213,27 +190,6 @@ class TestFixtureResolution:
         code, out, _ = run_cli(["seifert", "normalize", "@m1_oo"])
         assert code == 0
         assert out.strip() == "(Oo, 0; 1/2, 1/2, 1/3, -2/1)"
-
-    def test_fixture_directory_override(self, tmp_path):
-        (tmp_path / "cyclic.json").write_text(
-            json.dumps({"generators": 1, "relators": [[1, 1]]})
-        )
-        code, out, _ = run_cli(
-            [
-                "covers", "count", "@cyclic", "--degree", "3",
-                "--fixtures", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        # permutations of order dividing 2 in S3: identity plus three swaps
-        assert out.strip() == "4"
-
-    def test_fixture_directory_miss(self, tmp_path):
-        code, _, err = run_cli(
-            ["covers", "count", "@ghost", "--degree", "2", "--fixtures", str(tmp_path)]
-        )
-        assert code == 1
-        assert "no fixture" in err
 
     def test_packaged_fixture_miss(self):
         code, _, err = run_cli(["covers", "count", "@ghost", "--degree", "2"])
@@ -471,7 +427,7 @@ class TestFormatAgreement:
         for _ in range(50):
             argv = _random_invocation(rng)
             code_json, out_json, err_json = run_cli(argv + ["--json"])
-            code_table, out_table, err_table = run_cli(argv + ["--table"])
+            code_table, out_table, err_table = run_cli(argv)
             assert code_json == 0, (argv, err_json)
             assert code_table == 0, (argv, err_table)
             json_tokens = sorted(_collect_json_tokens(json.loads(out_json)))
@@ -798,7 +754,7 @@ class TestStreamedVerify:
 
     @staticmethod
     def _peak_bytes(n_from, n_to, fmt):
-        argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), fmt]
+        argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), *fmt]
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(_NullSink()):
@@ -811,7 +767,9 @@ class TestStreamedVerify:
     # the JSON rows), so each peak is what a few rows hold at once.  Cyclic
     # garbage would be freed in batches, at points that depend on the
     # collector's state when the run starts, and the peaks would vary.
-    @pytest.mark.parametrize("fmt, small", [("--json", 1000), ("--table", 100)])
+    @pytest.mark.parametrize(
+        "fmt, small", [(["--json"], 1000), ([], 100)], ids=["--json-1000", "table-100"]
+    )
     def test_memory_does_not_grow_with_the_range(self, fmt, small):
         small_peak = self._peak_bytes(-small, small, fmt)
         large_peak = self._peak_bytes(-10000, 10000, fmt)
@@ -885,6 +843,43 @@ def test_json_output_is_json_dumps_indent_2(command):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+JSON_ARGV = [[*command, *rest, "--json"] for command, rest in sorted(ONE_JSON_INVOCATION.items())]
+
+
+@pytest.mark.parametrize(
+    "argv", [*JSON_ARGV, ["prism", "verify", "--from", "-2", "--to", "2", "--json"]], ids=shlex.join
+)
+def test_every_parsed_argument_is_read(argv):
+    """A command accepts only options its handler reads: run on a namespace
+    that notes each attribute read, the handler reads every destination the
+    parser filled but the routing ones."""
+    args = build_parser(argv).parse_args(argv)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        args.func(Recording(**vars(args)))
+    assert set(vars(args)) - {"command", "subcommand", "func", "parser"} - read == set()
+
+
+@pytest.mark.parametrize("defect", [IndexError, ZeroDivisionError])
+def test_main_lets_a_defect_raise(defect, monkeypatch):
+    """``main`` refuses bad input with exit status 1; no command raises
+    these on any input, so one that does is a defect and is not turned into
+    a one-line refusal."""
+    def broken(args):
+        raise defect("defect")
+
+    commands = cli._COMMANDS["slopes"][1]
+    monkeypatch.setitem(commands, "delta", (broken, *commands["delta"][1:]))
+    with pytest.raises(defect):
+        main(["slopes", "delta", "1,0", "0,1"])
+
+
 def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
     """What ``parser`` makes of ``argv``: the namespace but its parser and
     handler, the leftovers and the chosen command's help; or the exit status
@@ -906,8 +901,8 @@ EQUIVALENCE_ARGV = [
         shlex.split(header.rsplit(" -> ", 1)[0])
         for header in re.findall(r"^### (.*)$", SURFACE.read_text(), flags=re.M)
     ),
-    *([*command, *rest, "--json"] for command, rest in sorted(ONE_JSON_INVOCATION.items())),
-    ["seifert", "h1", "--fixtures", "covers", "@m1_oo"],
+    *JSON_ARGV,
+    ["seifert", "h1", "covers"],
     ["braid", "ttk", "3", "2", "2", "1", "prism"],
     ["--json", "covers", "count", "@trefoil", "--degree", "3"],
     ["--", "covers", "count", "@trefoil", "--degree", "3"],

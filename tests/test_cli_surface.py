@@ -80,7 +80,6 @@ def pinned() -> dict[str, str]:
 @pytest.fixture(autouse=True)
 def fixed_width(monkeypatch):
     monkeypatch.setenv("COLUMNS", WIDTH)
-    monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
 
 
 def test_every_invocation_is_pinned():
@@ -115,5 +114,4 @@ def test_each_handler_runs_exactly_one_command():
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = WIDTH
-    os.environ.pop(cli.FORMAT_ENV_VAR, None)
     sys.stdout.write("".join("### {}\n{}".format(*block(argv)) for argv in INVOCATIONS))

@@ -24,6 +24,20 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_package_reads_no_environment_variable():
+    """Every setting of a command is an argument on its command line: no
+    module reads ``os.environ`` or ``os.getenv``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+    assert found == []
+
+
 def test_orbifolds_imports_nothing_from_seifert():
     """``seifert`` builds on ``orbifolds``; the reverse import would be a cycle."""
     tree = ast.parse((Path(prismvol.__file__).parent / "orbifolds.py").read_text())
