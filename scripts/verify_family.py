@@ -8,7 +8,7 @@ Example:
 import argparse
 import sys
 
-from prismvol import prism_rows, upper_bound_value
+from prismvol import prism_row_stream, upper_bound_value
 from prismvol.cli import integer_arg
 
 
@@ -26,7 +26,10 @@ def main(argv: list[str] | None = None) -> int:
 
     by_status: dict[str, list[int]] = {}
     candidate_lines = []
-    for row in prism_rows(args.n_from, args.n_to):
+    for row in prism_row_stream(args.n_from, args.n_to):
+        if type(row) is tuple:  # a conditional row given as its leaves, n first
+            by_status["conditional"].append(row[0])
+            continue
         by_status.setdefault(row["status"], []).append(row["n"])
         if row["status"] == "candidate-exceptional":
             degrees = sorted(

@@ -42,6 +42,7 @@ _PUBLIC = {
         "count_representations",
         "degree_bound_for_budget",
         "presentation_from_json",
+        "prism_row_stream",
         "prism_rows",
         "prism_verify",
         "upper_bound_value",
@@ -61,6 +62,7 @@ _PUBLIC = {
         "SurfaceData",
         "case_analysis_report",
         "chi_orb",
+        "disk_cases",
         "fiber_surface",
         "horizontal_degree_solutions",
         "nonorientable_base_solutions",

@@ -258,7 +258,7 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
     _emit(args, {"count": count}, [str(count)])
 
 
-def _indented(value: object, margin: str) -> str:
+def _indented(value: object, margin: str = "") -> str:
     """``json.dumps(value, indent=2)`` with each line after the first moved
     right by ``margin``; it writes every ``--json`` document.  The stdlib's
     indenting encoder leaves its closures in a reference cycle per call, which
@@ -285,39 +285,28 @@ def _indented(value: object, margin: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
 
 
-# The leaves of a "conditional" row that depend on n, in text order: n twice,
-# then mu and chi_orb of cases 3 and 5.  The rest is the same for all such
-# rows of one call, with every degree list empty: 3 mu/(mu - 1) is an integer
-# for no odd mu, and 6 mu/(mu - 2) only at the candidates mu = 3 and 5.
-_ROW_LEAVES = (
-    ("n",),
-    ("case_analysis", "n"),
-    ("case_analysis", "cases", 2, "orbifold", "cones", 2),
-    ("case_analysis", "cases", 2, "chi_orb"),
-    ("case_analysis", "cases", 4, "orbifold", "cones", 1),
-    ("case_analysis", "cases", 4, "chi_orb"),
-)
-
-
-def _prism_json(rows) -> Iterator[str]:
+def _prism_json(stream) -> Iterator[str]:
     """What ``print(json.dumps(report, indent=2))`` writes for the report
-    ``{"reports": rows, "candidate_exceptional": [...]}``, one row at a time;
-    the candidates are collected along the way.  The first "conditional" row,
-    fresh like every row, is also written with "\\0", which no row holds, put
-    in place at each ``_ROW_LEAVES`` leaf once its leaves are read; every
-    conditional row is that text with its own leaves in the gaps."""
+    ``{"reports": rows, "candidate_exceptional": [...]}``, one row of
+    ``covers.prism_row_stream`` at a time; the candidates are collected along
+    the way.  A "conditional" row made whole, the call's first, is the
+    template: it is written with "\\0", which no row holds, put in place at
+    each ``covers.ROW_LEAVES`` leaf once its leaves are read, and each row
+    given as its leaves is that text with them in the gaps."""
     candidates = []
-    gaps = None
     yield '{\n  "reports": ['
     separator, closing = "\n    ", "]"
-    for row in rows:
-        if row["status"] == "conditional":
-            leaves = [_indented(reduce(getitem, path, row), "") for path in _ROW_LEAVES]
-            if gaps is None:
-                for *path, key in _ROW_LEAVES:
-                    reduce(getitem, path, row)[key] = "\0"
-                gaps = _indented(row, "    ").split(_indented("\0", ""))
-            text = "".join(gap + leaf for gap, leaf in zip(gaps, leaves)) + gaps[-1]
+    for row in stream:
+        if type(row) is dict and row["status"] == "conditional":
+            template, row = row, tuple(reduce(getitem, path, row) for path in covers.ROW_LEAVES)
+            for *path, key in covers.ROW_LEAVES:
+                reduce(getitem, path, template)[key] = "\0"
+            gaps = _indented(template, "    ").split(_indented("\0"))
+            parts = [""] * (2 * len(gaps) - 1)
+            parts[::2] = gaps
+        if type(row) is tuple:
+            parts[1::2] = map(_indented, row)
+            text = "".join(parts)
         else:
             text = _indented(row, "    ")
             if row["status"] == "candidate-exceptional":
@@ -327,8 +316,10 @@ def _prism_json(rows) -> Iterator[str]:
     yield f'{closing},\n  "candidate_exceptional": {_indented(candidates, "  ")}\n}}\n'
 
 
-def _prism_table(rows) -> Iterator[str]:
-    """The table of audit rows, one line at a time."""
+def _prism_table(stream) -> Iterator[str]:
+    """The table of the rows of ``covers.prism_row_stream``, one line at a
+    time; a row given as its leaves is written as the line of the call's
+    first "conditional" row with its own n, the first leaf."""
     yield (
         f"upper bound {covers.UPPER_BOUND.label} = {covers.upper_bound_value():.12f}"
         " (degree-2 certificate)"
@@ -338,7 +329,10 @@ def _prism_table(rows) -> Iterator[str]:
         f"{'twist-knot excluded':<19}  max degree"
     )
     candidates = []
-    for row in rows:
+    for row in stream:
+        if type(row) is tuple:
+            yield f"{row[0]:>5}{conditional}"
+            continue
         if row["status"] == "excluded":
             yield f"{row['n']:>5}  {'excluded':<22}  {row['reason']}"
             continue
@@ -348,10 +342,13 @@ def _prism_table(rows) -> Iterator[str]:
             d for case in row["case_analysis"]["cases"] for d in case["degrees"]
         )
         excluded = "yes" if row["twist_knot_excluded"] else "NO"
-        yield (
-            f"{row['n']:>5}  {row['status']:<22}  {_degrees_str(degrees):<14}  "
+        line = (
+            f"  {row['status']:<22}  {_degrees_str(degrees):<14}  "
             f"{excluded:<19}  {row['max_degree']}"
         )
+        if row["status"] == "conditional":
+            conditional = line
+        yield f"{row['n']:>5}{line}"
     yield f"candidate exceptional: {_degrees_str(candidates)}"
 
 
@@ -360,11 +357,11 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
         )
-    rows = covers.prism_rows(args.n_from, args.n_to)
+    stream = covers.prism_row_stream(args.n_from, args.n_to)
     if args.json:
-        chunks = _prism_json(rows)
+        chunks = _prism_json(stream)
     else:
-        chunks = (line + "\n" for line in _prism_table(rows))
+        chunks = (line + "\n" for line in _prism_table(stream))
     for chunk in chunks:
         sys.stdout.write(chunk)
 

@@ -18,6 +18,10 @@ because conjugation permutes the homomorphisms.  Transitive counts are found
 by the same enumeration, tuple by tuple, and not from the plain counts by
 Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
 checks the two against each other.
+
+The audit's rows are in closed form in mu = |4n - 1|.  ``prism_rows`` makes
+each one whole; ``prism_row_stream``, which the command line writes, gives a
+conditional row after the call's first as its leaves at ``ROW_LEAVES`` alone.
 """
 
 from __future__ import annotations
@@ -321,6 +325,13 @@ def upper_bound_value() -> float:
     return _UPPER_BOUND_VALUE
 
 
+def _slope_demo_counts() -> list[int]:
+    return [
+        len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
+        for f, c in _SLOPE_DEMO_PAIRS
+    ]
+
+
 def _report_for(n: int, counts: list[int]) -> dict:
     """The audit row of parameter n, made of fresh dicts and lists; its case
     analysis is ``orbifolds.case_analysis_report(n)``, in closed form in
@@ -366,11 +377,48 @@ def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
     reported as "excluded".
     """
     require_int(n_from=n_from, n_to=n_to)
-    counts = [
-        len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
-        for f, c in _SLOPE_DEMO_PAIRS
-    ]
+    counts = _slope_demo_counts()
     return (_report_for(n, counts) for n in range(n_from, n_to + 1))
+
+
+# The leaves of a "conditional" row that depend on n, in text order: n twice,
+# then mu and chi_orb of cases 3 and 5.  Every other leaf is the same in all
+# such rows of one call: cases 1, 2 and 4 do not depend on n and have no
+# degree, and ``orbifolds.disk_cases`` finds none in cases 3 and 5.
+ROW_LEAVES = (
+    ("n",),
+    ("case_analysis", "n"),
+    ("case_analysis", "cases", 2, "orbifold", "cones", 2),
+    ("case_analysis", "cases", 2, "chi_orb"),
+    ("case_analysis", "cases", 4, "orbifold", "cones", 1),
+    ("case_analysis", "cases", 4, "chi_orb"),
+)
+
+
+def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict | tuple]:
+    """``prism_rows(n_from, n_to)`` with every "conditional" row after the
+    call's first given as its values at ``ROW_LEAVES`` alone, n first: that
+    row is the first conditional row with those leaves put in.  The other
+    rows, the first conditional one, the excluded n = 0 and the candidates
+    n = -1 and 1 of the divisor argument (mu - 2) | 12, are made whole, of
+    fresh dicts and lists.  As in ``prism_rows``, the slope demonstration runs
+    once, at the call."""
+    require_int(n_from=n_from, n_to=n_to)
+    counts = _slope_demo_counts()
+
+    def stream():
+        made = False  # whether the call's first conditional row is out
+        for n in range(n_from, n_to + 1):
+            if made and abs(4 * n - 1) >= 3:  # disk_cases refuses an excluded n
+                mu, chi_3, chi_5, found = orbifolds.disk_cases(n)
+                if found is None:
+                    yield n, n, mu, chi_3, mu, chi_5
+                    continue
+            row = _report_for(n, counts)
+            made = made or row["status"] == "conditional"
+            yield row
+
+    return stream()
 
 
 def prism_verify(n_from: int, n_to: int) -> dict:
@@ -385,8 +433,9 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     but not effective); parameters where the case analysis finds a candidate
     degree are "candidate-exceptional"; degenerate parameters are "excluded".
 
-    The rows come from ``prism_rows``, which the command line streams; this
-    function holds them all, so its memory grows with the range.
+    The rows come from ``prism_rows``.  This function holds them all, so its
+    memory grows with the range; the command line writes each row of
+    ``prism_row_stream`` as it comes instead.
     """
     reports = list(prism_rows(n_from, n_to))
     return {

@@ -14,6 +14,9 @@ the cone index, which forces two conditions on the covering degree d:
 ``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
+``case_analysis_report`` is its closed form in mu = |4n - 1|, as the audit
+embeds it, and ``disk_cases`` the two cases that depend on n: the audit reads
+those alone for a row that differs from its first conditional row only there.
 """
 
 from __future__ import annotations
@@ -331,13 +334,31 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     ]
 
 
-def _disk_case(case: int, cones: list[int], num: int, den: int) -> dict:
-    """``CaseResult.to_json`` of the disk with ``cones``; chi_orb = num/den in lowest terms."""
-    degrees, chi_only = _degree_solutions(_FIBER_EULER, num, den, cones)
+def disk_cases(n: int) -> tuple[int, str, str, tuple[list[int], ...] | None]:
+    """The two cases of ``prism_case_analysis(n)`` that depend on n, in closed
+    form in mu = |4n - 1|: case 3, the disk with cones {2, 2, mu}, and case 5,
+    the disk with cones {2, mu}.  Gives mu, the chi_orb text of cases 3 and 5,
+    and the degrees and chi-only degrees of case 3 and then of case 5, or None
+    where all four are empty.
+
+    mu is odd, so chi_orb (1 - mu)/mu and (2 - mu)/(2 mu) are in lowest terms.
+    All four lists are empty but at mu = 3 and 5: with chi(F) = -3, case 3
+    needs d = 3 mu/(mu - 1), an integer for no odd mu, and case 5 needs
+    d = 6 mu/(mu - 2), an integer only where (mu - 2) | 6."""
+    mu = _prism_mu(n)
+    found = (
+        *_degree_solutions(_FIBER_EULER, 1 - mu, mu, (2, 2, mu)),
+        *_degree_solutions(_FIBER_EULER, 2 - mu, 2 * mu, (2, mu)),
+    )
+    return mu, f"{1 - mu}/{mu}", f"{2 - mu}/{2 * mu}", found if any(found) else None
+
+
+def _disk_case(case: int, cones: list[int], chi: str, degrees, chi_only) -> dict:
+    """``CaseResult.to_json`` of the disk with ``cones``."""
     return {
         "case": case,
         "orbifold": {"orientable": True, "genus": 0, "boundary": 1, "cones": cones},
-        "chi_orb": f"{num}/{den}",
+        "chi_orb": chi,
         "degrees": degrees,
         "chi_only_degrees": chi_only,
     }
@@ -345,14 +366,15 @@ def _disk_case(case: int, cones: list[int], num: int, den: int) -> dict:
 
 def case_analysis_report(n: int) -> dict:
     """JSON-ready report of ``prism_case_analysis(n)`` in closed form in mu = |4n - 1|,
-    made of fresh dicts and lists, as the audit embeds one in every row: mu is
-    odd, so the disk cases' chi_orb (1 - mu)/mu and (2 - mu)/(2 mu) are in lowest terms."""
-    mu = _prism_mu(n)
+    made of fresh dicts and lists, as the audit embeds one in every row; its
+    disk cases are ``disk_cases(n)``."""
+    mu, chi_3, chi_5, found = disk_cases(n)
+    degrees_3, chi_only_3, degrees_5, chi_only_5 = found or ([], [], [], [])
     cases = [
         _CASE_1.to_json(),
         _CASE_2.to_json(),
-        _disk_case(3, [2, 2, mu], 1 - mu, mu),
+        _disk_case(3, [2, 2, mu], chi_3, degrees_3, chi_only_3),
         _CASE_4.to_json(),
-        _disk_case(5, [2, mu], 2 - mu, 2 * mu),
+        _disk_case(5, [2, mu], chi_5, degrees_5, chi_only_5),
     ]
     return {"n": n, "cases": cases, "admits_horizontal": any(c["degrees"] for c in cases)}

@@ -11,6 +11,7 @@ import re
 import shlex
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,12 @@ from hypothesis import strategies as st
 from prismvol import (
     link_from_json,
     normalize,
-    prism_rows,
+    prism_row_stream,
     prism_verify,
     symbol_from_json,
     word_from_json,
 )
-from prismvol import Orbifold2D, cli
+from prismvol import Orbifold2D, cli, orbifolds, slopes
 from prismvol.cli import build_parser, main
 from support import symbols_st
 
@@ -696,12 +697,12 @@ class TestStreamedVerify:
         ],
     )
     def test_written_rows_equal_the_whole_dump(self, n_from, n_to):
-        out = "".join(cli._prism_json(prism_rows(n_from, n_to)))
+        out = "".join(cli._prism_json(prism_row_stream(n_from, n_to)))
         assert out == json.dumps(prism_verify(n_from, n_to), indent=2) + "\n"
 
     def test_empty_range_json(self):
         # the command line refuses an empty range, so call the emitter
-        out = "".join(cli._prism_json(prism_rows(1, 0)))
+        out = "".join(cli._prism_json(prism_row_stream(1, 0)))
         assert out == json.dumps(prism_verify(1, 0), indent=2) + "\n"
         assert out == '{\n  "reports": [],\n  "candidate_exceptional": []\n}\n'
 
@@ -712,7 +713,7 @@ class TestStreamedVerify:
         lines = self.TABLE_MINUS_ONE_TO_ONE.splitlines()
         zero = "\n".join(lines[:2] + lines[3:4] + ["candidate exceptional: none", ""])
         assert run_cli(["prism", "verify", "--from", "0", "--to", "0"]) == (0, zero, "")
-        empty = list(cli._prism_table(prism_rows(1, 0)))
+        empty = list(cli._prism_table(prism_row_stream(1, 0)))
         assert empty == lines[:2] + ["candidate exceptional: none"]
 
     @pytest.mark.parametrize("n_from, n_to", sorted(TABLE_DIGESTS))
@@ -731,14 +732,14 @@ class TestStreamedVerify:
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.JSON_DIGESTS[n_from, n_to]
 
     def test_json_leaves_no_cyclic_garbage(self):
-        rows = list(prism_rows(-50, 50))
+        rows = list(prism_row_stream(-50, 50))
         gc.collect()
         for _ in cli._prism_json(iter(rows)):
             pass
         assert gc.collect() == 0
 
     def test_json_dumps_at_most_once_per_row(self, monkeypatch):
-        rows = list(prism_rows(-50, 50))
+        rows = list(prism_row_stream(-50, 50))
         expected = json.dumps(prism_verify(-50, 50), indent=2) + "\n"
         calls = []
         original = json.dumps
@@ -751,6 +752,24 @@ class TestStreamedVerify:
         assert "".join(cli._prism_json(iter(rows))) == expected
         assert len(calls) <= len(rows)
         assert all(type(value) is float for value in calls)
+
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
+    def test_rows_made_whole_at_most_three_times(self, monkeypatch, fmt):
+        """Of the 2 000 non-degenerate rows at +-1000, only the first
+        conditional one and the candidates n = -1 and 1 are made whole."""
+        calls = Counter()
+        targets = [(orbifolds, "case_analysis_report"), (slopes, "enumerate_constrained_slopes")]
+        for layer, name in targets:
+            def counting(*args, _original=getattr(layer, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(layer, name, counting)
+        argv = ["prism", "verify", "--from", "-1000", "--to", "1000", *fmt]
+        with contextlib.redirect_stdout(_NullSink()):
+            assert main(argv) == 0
+        assert calls["case_analysis_report"] <= 3
+        assert calls["enumerate_constrained_slopes"] == 2
 
     @staticmethod
     def _peak_bytes(n_from, n_to, fmt):

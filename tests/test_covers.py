@@ -1,9 +1,12 @@
+import copy
 import itertools
 import json
 import math
 import re
 from collections import Counter
+from functools import reduce
 from importlib import resources
+from operator import getitem
 
 import mpmath
 import pytest
@@ -25,11 +28,12 @@ from prismvol import (
     fiber_surface,
     presentation_from_json,
     prism_case_analysis,
+    prism_row_stream,
     prism_rows,
     prism_verify,
     upper_bound_value,
 )
-from prismvol.covers import UPPER_BOUND, _conjugacy_classes
+from prismvol.covers import ROW_LEAVES, UPPER_BOUND, _conjugacy_classes
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (
@@ -510,6 +514,52 @@ class TestClosedFormRows:
             if row["n"] != n:
                 assert row == audit_row_oracle(row["n"]), row["n"]
         assert list(prism_rows(-3, 3)) == [audit_row_oracle(m) for m in range(-3, 4)]
+
+
+def _filled(stream):
+    """The rows of ``prism_row_stream``, each tuple of leaves put into a copy
+    of the call's first conditional row at ``ROW_LEAVES``."""
+    template = None
+    for row in stream:
+        if type(row) is tuple:
+            leaves, row = row, copy.deepcopy(template)
+            for (*path, key), leaf in zip(ROW_LEAVES, leaves, strict=True):
+                reduce(getitem, path, row)[key] = leaf
+        elif template is None and row["status"] == "conditional":
+            template = copy.deepcopy(row)
+        yield row
+
+
+FAR = 10**12
+windows_st = st.one_of(
+    # windows that hold -1, 0 and 1
+    st.tuples(st.integers(-40, -1), st.integers(1, 40)),
+    # windows that start on a row that is not conditional
+    st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, 40)).map(lambda w: (w[0], w[0] + w[1])),
+    # single rows, anywhere
+    st.integers(-FAR, FAR).map(lambda n: (n, n)),
+    # empty windows
+    st.tuples(st.integers(-FAR, FAR), st.integers(1, 5)).map(lambda w: (w[0], w[0] - w[1])),
+    # anywhere
+    st.tuples(st.integers(-FAR, FAR - 40), st.integers(0, 40)).map(lambda w: (w[0], w[0] + w[1])),
+)
+
+
+class TestRowStream:
+    """``prism_row_stream`` makes whole only the call's first conditional row
+    and the rows that are not conditional, and gives every other row as its
+    leaves."""
+
+    @given(windows_st)
+    @settings(max_examples=200, deadline=None)
+    def test_filled_stream_is_prism_rows(self, window):
+        stream = list(prism_row_stream(*window))
+        filled, rows = list(_filled(stream)), list(prism_rows(*window))
+        # json.dumps also tells True from 1 and keeps the key order
+        assert filled == rows and json.dumps(filled) == json.dumps(rows)
+        whole = [row["n"] for row in stream if type(row) is dict]
+        conditional = [row["n"] for row in rows if row["status"] == "conditional"]
+        assert set(whole) <= {-1, 0, 1, *conditional[:1]}
 
 
 class TestDegreeOne:

@@ -12,12 +12,14 @@ from prismvol import (
     SurfaceData,
     case_analysis_report,
     chi_orb,
+    disk_cases,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
     orientation_double_cover,
     prism_case_analysis,
     riemann_hurwitz_cover,
 )
+from prismvol.exact import frac_str
 from prismvol.orbifolds import _degree_solutions
 from support import case_report_oracle
 
@@ -525,3 +527,34 @@ class TestCaseAnalysisReport:
         with pytest.raises(ValueError) as closed:
             case_analysis_report(n)
         assert str(closed.value) == str(general.value)
+        with pytest.raises(ValueError) as disks:
+            disk_cases(n)
+        assert str(disks.value) == str(general.value)
+
+    @pytest.mark.parametrize("n", [-(10**12), -1000, -2, -1, 1, 2, 1000, 10**12])
+    def test_cases_1_2_and_4_have_no_degree(self, n):
+        """The audit writes a row whose disk cases have no degree as a
+        "conditional" row; that holds only while the other three have none."""
+        cases = prism_case_analysis(n)
+        assert [cases[i].degrees for i in (0, 1, 3)] == [(), (), ()]
+
+    @staticmethod
+    def _assert_disk_cases_are_the_general_path(n):
+        mu, chi_3, chi_5, found = disk_cases(n)
+        three, five = prism_case_analysis(n)[2::2]
+        assert mu == abs(4 * n - 1) == three.orbifold.cones[-1] == five.orbifold.cones[-1]
+        assert (chi_3, chi_5) == (frac_str(three.chi_orb), frac_str(five.chi_orb))
+        lists = [list(three.degrees), list(three.chi_only_degrees)]
+        lists += [list(five.degrees), list(five.chi_only_degrees)]
+        assert found == (tuple(lists) if any(lists) else None), n
+
+    def test_disk_cases_for_every_small_parameter(self):
+        checked = [n for n in range(-1000, 1001) if abs(4 * n - 1) >= 3]
+        for n in checked:
+            self._assert_disk_cases_are_the_general_path(n)
+        assert [n for n in checked if disk_cases(n)[3] is not None] == [-1, 1]
+
+    @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
+    @settings(max_examples=200)
+    def test_disk_cases_for_large_parameters(self, n):
+        self._assert_disk_cases_are_the_general_path(n)

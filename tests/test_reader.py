@@ -15,12 +15,14 @@ from prismvol import (
     SurfaceData,
     case_analysis_report,
     count_representations,
+    disk_cases,
     enumerate_constrained_slopes,
     link_from_json,
     ln_link,
     presentation_from_json,
     prism_case_analysis,
     prism_fibrations,
+    prism_row_stream,
     prism_rows,
     prism_verify,
     riemann_hurwitz_cover,
@@ -262,6 +264,9 @@ class TestConstructors:
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 5, [(3, 2.0)]),
                 r"^local degrees must be positive integers, got \(3, 2\.0\)$",
             ),
+            (lambda: prism_row_stream(True, 2), "^n_from must be an integer"),
+            (lambda: prism_row_stream(1, 2.0), "^n_to must be an integer"),
+            (lambda: disk_cases(True), "^n must be an integer"),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):
