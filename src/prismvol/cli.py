@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterator
 from functools import reduce
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import getitem
-from pathlib import Path
 
 from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
@@ -85,14 +84,13 @@ def _load_input(text: str) -> object:
     raw = text
     if text.startswith("@"):
         ref = text[1:]
-        if Path(ref).is_file():
-            fixture = Path(ref)
-        else:
+        if not os.path.isfile(ref):
             name = ref if ref.endswith(".json") else f"{ref}.json"
-            fixture = resources.files("prismvol").joinpath("fixtures", name)
-            if not fixture.is_file():
+            ref = os.path.join(os.path.dirname(__file__), "fixtures", name)
+            if not os.path.isfile(ref):
                 raise ValueError(f"no packaged fixture named {name!r}")
-        raw = fixture.read_text()
+        with open(ref) as file:
+            raw = file.read()
     try:
         return loads(raw)
     except (ValueError, RecursionError) as err:
@@ -369,6 +367,7 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
 # Argument specs shared by several commands: a name or flag, and add_argument options
 _INT, _REQUIRED_INT = {"type": integer_arg}, {"type": integer_arg, "required": True}
 _SLOPE = {"help": "slope p,q"}
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON (default: a table)"})
 _BASE = [  # the base orbifold: --orientable --genus --boundary --cones
     ("--orientable", {"type": _parse_bool, "required": True}),
     ("--genus", _REQUIRED_INT), ("--boundary", _REQUIRED_INT),
@@ -379,7 +378,7 @@ _SYMBOL = ("symbol", {"help": _INLINE.format("symbol", '"class","genus","fibers"
 _WORD = ("word", {"help": _INLINE.format("braid word", '"strands","letters"')})
 
 # Every command: group -> (help, {command: (handler, help, arguments)}).  Each
-# command also takes the --json flag of build_parser.
+# command also takes _JSON, which build_parser adds first.
 _COMMANDS = {
     "seifert": ("Seifert symbol operations", {
         "normalize": (_cmd_seifert_normalize, "canonical form of a symbol", [_SYMBOL]),
@@ -453,9 +452,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     argparse enters a group only at its name, so every help, choice list and
     error reads the same.  ``build_parser(list(_COMMANDS))`` builds them all."""
     named = set(sys.argv[1:] if argv is None else argv)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON (default: a table)")
-
     parser = _Parser(
         prog="prismvol",
         description="Exact Seifert, Montesinos, orbifold, slope, braid, and "
@@ -467,8 +463,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         if group not in named:
             continue
         for name, (handler, text, arguments) in commands.items():
-            command = sub.add_parser(name, parents=[common], help=text)
-            for flag, options in arguments:
+            command = sub.add_parser(name, help=text)
+            for flag, options in [_JSON, *arguments]:
                 command.add_argument(flag, **options)
             command.set_defaults(func=handler, parser=command)
     return parser

@@ -4,6 +4,9 @@ Everything downstream (Euler numbers, orbifold Euler characteristics, degree
 equations, homology presentations) is decided by exact comparisons, so this
 module never touches floating point.  Rationals are stdlib
 ``fractions.Fraction`` values: always stored reduced, denominator positive.
+The module itself computes with integers only and imports ``fractions`` in
+``frac_str``, so a command that never renders a rational (``seifert h1``)
+never loads it.
 
 ``elementary_divisors`` gives the Smith normal form diagonal, computed modulo
 a determinant.  ``smith_normal_form`` adds the unimodular transforms; it is
@@ -13,7 +16,6 @@ kept as the transform oracle for the tests and is not exported.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .reader import Record, require_array, require_int
 
@@ -22,6 +24,8 @@ def frac_str(q: Fraction | int) -> str:
     """Render an exact ``int`` or ``Fraction`` as ``p/q`` with positive
     denominator (``0`` -> ``0/1``); anything else, a ``bool`` or ``float``
     included, is refused, not coerced."""
+    from fractions import Fraction
+
     if type(q) is not Fraction and type(q) is not int:
         raise ValueError(f"frac_str needs an int or a Fraction, got {type(q).__name__}")
     return f"{q.numerator}/{q.denominator}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import exact
 from .reader import Record, check, require_array, require_int
 
 
@@ -265,7 +264,7 @@ class CaseResult(Record):
         return {
             "case": self.case,
             "orbifold": self.orbifold.to_json(),
-            "chi_orb": exact.frac_str(self.chi_orb),
+            "chi_orb": f"{self.chi_orb.numerator}/{self.chi_orb.denominator}",
             "degrees": list(self.degrees),
             "chi_only_degrees": list(self.chi_only_degrees),
         }

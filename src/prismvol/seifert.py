@@ -15,6 +15,9 @@ Conventions fixed here:
   collected into a single trailing integer term (b, 1), exceptional pairs
   sorted by (alpha, beta).
 
+Only ``euler_number`` computes with rationals; it imports ``fractions``
+itself, so normalizing a symbol or computing its homology never loads it.
+
 ``prism_fibrations(n)`` returns the two fibrations carried by the prism
 manifold with parameter n (defined whenever |4n - 1| >= 3): one over a
 sphere with three exceptional fibers, one over a projective plane with a
@@ -24,7 +27,6 @@ single index-2 fiber.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import exact, orbifolds
 from .reader import Record, read, require_array, require_int
@@ -105,6 +107,8 @@ def normalize(s: SeifertSymbol) -> SeifertSymbol:
 
 def euler_number(s: SeifertSymbol) -> Fraction:
     """e = -sum(beta/alpha), exact."""
+    from fractions import Fraction
+
     return -sum((Fraction(beta, alpha) for beta, alpha in s.fibers), Fraction(0))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from . import exact
 from .reader import Record, require_int
 
 
@@ -46,12 +45,12 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
     """All slopes alpha with delta(f, alpha) == k1 and delta(c, alpha) <= k2.
 
     The two constraints pin alpha down to finitely many classes as soon as
-    f != c: extend f to a basis (f, e) of Z^2 by the extended Euclidean
-    algorithm, so that in the new coordinates f = (1, 0) and the first
-    constraint forces alpha' = (t, +-k1).  The second constraint then confines
-    t to an interval of length 2*k2 / |delta(f, c)|, so each sign contributes
-    at most 2*k2 + 1 candidates and the output has at most 2*(2*k2 + 1)
-    slopes (test_constraints_and_size_bound).
+    f != c: extend f to a basis (f, e) of Z^2 by inverting f.p modulo f.q,
+    so that in the new coordinates f = (1, 0) and the first constraint forces
+    alpha' = (t, +-k1).  The second constraint then confines t to an interval
+    of length 2*k2 / |delta(f, c)|, so each sign contributes at most 2*k2 + 1
+    candidates and the output has at most 2*(2*k2 + 1) slopes
+    (test_constraints_and_size_bound).
     """
     require_int(k1=k1, k2=k2)
     if k1 < 1:
@@ -64,9 +63,12 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
             "to an empty or infinite family"
         )
 
-    # unimodular M = [[f.p, r], [f.q, s]] with det 1 maps (1,0) to f
-    _, x, y = exact.extended_gcd(f.p, f.q)  # gcd 1: slopes are primitive
-    r, s = -y, x
+    # unimodular M = [[f.p, r], [f.q, s]] with det f.p*s - r*f.q = 1 maps (1,0) to f
+    if f.q:  # s inverts f.p mod f.q, as slopes are primitive
+        s = pow(f.p, -1, f.q)
+        r = (f.p * s - 1) // f.q
+    else:  # f = (1, 0)
+        r, s = 0, 1
     # c in the new basis: c' = M^-1 c = (s*c.p - r*c.q, -f.q*c.p + f.p*c.q)
     c1 = s * c.p - r * c.q
     c2 = -f.q * c.p + f.p * c.q  # +-delta(f, c), nonzero as f != c

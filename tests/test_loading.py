@@ -14,7 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # stdlib modules whose import a command may not need
-_STDLIB = ("copy", "dataclasses", "decimal", "fractions", "inspect")
+_STDLIB = (
+    "copy", "dataclasses", "decimal", "fractions", "importlib.resources", "inspect",
+    "pathlib", "tempfile", "zipfile",
+)
 
 # a layer still waiting for its first attribute access is of a ModuleType
 # subclass, and becomes a plain ModuleType when its code runs
@@ -28,10 +31,12 @@ _REPORT = (
 
 
 def _modules(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; the ``prismvol`` modules it left."""
+    """Run ``code`` in a fresh interpreter; the ``prismvol`` modules it left.
+    ``-S`` skips ``site``, so a ``.pth`` file's imports cannot hide the
+    command's own."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
     proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
+        [sys.executable, "-S", "-c", code + _REPORT],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -58,7 +63,7 @@ COMMANDS = [
     ),
     (
         ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
-        ["covers", "exact", "orbifolds", "reader", "slopes"],
+        ["covers", "orbifolds", "reader", "slopes"],
     ),
     (["seifert", "normalize", "@m1_oo"], ["reader", "seifert"]),
     (["seifert", "euler", "@m1_on"], ["exact", "reader", "seifert"]),
@@ -77,7 +82,7 @@ COMMANDS = [
      ["montesinos", "reader", "seifert"]),
     (["montesinos", "ln", "-3"], ["montesinos", "reader", "seifert"]),
     (["slopes", "delta", "-2,1", "1,0"], ["reader", "slopes"]),
-    (["slopes", "enumerate", "1,0", "0,1"], ["exact", "reader", "slopes"]),
+    (["slopes", "enumerate", "1,0", "0,1"], ["reader", "slopes"]),
     (["braid", "components", '{"strands": 3, "letters": [1, -2]}'], ["braids", "reader"]),
     (["braid", "chi", '{"strands": 3, "letters": [1, 2, 1]}'], ["braids", "reader"]),
 ]
@@ -114,10 +119,36 @@ def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
 
 
 def test_covers_count_imports_no_probed_stdlib_module():
-    """``fractions``, which imports ``decimal``, comes with the layers that
-    compute with rationals (``exact``, ``seifert``, ``orbifolds``); the
-    representation count uses none of them."""
+    """``fractions``, which imports ``decimal``, comes with the code that
+    computes with rationals (``orbifolds``, ``seifert.euler_number``); the
+    representation count uses none of it."""
     assert _run(["covers", "count", "@trefoil", "--degree", "3"])["stdlib"] == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_a_command_imports_no_resource_loader(argv):
+    """Fixtures are found next to ``cli.py`` with ``os.path``:
+    ``importlib.resources`` would bring ``pathlib``, ``tempfile`` and
+    ``zipfile`` into every cold start."""
+    assert {"importlib.resources", "pathlib", "tempfile", "zipfile"}.isdisjoint(
+        _run(argv)["stdlib"]
+    )
+
+
+# the commands that compute with rationals; ``fractions`` imports ``decimal``
+RATIONAL = {
+    "seifert euler", "seifert base", "orbifold chi", "orbifold cover", "orbifold solve",
+    "prism verify",
+}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_only_a_command_with_rationals_imports_fractions(argv):
+    """``orbifolds`` builds ``Fraction``s at load and ``seifert.euler_number``
+    builds one; ``exact`` and the rest of ``seifert`` compute with integers, so
+    ``seifert h1`` and ``slopes enumerate`` load neither module."""
+    loaded = {"decimal", "fractions"} & set(_run(argv)["stdlib"])
+    assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())
 
 
 def test_import_cli_registers_every_traced_layer():

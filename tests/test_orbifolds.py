@@ -436,6 +436,13 @@ class TestPrismCaseAnalysis:
                     self.fiber, r.orbifold, require_cone_divisibility=False
                 ), n
 
+    def test_case_json_writes_chi_as_frac_str(self):
+        """``CaseResult.to_json`` writes ``chi_orb`` from its numerator and
+        denominator, as ``frac_str`` does, zero included."""
+        for n in (-3, -2, -1, 1, 2, 3):
+            for r in prism_case_analysis(n):
+                assert r.to_json()["chi_orb"] == frac_str(r.chi_orb), (n, r.case)
+
     def test_chi_values_first_parameter(self):
         results = prism_case_analysis(1)
         assert [r.chi_orb for r in results] == [

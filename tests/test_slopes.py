@@ -114,6 +114,19 @@ class TestEnumerateConstrainedSlopes:
         assert Slope(14, 3) not in narrow
         assert found == enumerate_slopes_oracle(f, c, 1, 2)
 
+    @pytest.mark.parametrize(
+        "f", [Slope(1, 0), Slope(0, 1), Slope(4, 1), Slope(-3, 1), Slope(-1, 2), Slope(-5, 3)]
+    )
+    def test_basis_from_a_modular_inverse_matches_the_oracle(self, f):
+        """The basis (f, e) takes e from ``pow(f.p, -1, f.q)``: f = (1, 0) has no
+        inverse to take, f = (p, 1) takes one modulo 1, and p may be negative."""
+        constraints = [Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(-2, 1), Slope(-7, 5)]
+        for c in constraints:
+            for k1, k2 in ((1, 2), (2, 3), (3, 0)):
+                if c != f:
+                    found = enumerate_constrained_slopes(f, c, k1, k2)
+                    assert found == enumerate_slopes_oracle(f, c, k1, k2), (c, k1, k2)
+
     @given(slope_pairs_st(5), slope_pairs_st(5))
     @settings(max_examples=80, deadline=None)
     def test_matches_window_oracle(self, f, c):
