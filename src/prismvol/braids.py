@@ -9,7 +9,7 @@ its inverse.  The twisted torus braid T(p, q; r, s) is the torus braid
 
 from __future__ import annotations
 
-from .reader import Record, read, require_array, require_int
+from .reader import Record, check, read, require_int
 
 
 class BraidWord(Record):
@@ -20,10 +20,8 @@ class BraidWord(Record):
         require_int(strands=self.strands)
         if self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
-        letters = require_array(self.letters, "letters")
+        letters = check(self.letters, [int], "letters")
         for letter in letters:
-            if type(letter) is not int:
-                raise ValueError(f"letters: {letter!r} must be an integer")
             if letter == 0 or abs(letter) >= self.strands:
                 raise ValueError(
                     f"letter {letter} is not a generator index for {self.strands} strands"

@@ -302,7 +302,7 @@ def _prism_json(stream) -> Iterator[str]:
             gaps = _indented(template, "    ").split(_indented("\0"))
             parts = [""] * (2 * len(gaps) - 1)
             parts[::2] = gaps
-        if type(row) is tuple:
+        if type(row) is not dict:
             parts[1::2] = map(_indented, row)
             text = "".join(parts)
         else:
@@ -328,7 +328,7 @@ def _prism_table(stream) -> Iterator[str]:
     )
     candidates = []
     for row in stream:
-        if type(row) is tuple:
+        if type(row) is not dict:
             yield f"{row[0]:>5}{conditional}"
             continue
         if row["status"] == "excluded":

@@ -31,7 +31,7 @@ import math
 from collections.abc import Iterator
 
 from . import orbifolds, slopes
-from .reader import Record, check, read, require_array, require_int
+from .reader import Record, check, read, require_int
 
 MAX_ENUMERATION = 10**8
 
@@ -51,14 +51,9 @@ class GroupPresentation(Record):
         require_int(generators=self.generators)
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
-        relators = tuple(
-            require_array(word, f"relators[{i}]")
-            for i, word in enumerate(require_array(self.relators, "relators"))
-        )
+        relators = check(self.relators, [[int]], "relators")
         for word in relators:
             for letter in word:
-                if type(letter) is not int:
-                    raise ValueError(f"relators: letter {letter!r} must be an integer")
                 if letter == 0 or abs(letter) > self.generators:
                     raise ValueError(
                         f"relator letter {letter} is out of range for "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .reader import Record, require_array, require_int
+from .reader import Record, check, require_int
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -57,17 +57,15 @@ class IntMatrix(Record):
         require_int(rows=self.rows, cols=self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        entries = require_array(self.entries, "entries")
+        entries = check(self.entries, [int], "entries")
         if len(entries) != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(entries)}")
-        if not all(type(e) is int for e in entries):
-            raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
         """Rows are lists or tuples: a dict or a generator is refused, not iterated."""
-        rows = [require_array(r, f"rows[{i}]") for i, r in enumerate(require_array(rows, "rows"))]
+        rows = check(rows, [[int]], "rows")
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])

@@ -21,10 +21,10 @@ those alone for a row that differs from its first conditional row only there.
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
-from .reader import Record, check, require_array, require_int
+from .reader import Record, check, require_int
 
 
 class InfiniteSolutionsError(ValueError):
@@ -33,8 +33,7 @@ class InfiniteSolutionsError(ValueError):
 
 def _check_surface_fields(x: SurfaceData | Orbifold2D, what: str) -> None:
     # exact types, not coercion: True is not a genus and 2.5 is not a count
-    if type(x.orientable) is not bool:
-        raise ValueError(f"orientable must be a bool, got {x.orientable!r}")
+    check(x.orientable, bool, "orientable")
     require_int(genus=x.genus, boundary=x.boundary)
     if x.genus < 0 or x.boundary < 0:
         raise ValueError("genus and boundary count must be non-negative")
@@ -84,8 +83,8 @@ class Orbifold2D(Record):
 
     def __post_init__(self) -> None:
         _check_surface_fields(self, "base")
-        cones = require_array(self.cones, "cones")
-        if any(type(c) is not int or c < 2 for c in cones):
+        cones = check(self.cones, [int], "cones")
+        if any(c < 2 for c in cones):
             raise ValueError("cones: cone indices must be integers >= 2")
         object.__setattr__(self, "cones", tuple(sorted(cones)))
 
@@ -104,6 +103,8 @@ def chi_orb(b: Orbifold2D) -> Fraction:
     """Orbifold Euler characteristic, exact: one ``Fraction`` over the least
     common multiple L of the cone indices, since chi(underlying) - k + sum 1/i
     over k cones is ((chi(underlying) - k) * L + sum L // i) / L."""
+    from fractions import Fraction
+
     lcm = math.lcm(*b.cones)
     excess = sum(lcm // index for index in b.cones)
     return Fraction((b.underlying_euler - len(b.cones)) * lcm + excess, lcm)
@@ -131,13 +132,9 @@ def riemann_hurwitz_cover(
     require_int(degree=degree)
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    # unsorted until the types are checked: sorting would compare a str with an int
-    branch = [
-        require_array(point, f"branch_local_degrees[{i}]")
-        for i, point in enumerate(require_array(branch_local_degrees, "branch_local_degrees"))
-    ]
+    branch = check(branch_local_degrees, [[int]], "branch_local_degrees")
     for point in branch:
-        if any(type(local) is not int or local < 1 for local in point):
+        if any(local < 1 for local in point):
             raise ValueError(f"local degrees must be positive integers, got {point}")
         if sum(point) != degree:
             raise ValueError(
@@ -284,12 +281,16 @@ def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
     )
 
 
-# chi(F) of the family's fiber; the bases of cases 1, 2 and 4 do not depend
-# on n, so neither do their results
+# chi(F) of the family's fiber
 _FIBER_EULER = fiber_surface().euler
-_CASE_1 = _solve_case(1, Orbifold2D(False, 1, 1, ()), _FIBER_EULER)
-_CASE_2 = _solve_case(2, Orbifold2D(False, 1, 1, (2,)), _FIBER_EULER)
-_CASE_4 = _solve_case(4, Orbifold2D(True, 0, 1, (2, 2)), _FIBER_EULER)
+
+
+@functools.cache
+def _fixed_case(case: int) -> CaseResult:
+    """Case 1, 2 or 4, whose base does not depend on n, nor its result: solved
+    on first use, so that loading the module builds no ``Fraction``."""
+    bases = {1: (False, 1, 1, ()), 2: (False, 1, 1, (2,)), 4: (True, 0, 1, (2, 2))}
+    return _solve_case(case, Orbifold2D(*bases[case]), _FIBER_EULER)
 
 
 def _prism_mu(n: int) -> int:
@@ -319,16 +320,16 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    The general path: cases 1, 2 and 4 were solved at load, 3 and 5 are solved
-    per call by ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.
+    The general path: cases 1, 2 and 4 are solved on their first use, 3 and 5
+    per call, by ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.
     The audit embeds the closed form ``case_analysis_report``, tested against it.
     """
     mu = _prism_mu(n)
     return [
-        _CASE_1,
-        _CASE_2,
+        _fixed_case(1),
+        _fixed_case(2),
         _solve_case(3, Orbifold2D(True, 0, 1, (2, 2, mu)), _FIBER_EULER),
-        _CASE_4,
+        _fixed_case(4),
         _solve_case(5, Orbifold2D(True, 0, 1, (2, mu)), _FIBER_EULER),
     ]
 
@@ -370,10 +371,10 @@ def case_analysis_report(n: int) -> dict:
     mu, chi_3, chi_5, found = disk_cases(n)
     degrees_3, chi_only_3, degrees_5, chi_only_5 = found or ([], [], [], [])
     cases = [
-        _CASE_1.to_json(),
-        _CASE_2.to_json(),
+        _fixed_case(1).to_json(),
+        _fixed_case(2).to_json(),
         _disk_case(3, [2, 2, mu], chi_3, degrees_3, chi_only_3),
-        _CASE_4.to_json(),
+        _fixed_case(4).to_json(),
         _disk_case(5, [2, mu], chi_5, degrees_5, chi_only_5),
     ]
     return {"n": n, "cases": cases, "admits_horizontal": any(c["degrees"] for c in cases)}

@@ -1,7 +1,9 @@
-"""The one strict reader of JSON input.  A kind is ``int``, ``bool`` or ``str``
-by exact type (``true`` is not an integer), ``[kind]`` for an array of that kind,
-or a tuple of kinds for an array of exactly that length.  Nothing is coerced: a
-refusal names the field path, e.g. ``symbol: fibers[1][0] must be an integer``.
+"""The one strict reader of input.  A kind is ``int``, ``bool`` or ``str`` by
+exact type (``true`` is not an integer), ``[kind]`` for an array of that kind,
+or a tuple of kinds for an array of exactly that length; an array is a list or
+a tuple.  Nothing is coerced: a refusal names the field path, e.g.
+``symbol: fibers[1][0] must be an integer``.  ``check`` serves both paths:
+JSON fields through ``read``, and the array arguments of the constructors.
 An object must have exactly the fields asked for: none is optional.
 
 ``Record`` is the base of the package's immutable value types.  It lives here
@@ -10,21 +12,23 @@ no source, so it needs neither ``inspect`` nor its imports.
 """
 
 import json
-from operator import attrgetter
+from operator import attrgetter, is_
 
 _NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def check(value: object, kind, path: str):
-    """``value`` if it has the shape ``kind``, with arrays as tuples."""
-    if type(kind) is list:
-        if type(value) is not list:
-            raise ValueError(f"{path} must be an array")
-        return tuple(check(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value))
-    if type(kind) is tuple:
-        if type(value) is not list or len(value) != len(kind):
+    """``value`` if it has the shape ``kind``, with arrays as tuples.  The
+    elements' paths are built only for an array of arrays or a refusal."""
+    if type(kind) is list or type(kind) is tuple:
+        if type(value) is not list and type(value) is not tuple:
+            raise ValueError(f"{path} must be a list or a tuple, got {value!r}")
+        kinds = kind * len(value) if type(kind) is list else kind
+        if len(kinds) != len(value):
             raise ValueError(f"{path} must be an array of {len(kind)} elements")
-        return tuple(check(v, kind[i], f"{path}[{i}]") for i, v in enumerate(value))
+        if all(map(is_, map(type, value), kinds)):
+            return tuple(value)
+        return tuple(check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
     if type(value) is not kind:
         raise ValueError(f"{path} must be {_NAMES[kind]}")
     return value
@@ -35,14 +39,6 @@ def require_int(**values: object) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def require_array(value: object, name: str) -> tuple:
-    """``value`` as a tuple if it is a list or a tuple; anything else (a dict,
-    a generator, a number) is refused, naming ``name``, not coerced."""
-    if type(value) is not tuple and type(value) is not list:
-        raise ValueError(f"{name} must be a list or a tuple, got {value!r}")
-    return tuple(value)
 
 
 def read(data: object, what: str, fields: dict) -> tuple:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import exact, orbifolds
-from .reader import Record, read, require_array, require_int
+from .reader import Record, check, read, require_int
 
 OO = "Oo"
 ON = "On"
@@ -40,16 +40,10 @@ class UnsupportedBaseClass(ValueError):
 
 
 def check_pairs(pairs, field: str, item: str) -> tuple[tuple[int, int], ...]:
-    """``pairs``, a list or tuple of (beta, alpha) lists or tuples, as a tuple
-    of tuples of two exact ints with alpha >= 1 and gcd(beta, alpha) = 1; a
-    refusal names ``field`` or ``item``."""
-    checked = tuple(tuple(p) if type(p) is list else p for p in require_array(pairs, field))
-    for pair in checked:
-        if type(pair) is not tuple or len(pair) != 2 or (
-            type(pair[0]) is not int or type(pair[1]) is not int
-        ):
-            raise ValueError(f"{field}: pair {pair!r} must be two integers")
-        beta, alpha = pair
+    """``pairs`` checked as ``[(int, int)]``, with alpha >= 1 and
+    gcd(beta, alpha) = 1; a refusal names ``field`` or ``item``."""
+    checked = check(pairs, [(int, int)], field)
+    for beta, alpha in checked:
         if alpha < 1:
             raise ValueError(f"{item} ({beta}, {alpha}): alpha must be >= 1")
         if math.gcd(beta, alpha) != 1:
@@ -133,7 +127,7 @@ def remove_fiber(s: SeifertSymbol, which: int | str) -> orbifolds.Orbifold2D:
     closed = base_orbifold(s)
     cones = list(closed.cones)
     if which != "regular":
-        if not isinstance(which, int):
+        if type(which) is not int:
             raise ValueError("which must be 'regular' or a fiber index")
         if not 0 <= which < len(s.fibers):
             raise IndexError(f"fiber index {which} out of range")

@@ -120,8 +120,8 @@ def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
 
 def test_covers_count_imports_no_probed_stdlib_module():
     """``fractions``, which imports ``decimal``, comes with the code that
-    computes with rationals (``orbifolds``, ``seifert.euler_number``); the
-    representation count uses none of it."""
+    computes with rationals (``orbifolds.chi_orb``, ``seifert.euler_number``);
+    the representation count uses none of it."""
     assert _run(["covers", "count", "@trefoil", "--degree", "3"])["stdlib"] == []
 
 
@@ -136,17 +136,15 @@ def test_a_command_imports_no_resource_loader(argv):
 
 
 # the commands that compute with rationals; ``fractions`` imports ``decimal``
-RATIONAL = {
-    "seifert euler", "seifert base", "orbifold chi", "orbifold cover", "orbifold solve",
-    "prism verify",
-}
+RATIONAL = {"seifert euler", "orbifold chi", "orbifold solve", "prism verify"}
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_only_a_command_with_rationals_imports_fractions(argv):
-    """``orbifolds`` builds ``Fraction``s at load and ``seifert.euler_number``
-    builds one; ``exact`` and the rest of ``seifert`` compute with integers, so
-    ``seifert h1`` and ``slopes enumerate`` load neither module."""
+    """``orbifolds.chi_orb``, ``exact.frac_str`` and ``seifert.euler_number``
+    import ``fractions`` in their bodies, and ``orbifolds`` solves its fixed
+    cases on first use; the rest computes with integers, so ``seifert h1``,
+    ``seifert base`` and ``orbifold cover`` load neither module."""
     loaded = {"decimal", "fractions"} & set(_run(argv)["stdlib"])
     assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())
 

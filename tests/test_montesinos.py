@@ -66,9 +66,9 @@ class TestMontesinosLink:
     @pytest.mark.parametrize(
         "tangles, message",
         [
-            (((1, 2.0),), "tangles: pair (1, 2.0) must be two integers"),
-            (((1, 2), (True, 3)), "tangles: pair (True, 3) must be two integers"),
-            (([None, 3],), "tangles: pair (None, 3) must be two integers"),
+            (((1, 2.0),), "tangles[0][1] must be an integer"),
+            (((1, 2), (True, 3)), "tangles[1][0] must be an integer"),
+            (([None, 3],), "tangles[0][0] must be an integer"),
             (((1, -2),), "tangle (1, -2): alpha must be >= 1"),
             (((5, 0),), "tangle (5, 0): alpha must be >= 1"),
             (((1, 2), (2, 4)), "tangle (2, 4) is not reduced"),

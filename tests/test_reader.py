@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismvol import (
     BraidWord,
@@ -31,7 +32,8 @@ from prismvol import (
     word_from_json,
 )
 from prismvol.reader import check, loads, read
-from support import presentations_st, symbols_st
+from prismvol.seifert import remove_fiber
+from support import fiber_pairs_st, presentations_st, symbols_st
 
 SYMBOL = {"class": "Oo", "genus": 0, "fibers": [[1, 2], [-1, 2], [-2, 3]]}
 
@@ -58,6 +60,24 @@ class TestCheck:
     def test_path_names_the_element(self):
         with pytest.raises(ValueError, match=r"^p\[0\]\[2\] must be an integer$"):
             check([[1, 2, True]], [[int]], "p")
+
+    def test_tuple_is_accepted(self):
+        assert check((1, 2), [int], "p") == (1, 2)
+        assert check((1, 2), (int, int), "p") == (1, 2)
+
+    def test_list_and_tuple_nesting_mix(self):
+        assert check([(1, 2), [3, 4]], [(int, int)], "p") == ((1, 2), (3, 4))
+        assert check(([1], (2, 3)), [[int]], "p") == ((1,), (2, 3))
+
+    def test_dict_is_refused(self):
+        with pytest.raises(ValueError, match=r"^p\[0\] must be a list or a tuple, got \{1: 2\}$"):
+            check([{1: 2}], [(int, int)], "p")
+
+    def test_generator_is_refused_not_drained(self):
+        letters = (letter for letter in (1, 2))
+        with pytest.raises(ValueError, match="^p must be a list or a tuple, got <generator"):
+            check(letters, [int], "p")
+        assert list(letters) == [1, 2]
 
 
 class TestRead:
@@ -114,7 +134,7 @@ class TestParsers:
             symbol_from_json(loads('{"class": "Oo", "genus": 0, "genus": 1, "fibers": []}'))
 
     def test_orbifold_orientable_string_refused(self):
-        with pytest.raises(ValueError, match="^orientable must be a bool, got 'false'$"):
+        with pytest.raises(ValueError, match="^orientable must be a boolean$"):
             Orbifold2D("false", 1, 1)
 
     def test_presentation_boolean_generators_refused(self):
@@ -141,6 +161,100 @@ class TestRoundTrips:
         assert presentation_from_json(loads(json.dumps(pres.to_json()))) == pres
 
 
+def _locations(array: list, path: tuple = ()):
+    """(path, value) of a JSON array, of each array in it and of each leaf."""
+    yield path, array
+    for i, value in enumerate(array):
+        if type(value) is list:
+            yield from _locations(value, (*path, i))
+        else:
+            yield (*path, i), value
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if type(value) is list else value
+
+
+_WORDS_ST = st.integers(2, 5).flatmap(
+    lambda n: st.builds(
+        lambda letters: BraidWord(n, tuple(letters)),
+        st.lists(st.sampled_from([i for i in range(1 - n, n) if i]), max_size=6),
+    )
+)
+_LINKS_ST = st.builds(
+    lambda genus, tangles: MontesinosLink(genus, tuple(tangles)),
+    st.integers(0, 2),
+    st.lists(fiber_pairs_st(), min_size=1, max_size=4),
+)
+# what, its reader, its constructor on the fields, its array field, whether
+# that field holds pairs, and valid records
+_RECORDS = {
+    "symbol": (
+        symbol_from_json,
+        lambda d: SeifertSymbol(d["class"], d["genus"], d["fibers"]),
+        "fibers",
+        True,
+        symbols_st(),
+    ),
+    "montesinos link": (
+        link_from_json,
+        lambda d: MontesinosLink(d["genus"], d["tangles"]),
+        "tangles",
+        True,
+        _LINKS_ST,
+    ),
+    "braid word": (
+        word_from_json,
+        lambda d: BraidWord(d["strands"], d["letters"]),
+        "letters",
+        False,
+        _WORDS_ST,
+    ),
+    "presentation": (
+        presentation_from_json,
+        lambda d: GroupPresentation(d["generators"], d["relators"]),
+        "relators",
+        False,
+        presentations_st().map(lambda data: GroupPresentation(*data)),
+    ),
+}
+
+
+class TestOneRule:
+    """JSON input and the constructors refuse the same arrays through
+    ``reader.check``, naming the same element path."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_json_refuses_what_the_constructor_refuses(self, data):
+        what = data.draw(st.sampled_from(sorted(_RECORDS)))
+        from_json, build, field, pairs, records = _RECORDS[what]
+        obj = data.draw(records).to_json()
+        # the constructor takes tuples as well as lists
+        as_tuples = data.draw(st.booleans())
+        fields = (lambda d: {**d, field: _tuples(d[field])}) if as_tuples else (lambda d: d)
+        assert from_json(obj) == build(fields(obj))
+
+        path, value = data.draw(st.sampled_from(list(_locations(obj[field]))))
+        if type(value) is not list:
+            bad = [True, 2.0, "2", None]
+        elif pairs and len(path) == 1:
+            bad = [5, "2", None, {}, [], [1], [1, 2, 3]]
+        else:
+            bad = [5, "2", None, {}]
+        broken = json.loads(json.dumps(obj))
+        parent, key = broken, field
+        for i in path:
+            parent, key = parent[key], i
+        parent[key] = data.draw(st.sampled_from(bad))
+        with pytest.raises(ValueError) as json_refusal:
+            from_json(broken)
+        with pytest.raises(ValueError) as refusal:
+            build(fields(broken))
+        assert str(json_refusal.value) == f"{what}: {refusal.value}"
+        assert str(refusal.value).startswith(field + "".join(f"[{i}]" for i in path) + " ")
+
+
 class TestConstructors:
     """The Python API holds the reader's rule: exact types, nothing coerced."""
 
@@ -151,14 +265,14 @@ class TestConstructors:
             (lambda: SeifertSymbol("Oo", 0, ((1, True),)), "fibers"),
             (
                 lambda: SeifertSymbol("Oo", 0, ((1, 2, 3),)),
-                r"^fibers: pair \(1, 2, 3\) must be two integers$",
+                r"^fibers\[0\] must be an array of 2 elements$",
             ),
             (lambda: SeifertSymbol("Oo", "0", ()), "genus"),
             (lambda: SeifertSymbol("Oo", 0.0, ()), "genus"),
             (lambda: MontesinosLink(0, ((1, 2.0),)), "tangles"),
             (
                 lambda: MontesinosLink(0, ((1,),)),
-                r"^tangles: pair \(1,\) must be two integers$",
+                r"^tangles\[0\] must be an array of 2 elements$",
             ),
             (lambda: MontesinosLink(False, ((1, 2),)), "genus"),
             (lambda: BraidWord(3, (1.9, True)), "letters"),
@@ -191,7 +305,7 @@ class TestConstructors:
             ),
             (
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), 2, [(2.0,)]),
-                "local degrees",
+                r"^branch_local_degrees\[0\]\[0\] must be an integer$",
             ),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), True, 2.0), "k1"),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2), "k1"),
@@ -213,7 +327,10 @@ class TestConstructors:
             (lambda: prism_verify(1.0, 2), "^n_from must be an integer"),
             (lambda: prism_verify(1, False), "^n_to must be an integer"),
             # arrays are lists or tuples; nothing else is iterated into one
-            (lambda: SeifertSymbol("Oo", 0, (5,)), "^fibers: pair 5 must be two integers$"),
+            (
+                lambda: SeifertSymbol("Oo", 0, (5,)),
+                r"^fibers\[0\] must be a list or a tuple, got 5$",
+            ),
             (lambda: SeifertSymbol("Oo", 0, 5), "^fibers must be a list or a tuple, got 5$"),
             (lambda: MontesinosLink(0, 5), "^tangles must be a list or a tuple, got 5$"),
             (lambda: Orbifold2D(True, 0, 1, 5), "^cones must be a list or a tuple, got 5$"),
@@ -258,15 +375,19 @@ class TestConstructors:
             # types are checked before the local degrees are sorted
             (
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, [(1, "a")]),
-                r"^local degrees must be positive integers, got \(1, 'a'\)$",
+                r"^branch_local_degrees\[0\]\[1\] must be an integer$",
             ),
             (
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 5, [(3, 2.0)]),
-                r"^local degrees must be positive integers, got \(3, 2\.0\)$",
+                r"^branch_local_degrees\[0\]\[1\] must be an integer$",
             ),
             (lambda: prism_row_stream(True, 2), "^n_from must be an integer"),
             (lambda: prism_row_stream(1, 2.0), "^n_to must be an integer"),
             (lambda: disk_cases(True), "^n must be an integer"),
+            (
+                lambda: remove_fiber(SeifertSymbol("Oo", 0, ((1, 2),)), True),
+                "^which must be 'regular' or a fiber index$",
+            ),
         ],
     )
     def test_wrong_type_is_refused(self, build, field):

@@ -58,9 +58,9 @@ class TestSymbolValidation:
     @pytest.mark.parametrize(
         "fibers, message",
         [
-            (((1.5, 2),), "fibers: pair (1.5, 2) must be two integers"),
-            (((1, 2), (1, True)), "fibers: pair (1, True) must be two integers"),
-            (([1, "3"],), "fibers: pair (1, '3') must be two integers"),
+            (((1.5, 2),), "fibers[0][0] must be an integer"),
+            (((1, 2), (1, True)), "fibers[1][1] must be an integer"),
+            (([1, "3"],), "fibers[0][1] must be an integer"),
             (((1, 0),), "fiber pair (1, 0): alpha must be >= 1"),
             (((3, -2),), "fiber pair (3, -2): alpha must be >= 1"),
             (((1, 2), (2, 4)), "fiber pair (2, 4) is not reduced"),

@@ -122,8 +122,8 @@ def test_removed_helpers_are_gone(layer, name):
 
 def test_no_constructor_coerces_a_field_to_a_tuple():
     """``tuple(self.<field>)`` iterates a dict's keys or drains a generator;
-    constructors read array fields with ``reader.require_array``, which
-    refuses anything but a list or a tuple."""
+    constructors read array fields with ``reader.check``, which refuses
+    anything but a list or a tuple."""
     found = [
         f"{name}:{node.lineno}"
         for name, node in _package_nodes()
@@ -134,6 +134,39 @@ def test_no_constructor_coerces_a_field_to_a_tuple():
         and isinstance(node.args[0], ast.Attribute)
         and isinstance(node.args[0].value, ast.Name)
         and node.args[0].value.id == "self"
+    ]
+    assert found == []
+
+
+def test_only_the_reader_tests_for_an_array_type():
+    """``reader.check`` is the one rule for arrays: no other module compares
+    ``type(...)`` with ``list`` or ``tuple``."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if name != "reader.py"
+        and isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Call) and isinstance(side.func, ast.Name) and side.func.id == "type"
+            for side in [node.left, *node.comparators]
+        )
+        and any(
+            isinstance(leaf, ast.Name) and leaf.id in ("list", "tuple")
+            for side in [node.left, *node.comparators]
+            for leaf in ast.walk(side)
+        )
+    ]
+    assert found == []
+
+
+def test_no_module_calls_isinstance():
+    """Types are exact: ``isinstance(x, int)`` takes ``True`` for an ``int``."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
     ]
     assert found == []
 
