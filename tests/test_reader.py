@@ -303,9 +303,12 @@ class TestConstructors:
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), True, [(2,)]),
                 "degree must be an integer",
             ),
-            (
+            # the local-degree cases are named for the rule they break, not
+            # for the path their refusal names
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), 2, [(2.0,)]),
                 r"^branch_local_degrees\[0\]\[0\] must be an integer$",
+                id="<lambda>-local degrees",
             ),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), True, 2.0), "k1"),
             (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2), "k1"),
@@ -373,13 +376,15 @@ class TestConstructors:
                 r"^rows\[0\] must be a list or a tuple, got <generator",
             ),
             # types are checked before the local degrees are sorted
-            (
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, [(1, "a")]),
                 r"^branch_local_degrees\[0\]\[1\] must be an integer$",
+                id="<lambda>-^local degrees must be positive integers: (1, 'a')",
             ),
-            (
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 5, [(3, 2.0)]),
                 r"^branch_local_degrees\[0\]\[1\] must be an integer$",
+                id="<lambda>-^local degrees must be positive integers: (3, 2.0)",
             ),
             (lambda: prism_row_stream(True, 2), "^n_from must be an integer"),
             (lambda: prism_row_stream(1, 2.0), "^n_to must be an integer"),
