@@ -43,7 +43,6 @@ _PUBLIC = {
         "degree_bound_for_budget",
         "presentation_from_json",
         "prism_row_stream",
-        "prism_rows",
         "prism_verify",
         "upper_bound_value",
     ),
@@ -66,7 +65,6 @@ _PUBLIC = {
         "fiber_surface",
         "horizontal_degree_solutions",
         "nonorientable_base_solutions",
-        "orientation_double_cover",
         "prism_case_analysis",
         "riemann_hurwitz_cover",
     ),

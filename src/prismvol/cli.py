@@ -188,8 +188,7 @@ def _cmd_orbifold_solve(args: argparse.Namespace) -> None:
         if base.orientable
         else orbifolds.nonorientable_base_solutions
     )
-    degrees = solve(fiber, base)
-    chi_only = solve(fiber, base, require_cone_divisibility=False)
+    degrees, chi_only = solve(fiber, base)
     lines = [
         f"degrees: {_degrees_str(degrees)}",
         f"chi-only degrees: {_degrees_str(chi_only)}",

@@ -19,7 +19,7 @@ by the same enumeration, tuple by tuple, and not from the plain counts by
 Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
 checks the two against each other.
 
-The audit's rows are in closed form in mu = |4n - 1|.  ``prism_rows`` makes
+The audit's rows are in closed form in mu = |4n - 1|.  ``prism_verify`` makes
 each one whole; ``prism_row_stream``, which the command line writes, gives a
 conditional row after the call's first as its leaves at ``ROW_LEAVES`` alone.
 """
@@ -361,21 +361,6 @@ def _report_for(n: int, counts: list[int]) -> dict:
     }
 
 
-def prism_rows(n_from: int, n_to: int) -> Iterator[dict]:
-    """The audit rows of ``prism_verify``, one per parameter in [n_from, n_to],
-    made one at a time so that a caller can write each out and let it go.
-
-    Each row is in closed form in mu = |4n - 1|, with the twist-knot verdict
-    a fact of the family.  The slope demonstration is an enumeration, so it
-    runs once per call, at the call, where an ``n_from`` or ``n_to`` that is
-    not an ``int`` is refused.  No row raises: a degenerate parameter is
-    reported as "excluded".
-    """
-    require_int(n_from=n_from, n_to=n_to)
-    counts = _slope_demo_counts()
-    return (_report_for(n, counts) for n in range(n_from, n_to + 1))
-
-
 # The leaves of a "conditional" row that depend on n, in text order: n twice,
 # then mu and chi_orb of cases 3 and 5.  Every other leaf is the same in all
 # such rows of one call: cases 1, 2 and 4 do not depend on n and have no
@@ -391,13 +376,13 @@ ROW_LEAVES = (
 
 
 def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict | tuple]:
-    """``prism_rows(n_from, n_to)`` with every "conditional" row after the
-    call's first given as its values at ``ROW_LEAVES`` alone, n first: that
-    row is the first conditional row with those leaves put in.  The other
-    rows, the first conditional one, the excluded n = 0 and the candidates
-    n = -1 and 1 of the divisor argument (mu - 2) | 12, are made whole, of
-    fresh dicts and lists.  As in ``prism_rows``, the slope demonstration runs
-    once, at the call."""
+    """The rows of ``prism_verify(n_from, n_to)``, one at a time, with every
+    "conditional" row after the call's first given as its values at
+    ``ROW_LEAVES`` alone, n first: that row is the first conditional row with
+    those leaves put in.  The other rows, the first conditional one, the
+    excluded n = 0 and the candidates n = -1 and 1 of the divisor argument
+    (mu - 2) | 12, are made whole, of fresh dicts and lists.  As in
+    ``prism_verify``, the slope demonstration runs once, at the call."""
     require_int(n_from=n_from, n_to=n_to)
     counts = _slope_demo_counts()
 
@@ -428,11 +413,14 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     but not effective); parameters where the case analysis finds a candidate
     degree are "candidate-exceptional"; degenerate parameters are "excluded".
 
-    The rows come from ``prism_rows``.  This function holds them all, so its
-    memory grows with the range; the command line writes each row of
-    ``prism_row_stream`` as it comes instead.
+    Each row is in closed form in mu = |4n - 1|, of fresh dicts and lists.
+    The slope demonstration runs once, at the call, which refuses a non-int
+    ``n_from`` or ``n_to``.  The rows are held at once, so memory grows with
+    the range; the command line writes ``prism_row_stream`` instead.
     """
-    reports = list(prism_rows(n_from, n_to))
+    require_int(n_from=n_from, n_to=n_to)
+    counts = _slope_demo_counts()
+    reports = [_report_for(n, counts) for n in range(n_from, n_to + 1)]
     return {
         "reports": reports,
         "candidate_exceptional": [

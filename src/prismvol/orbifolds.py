@@ -11,6 +11,9 @@ the cone index, which forces two conditions on the covering degree d:
 
     chi(F) = d * chi_orb(B),  and  every cone index divides d.
 
+``horizontal_degree_solutions`` and ``nonorientable_base_solutions`` give
+the degrees that meet both, and the "chi-only" degrees that meet the first.
+
 ``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
@@ -175,23 +178,6 @@ def fiber_surface() -> SurfaceData:
     return riemann_hurwitz_cover(disk, 2, [(2,)] * 5)
 
 
-def orientation_double_cover(b: Orbifold2D) -> Orbifold2D:
-    """Orientation double cover of a non-orientable orbifold.
-
-    The underlying surface with g cross-caps and m boundary circles lifts to
-    the orientable surface of genus g - 1 with 2m boundary circles; every
-    cone point has two preimages of the same index.
-    """
-    if b.orientable:
-        raise ValueError("the orbifold is already orientable")
-    return Orbifold2D(
-        orientable=True,
-        genus=b.genus - 1,
-        boundary=2 * b.boundary,
-        cones=b.cones + b.cones,
-    )
-
-
 def _degree_solutions(chi_f: int, num: int, den: int, cones) -> tuple[list[int], list[int]]:
     """Positive integer degrees d with chi_f == d * num/den, for any nonzero den,
     reduced or not: those that every cone index divides, and all of them, from
@@ -208,33 +194,39 @@ def _degree_solutions(chi_f: int, num: int, den: int, cones) -> tuple[list[int],
     return ([] if any(d % index for index in cones) else [d]), [d]
 
 
-def horizontal_degree_solutions(
-    f: SurfaceData, b: Orbifold2D, require_cone_divisibility: bool = True
-) -> list[int]:
-    """Positive integer degrees d with chi(f) == d * chi_orb(b).
+def _solve(chi_f: int, b: Orbifold2D) -> tuple[Fraction, list[int], list[int]]:
+    """chi_orb(b) and both degree lists of chi_f = d * chi_orb(b).  A non-orientable
+    base is solved over its orientation double cover: g cross-caps and m
+    boundary circles lift to genus g - 1 with 2m, each cone to two of its
+    index, so chi_orb doubles over the same cones, and the degrees double."""
+    chi = chi_orb(b)
+    sheets = 1 if b.orientable else 2
+    degrees, chi_only = _degree_solutions(
+        chi_f, sheets * chi.numerator, chi.denominator, b.cones
+    )
+    return chi, [sheets * d for d in degrees], [sheets * d for d in chi_only]
 
-    With ``require_cone_divisibility`` every cone index must also divide d
-    (the local degree over a cone point equals its index).  When
-    chi_orb(b) != 0 there is at most one solution.  When chi_orb(b) == 0 the
-    equation is either empty (chi(f) != 0) or satisfied by every degree, in
-    which case ``InfiniteSolutionsError`` is raised.  A branched cover of an
-    orientable base is orientable, so a non-orientable ``f`` is refused.
+
+def horizontal_degree_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[int], list[int]]:
+    """Positive integer degrees d with chi(f) == d * chi_orb(b), as two lists:
+    those that every cone index also divides (the local degree over a cone
+    point equals its index), and all of them.  When chi_orb(b) != 0 each list
+    has at most one degree; when chi_orb(b) == 0 the equation is empty
+    (chi(f) != 0) or met by every degree, and ``InfiniteSolutionsError`` is
+    raised.  A branched cover of an orientable base is orientable, so a
+    non-orientable ``f`` is refused.
     """
-    check(require_cone_divisibility, bool, "require_cone_divisibility")
     if not b.orientable:
         raise ValueError(
             "base is non-orientable; use nonorientable_base_solutions"
         )
     if not f.orientable:
         raise ValueError("the covering surface must be orientable here")
-    degrees, chi_only = _degree_solutions(f.euler, *chi_orb(b).as_integer_ratio(), b.cones)
-    return degrees if require_cone_divisibility else chi_only
+    return _solve(f.euler, b)[1:]
 
 
-def nonorientable_base_solutions(
-    f: SurfaceData, b: Orbifold2D, require_cone_divisibility: bool = True
-) -> list[int]:
-    """Degrees of covers of a non-orientable base by an orientable surface.
+def nonorientable_base_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[int], list[int]]:
+    """The two lists of ``horizontal_degree_solutions`` over a non-orientable base.
 
     An orientable cover factors through the orientation double cover, so the
     degrees over ``b`` are exactly twice the degrees over that cover, where
@@ -244,8 +236,9 @@ def nonorientable_base_solutions(
     """
     if b.orientable:
         raise ValueError("base is orientable; use horizontal_degree_solutions")
-    cover = orientation_double_cover(b)
-    return [2 * d for d in horizontal_degree_solutions(f, cover, require_cone_divisibility)]
+    if not f.orientable:
+        raise ValueError("the covering surface must be orientable here")
+    return _solve(f.euler, b)[1:]
 
 
 class CaseResult(Record):
@@ -268,17 +261,9 @@ class CaseResult(Record):
 
 
 def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
-    """Degrees with chi_f = d * chi_orb(base), with and without cone divisibility.
-    A non-orientable base is solved over its orientation double cover, whose
-    ``chi_orb`` is twice the base's with the same cones; its degrees double."""
-    chi = chi_orb(base)
-    sheets = 1 if base.orientable else 2
-    degrees, chi_only = _degree_solutions(
-        chi_f, sheets * chi.numerator, chi.denominator, base.cones
-    )
-    return CaseResult(
-        case, base, chi, tuple(sheets * d for d in degrees), tuple(sheets * d for d in chi_only)
-    )
+    """Degrees with chi_f = d * chi_orb(base), with and without cone divisibility."""
+    chi, degrees, chi_only = _solve(chi_f, base)
+    return CaseResult(case, base, chi, tuple(degrees), tuple(chi_only))
 
 
 # chi(F) of the family's fiber

@@ -7,9 +7,10 @@ raw tuples of dict-based permutations, Smith normal form is recomputed from
 determinantal divisors (gcds of k-by-k minors), rank and determinant come
 from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
-rule.  Degree equations over the whole family are cross-checked by a bounded
-integrality scan of affine ratios, and the Whitehead volume by Catalan's
-alternating series.  Audit rows are rebuilt the way the audit once built
+rule.  Degrees over a non-orientable base are checked over an orientation
+double cover built as an orbifold, not by scaling chi_orb.  Degree equations
+over the whole family are cross-checked by a bounded integrality scan of
+affine ratios, and the Whitehead volume by Catalan's alternating series.  Audit rows are rebuilt the way the audit once built
 them, from the fibrations, the lens-space test and the five-case report of
 the general path, ``prism_case_analysis``.
 """
@@ -24,7 +25,7 @@ from typing import Callable, Iterable
 
 from hypothesis import strategies as st
 
-from prismvol import MontesinosLink, Slope, SeifertSymbol, delta
+from prismvol import MontesinosLink, Orbifold2D, Slope, SeifertSymbol, delta
 from prismvol import seifert as seifert_mod
 
 
@@ -267,6 +268,25 @@ def bounded_diophantine(
         if value_filter is None or value_filter(n):
             out.append((x, n))
     return out
+
+
+# --- orbifolds -----------------------------------------------------------
+
+def orientation_double_cover(b: Orbifold2D) -> Orbifold2D:
+    """Orientation double cover of a non-orientable orbifold, built as an
+    orbifold: the underlying surface with g cross-caps and m boundary circles
+    lifts to the orientable surface of genus g - 1 with 2m boundary circles,
+    and every cone point has two preimages of the same index.  Solving over
+    it and doubling checks the package's non-orientable rule, which only
+    scales chi_orb."""
+    if b.orientable:
+        raise ValueError("the orbifold is already orientable")
+    return Orbifold2D(
+        orientable=True,
+        genus=b.genus - 1,
+        boundary=2 * b.boundary,
+        cones=b.cones + b.cones,
+    )
 
 
 # --- twist knots --------------------------------------------------------

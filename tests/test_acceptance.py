@@ -115,8 +115,8 @@ def test_criterion_03_two_cone_disk_family_scan():
         assert positive == [(18, 1)]
         assert negative == [(10, -1)]
         # both candidates pass cone divisibility on the actual base orbifolds
-        assert horizontal_degree_solutions(FIBER, Orbifold2D(True, 0, 1, (2, 3))) == [18]
-        assert horizontal_degree_solutions(FIBER, Orbifold2D(True, 0, 1, (2, 5))) == [10]
+        assert horizontal_degree_solutions(FIBER, Orbifold2D(True, 0, 1, (2, 3)))[0] == [18]
+        assert horizontal_degree_solutions(FIBER, Orbifold2D(True, 0, 1, (2, 5)))[0] == [10]
         # independent divisor route: d = 6 + 12/(m-2) integral needs (m-2) | 12;
         # the odd cone indices m >= 3 satisfying it are exactly 3 and 5
         assert [m for m in range(3, 2001, 2) if 12 % (m - 2) == 0] == [3, 5]
@@ -125,7 +125,7 @@ def test_criterion_03_two_cone_disk_family_scan():
 def test_criterion_04_crosscap_parity_exclusion():
     with criterion(4, "Moebius-with-cone case is empty", 1.0):
         base = Orbifold2D(False, 1, 1, (2,))
-        assert nonorientable_base_solutions(FIBER, base) == []
+        assert nonorientable_base_solutions(FIBER, base)[0] == []
 
 
 def test_criterion_05_riemann_hurwitz_fiber():

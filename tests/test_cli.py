@@ -261,6 +261,29 @@ class TestSubcommandSurfaces:
         assert code == 0
         assert json.loads(out) == {"degrees": [18], "chi_only_degrees": [18]}
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ["--orientable", "true", "--genus", "0", "--boundary", "1", "--cones", "2,3"],
+            ["--orientable", "false", "--genus", "1", "--boundary", "1", "--cones", "2"],
+        ],
+        ids=["orientable", "non-orientable"],
+    )
+    def test_orbifold_solve_solves_once(self, base, monkeypatch):
+        """Both degree lists come from one solve of the degree equation."""
+        calls = []
+        original = orbifolds._degree_solutions
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(orbifolds, "_degree_solutions", counting)
+        fiber = ["--fiber-genus", "2", "--fiber-boundary", "1"]
+        code, _, _ = run_cli(["orbifold", "solve", *fiber, *base])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_orbifold_solve_nonorientable_near_miss(self):
         code, out, _ = run_cli(
             [

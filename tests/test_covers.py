@@ -29,7 +29,6 @@ from prismvol import (
     presentation_from_json,
     prism_case_analysis,
     prism_row_stream,
-    prism_rows,
     prism_verify,
     upper_bound_value,
 )
@@ -476,7 +475,7 @@ class TestClosedFormRows:
 
     def test_rows_equal_the_oracle(self):
         checked = 0
-        for row in prism_rows(-1000, 1000):
+        for row in prism_verify(-1000, 1000)["reports"]:
             oracle = audit_row_oracle(row["n"])
             # json.dumps also tells True from 1 and keeps the key order
             assert row == oracle and json.dumps(row) == json.dumps(oracle), row["n"]
@@ -486,7 +485,7 @@ class TestClosedFormRows:
     @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
     @settings(max_examples=200)
     def test_large_n_matches_the_case_analysis(self, n):
-        [row] = prism_rows(n, n)
+        [row] = prism_verify(n, n)["reports"]
         cases = row["case_analysis"]["cases"]
         mu = abs(4 * n - 1)
         assert cases[2]["chi_orb"] == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, 2, mu))))
@@ -508,12 +507,12 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("n", [1, 2, -1, -2])
     def test_rows_share_no_object(self, n):
-        rows = list(prism_rows(-3, 3))
+        rows = prism_verify(-3, 3)["reports"]
         self._scribble(rows[n + 3])
         for row in rows:
             if row["n"] != n:
                 assert row == audit_row_oracle(row["n"]), row["n"]
-        assert list(prism_rows(-3, 3)) == [audit_row_oracle(m) for m in range(-3, 4)]
+        assert prism_verify(-3, 3)["reports"] == [audit_row_oracle(m) for m in range(-3, 4)]
 
 
 def _filled(stream):
@@ -553,8 +552,9 @@ class TestRowStream:
     @given(windows_st)
     @settings(max_examples=200, deadline=None)
     def test_filled_stream_is_prism_rows(self, window):
+        """Filled in, the stream gives the rows of ``prism_verify``."""
         stream = list(prism_row_stream(*window))
-        filled, rows = list(_filled(stream)), list(prism_rows(*window))
+        filled, rows = list(_filled(stream)), prism_verify(*window)["reports"]
         # json.dumps also tells True from 1 and keeps the key order
         assert filled == rows and json.dumps(filled) == json.dumps(rows)
         whole = [row["n"] for row in stream if type(row) is dict]

@@ -12,7 +12,6 @@ from prismvol import (
     ln_link,
     normalize,
     prism_fibrations,
-    prism_rows,
     prism_verify,
 )
 from prismvol import covers, montesinos, seifert
@@ -197,7 +196,7 @@ class TestTwistKnotExclusion:
     def test_audit_verdict_matches_the_twist_knot_cover(self):
         # the expression the audit evaluated per row before it read the
         # family fact, with the twist knot's cover built each time
-        for row in prism_rows(-1000, 1000):
+        for row in prism_verify(-1000, 1000)["reports"]:
             n = row["n"]
             if row["status"] == "excluded":
                 assert abs(4 * n - 1) < 3

@@ -15,13 +15,12 @@ from prismvol import (
     disk_cases,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
-    orientation_double_cover,
     prism_case_analysis,
     riemann_hurwitz_cover,
 )
 from prismvol.exact import frac_str
 from prismvol.orbifolds import _degree_solutions
-from support import case_report_oracle
+from support import case_report_oracle, orientation_double_cover
 
 MOEBIUS = Orbifold2D(False, 1, 1)
 DISK_2_2_3 = Orbifold2D(True, 0, 1, (2, 2, 3))
@@ -196,6 +195,8 @@ class TestRiemannHurwitzCover:
 
 
 class TestOrientationDoubleCover:
+    """The oracle in ``support`` that the non-orientable solver is checked against."""
+
     def test_moebius_with_cone(self):
         assert orientation_double_cover(
             Orbifold2D(False, 1, 1, (2,))
@@ -222,23 +223,23 @@ class TestHorizontalDegreeSolutions:
     fiber = SurfaceData(2, 1)  # euler -3
 
     def test_zero_chi_base_nonzero_fiber(self):
-        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, (2, 2))) == []
+        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, (2, 2))) == ([], [])
 
     def test_unique_solution_with_divisibility(self):
-        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, (2, 3))) == [18]
+        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, (2, 3))) == (
+            [18],
+            [18],
+        )
 
     def test_non_integer_ratio(self):
-        assert horizontal_degree_solutions(self.fiber, DISK_2_2_3) == []
+        assert horizontal_degree_solutions(self.fiber, DISK_2_2_3) == ([], [])
 
     def test_divisibility_can_kill_the_chi_solution(self):
         fiber = SurfaceData(1, 2)  # euler -2, candidate degree 3 over chi -2/3
-        assert horizontal_degree_solutions(fiber, DISK_2_2_3) == []
-        assert horizontal_degree_solutions(
-            fiber, DISK_2_2_3, require_cone_divisibility=False
-        ) == [3]
+        assert horizontal_degree_solutions(fiber, DISK_2_2_3) == ([], [3])
 
     def test_sign_mismatch(self):
-        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, ())) == []
+        assert horizontal_degree_solutions(self.fiber, Orbifold2D(True, 0, 1, ())) == ([], [])
 
     def test_both_chi_zero_is_degenerate(self):
         with pytest.raises(InfiniteSolutionsError):
@@ -248,23 +249,13 @@ class TestHorizontalDegreeSolutions:
         with pytest.raises(ValueError, match="nonorientable_base_solutions"):
             horizontal_degree_solutions(self.fiber, MOEBIUS)
 
-    @pytest.mark.parametrize("flag", ["no", "false", None, 0, 1, []])
-    def test_require_cone_divisibility_must_be_a_bool(self, flag):
-        """The cones 2, 2, 2, 2 divide no degree 3: ``"no"`` is truthy, so it
-        gave ``[]`` where ``False`` gives ``[3]``."""
-        disk = Orbifold2D(True, 0, 1, (2, 2, 2, 2))
-        assert horizontal_degree_solutions(self.fiber, disk, require_cone_divisibility=False) == [3]
-        with pytest.raises(ValueError, match="^require_cone_divisibility must be a boolean$"):
-            horizontal_degree_solutions(self.fiber, disk, require_cone_divisibility=flag)
-
     def test_nonorientable_fiber_rejected(self):
         # the chi equation alone reads 6 here, but no such cover exists: a
         # branched cover of an orientable orbifold is orientable
         fiber = SurfaceData(2, 1, orientable=False)
         base = Orbifold2D(True, 0, 1, (2, 3))
-        for divisibility in (True, False):
-            with pytest.raises(ValueError, match="^the covering surface must be orientable here$"):
-                horizontal_degree_solutions(fiber, base, divisibility)
+        with pytest.raises(ValueError, match="^the covering surface must be orientable here$"):
+            horizontal_degree_solutions(fiber, base)
 
     @given(
         st.integers(0, 2),
@@ -283,17 +274,20 @@ class TestHorizontalDegreeSolutions:
                 with pytest.raises(InfiniteSolutionsError):
                     horizontal_degree_solutions(fiber, base)
             else:
-                assert horizontal_degree_solutions(fiber, base) == []
+                assert horizontal_degree_solutions(fiber, base) == ([], [])
             return
         # any solution d = chi(F)/chi_orb(B) obeys d <= |chi(F)| * lcm(cones)
         bound = abs(fiber.euler) * math.lcm(1, *base.cones) + 2
-        direct = [
-            d
-            for d in range(1, bound + 1)
-            if fiber.euler == d * chi_base
-            and all(d % c == 0 for c in base.cones)
-        ]
-        assert horizontal_degree_solutions(fiber, base) == direct
+        chi_only = [d for d in range(1, bound + 1) if fiber.euler == d * chi_base]
+        direct = [d for d in chi_only if all(d % c == 0 for c in base.cones)]
+        assert horizontal_degree_solutions(fiber, base) == (direct, chi_only)
+
+
+def over_the_double_cover(fiber: SurfaceData, base: Orbifold2D) -> tuple[list[int], list[int]]:
+    """Both degree lists over a non-orientable ``base``, solved over its
+    orientation double cover, built as an orbifold, and doubled."""
+    degrees, chi_only = horizontal_degree_solutions(fiber, orientation_double_cover(base))
+    return [2 * d for d in degrees], [2 * d for d in chi_only]
 
 
 class TestNonorientableBaseSolutions:
@@ -301,14 +295,12 @@ class TestNonorientableBaseSolutions:
 
     def test_moebius_with_cone_has_no_solutions(self):
         base = Orbifold2D(False, 1, 1, (2,))
-        assert nonorientable_base_solutions(self.fiber, base) == []
         # the chi equation alone is solvable at degree 6 over this base
-        assert nonorientable_base_solutions(
-            self.fiber, base, require_cone_divisibility=False
-        ) == [6]
+        assert nonorientable_base_solutions(self.fiber, base) == ([], [6])
+        assert over_the_double_cover(self.fiber, base) == ([], [6])
 
     def test_bare_moebius_has_no_solutions(self):
-        assert nonorientable_base_solutions(self.fiber, MOEBIUS) == []
+        assert nonorientable_base_solutions(self.fiber, MOEBIUS) == ([], [])
 
     def test_flat_fiber_over_flat_base_is_degenerate(self):
         with pytest.raises(InfiniteSolutionsError):
@@ -316,17 +308,12 @@ class TestNonorientableBaseSolutions:
 
     def test_solution_doubles_orientation_cover_degree(self):
         base = Orbifold2D(False, 2, 1)
-        assert nonorientable_base_solutions(SurfaceData(2, 2), base) == [4]
+        assert nonorientable_base_solutions(SurfaceData(2, 2), base) == ([4], [4])
+        assert over_the_double_cover(SurfaceData(2, 2), base) == ([4], [4])
 
     def test_orientable_base_redirected(self):
         with pytest.raises(ValueError, match="horizontal_degree_solutions"):
             nonorientable_base_solutions(self.fiber, DISK_2_5)
-
-    @pytest.mark.parametrize("flag", ["no", None, 0, 1, []])
-    def test_require_cone_divisibility_must_be_a_bool(self, flag):
-        base = Orbifold2D(False, 1, 1, (2,))
-        with pytest.raises(ValueError, match="^require_cone_divisibility must be a boolean$"):
-            nonorientable_base_solutions(self.fiber, base, require_cone_divisibility=flag)
 
     def test_nonorientable_fiber_rejected(self):
         with pytest.raises(ValueError, match="orientable"):
@@ -346,14 +333,17 @@ class TestNonorientableBaseSolutions:
         base = Orbifold2D(False, crosscaps, boundary, tuple(cones))
         fiber = SurfaceData(fg, fb)
         try:
-            degrees = nonorientable_base_solutions(fiber, base)
+            degrees, chi_only = nonorientable_base_solutions(fiber, base)
         except InfiniteSolutionsError:
             assert fiber.euler == 0 and chi_orb(base) == 0
+            with pytest.raises(InfiniteSolutionsError):
+                over_the_double_cover(fiber, base)
             return
-        for d in degrees:
+        assert (degrees, chi_only) == over_the_double_cover(fiber, base)
+        for d in chi_only:
             assert d % 2 == 0
             assert fiber.euler == d * chi_orb(base)
-            assert all((d // 2) % c == 0 for c in base.cones)
+        assert degrees == [d for d in chi_only if all((d // 2) % c == 0 for c in base.cones)]
 
 
 class TestDegreeSolutions:
@@ -368,25 +358,25 @@ class TestDegreeSolutions:
     )
     @settings(max_examples=200, deadline=None)
     def test_both_lists_match_the_public_solvers(self, base, fg, fb):
+        """Over a non-orientable base, against the double cover built as an
+        orbifold, not against a second copy of the doubling rule."""
         fiber = SurfaceData(fg, fb)
-        if base.orientable:
-            sheets, solve = 1, horizontal_degree_solutions
-        else:
-            sheets, solve = 2, nonorientable_base_solutions
-        chi = chi_orb(base)
+        solve, cover, sheets = horizontal_degree_solutions, base, 1
+        if not base.orientable:
+            solve, cover, sheets = nonorientable_base_solutions, orientation_double_cover(base), 2
+        chi = chi_orb(cover)
         try:
             degrees, chi_only = _degree_solutions(
-                fiber.euler, sheets * chi.numerator, chi.denominator, base.cones
+                fiber.euler, chi.numerator, chi.denominator, cover.cones
             )
         except InfiniteSolutionsError:
             assert fiber.euler == 0 and chi_orb(base) == 0
-            for divisible in (True, False):
-                with pytest.raises(InfiniteSolutionsError):
-                    solve(fiber, base, require_cone_divisibility=divisible)
+            with pytest.raises(InfiniteSolutionsError):
+                solve(fiber, base)
             return
-        assert [sheets * d for d in degrees] == solve(fiber, base)
-        assert [sheets * d for d in chi_only] == solve(
-            fiber, base, require_cone_divisibility=False
+        assert solve(fiber, base) == (
+            [sheets * d for d in degrees],
+            [sheets * d for d in chi_only],
         )
 
     def test_zero_chi_on_both_sides_is_degenerate(self):
@@ -431,9 +421,9 @@ class TestPrismCaseAnalysis:
                     solve = horizontal_degree_solutions
                 else:
                     solve = nonorientable_base_solutions
-                assert list(r.degrees) == solve(self.fiber, r.orbifold), n
-                assert list(r.chi_only_degrees) == solve(
-                    self.fiber, r.orbifold, require_cone_divisibility=False
+                assert solve(self.fiber, r.orbifold) == (
+                    list(r.degrees),
+                    list(r.chi_only_degrees),
                 ), n
 
     def test_case_json_writes_chi_as_frac_str(self):

@@ -24,7 +24,6 @@ from prismvol import (
     prism_case_analysis,
     prism_fibrations,
     prism_row_stream,
-    prism_rows,
     prism_verify,
     riemann_hurwitz_cover,
     symbol_from_json,
@@ -325,8 +324,6 @@ class TestConstructors:
             (lambda: twisted_torus_braid(3, True, 2, 1), "^q must be an integer"),
             (lambda: twisted_torus_braid(3, 1, 2.0, 1), "^r must be an integer"),
             (lambda: twisted_torus_braid(3, 1, 2, "1"), "^s must be an integer"),
-            (lambda: prism_rows(True, 2), "^n_from must be an integer"),
-            (lambda: prism_rows(1, 2.0), "^n_to must be an integer"),
             (lambda: prism_verify(1.0, 2), "^n_from must be an integer"),
             (lambda: prism_verify(1, False), "^n_to must be an integer"),
             # arrays are lists or tuples; nothing else is iterated into one

@@ -111,7 +111,13 @@ def test_all_is_what_the_package_imports():
 
 @pytest.mark.parametrize(
     "layer, name",
-    [("orbifolds", "orbifold_from_json"), ("slopes", "slope_from_json"), ("braids", "exponent_sum")],
+    [
+        ("orbifolds", "orbifold_from_json"),
+        ("slopes", "slope_from_json"),
+        ("braids", "exponent_sum"),
+        ("covers", "prism_rows"),
+        ("orbifolds", "orientation_double_cover"),
+    ],
 )
 def test_removed_helpers_are_gone(layer, name):
     """Helpers that only tests called are in neither the package nor their layer."""
