@@ -9,7 +9,7 @@ its inverse.  The twisted torus braid T(p, q; r, s) is the torus braid
 
 from __future__ import annotations
 
-from .reader import Record, check, read, require_int
+from .reader import Record, check
 
 
 class BraidWord(Record):
@@ -17,7 +17,7 @@ class BraidWord(Record):
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        require_int(strands=self.strands)
+        check(self.strands, int, "strands")
         if self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
         letters = check(self.letters, [int], "letters")
@@ -38,7 +38,7 @@ class BraidWord(Record):
 
 
 def word_from_json(data: object) -> BraidWord:
-    return BraidWord(*read(data, "braid word", {"strands": int, "letters": [int]}))
+    return BraidWord(*check(data, {"strands": int, "letters": [int]}, "braid word"))
 
 
 def _power_block(top: int, exponent: int) -> list[int]:
@@ -50,7 +50,10 @@ def _power_block(top: int, exponent: int) -> list[int]:
 
 def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     """The braid (s_1 ... s_{p-1})^q (s_1 ... s_{r-1})^{r*s} on p strands."""
-    require_int(p=p, q=q, r=r, s=s)
+    check(p, int, "p")
+    check(q, int, "q")
+    check(r, int, "r")
+    check(s, int, "s")
     if p < 2:
         raise ValueError("p must be at least 2")
     if not 2 <= r <= p:

@@ -31,7 +31,7 @@ import math
 from collections.abc import Iterator
 
 from . import orbifolds, slopes
-from .reader import Record, check, read, require_int
+from .reader import Record, check
 
 MAX_ENUMERATION = 10**8
 
@@ -48,7 +48,7 @@ class GroupPresentation(Record):
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        require_int(generators=self.generators)
+        check(self.generators, int, "generators")
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
         relators = check(self.relators, [[int]], "relators")
@@ -70,7 +70,7 @@ class GroupPresentation(Record):
 
 def presentation_from_json(data: object) -> GroupPresentation:
     fields = {"generators": int, "relators": [[int]]}
-    return GroupPresentation(*read(data, "presentation", fields))
+    return GroupPresentation(*check(data, fields, "presentation"))
 
 
 def _partitions(n: int, largest: int):
@@ -159,7 +159,7 @@ def count_representations(
     exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
     abandoned as soon as it passes the limit.
     """
-    require_int(degree=degree)
+    check(degree, int, "degree")
     check(transitive, bool, "transitive")
     if degree < 1:
         raise ValueError("degree must be a positive integer")
@@ -271,7 +271,7 @@ class CoverCertificate(Record):
     label: str
 
     def __post_init__(self) -> None:
-        require_int(degree=self.degree)
+        check(self.degree, int, "degree")
         if self.degree < 1:
             raise ValueError("degree must be a positive integer")
         _require_volume("branch volume must be positive", branch_volume=self.branch_volume)
@@ -289,7 +289,7 @@ def degree_bound_for_budget(budget: float, floor: float) -> int:
     quotient = budget / floor
     if quotient == math.inf:
         raise ValueError(f"budget / floor overflows a float: {budget!r} / {floor!r}")
-    p = int(math.floor(quotient))
+    p = math.floor(quotient)
     while p * floor >= budget:
         p -= 1
     return max(p, 0)
@@ -383,7 +383,8 @@ def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict | tuple]:
     excluded n = 0 and the candidates n = -1 and 1 of the divisor argument
     (mu - 2) | 12, are made whole, of fresh dicts and lists.  As in
     ``prism_verify``, the slope demonstration runs once, at the call."""
-    require_int(n_from=n_from, n_to=n_to)
+    check(n_from, int, "n_from")
+    check(n_to, int, "n_to")
     counts = _slope_demo_counts()
 
     def stream():
@@ -418,7 +419,8 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     ``n_from`` or ``n_to``.  The rows are held at once, so memory grows with
     the range; the command line writes ``prism_row_stream`` instead.
     """
-    require_int(n_from=n_from, n_to=n_to)
+    check(n_from, int, "n_from")
+    check(n_to, int, "n_to")
     counts = _slope_demo_counts()
     reports = [_report_for(n, counts) for n in range(n_from, n_to + 1)]
     return {

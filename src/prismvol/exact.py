@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .reader import Record, check, require_int
+from .reader import Record, check
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -54,7 +54,8 @@ class IntMatrix(Record):
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        require_int(rows=self.rows, cols=self.cols)
+        check(self.rows, int, "rows")
+        check(self.cols, int, "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
         entries = check(self.entries, [int], "entries")

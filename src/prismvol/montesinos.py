@@ -12,7 +12,7 @@ what excludes twist knots as branching sets for the prism family.
 from __future__ import annotations
 
 from . import seifert
-from .reader import Record, read, require_int
+from .reader import Record, check
 
 
 class MontesinosLink(Record):
@@ -20,7 +20,7 @@ class MontesinosLink(Record):
     tangles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        require_int(genus=self.genus)
+        check(self.genus, int, "genus")
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         tangles = seifert.check_pairs(self.tangles, "tangles", "tangle")
@@ -37,7 +37,7 @@ class MontesinosLink(Record):
 
 def link_from_json(data: object) -> MontesinosLink:
     fields = {"genus": int, "tangles": [(int, int)]}
-    return MontesinosLink(*read(data, "montesinos link", fields))
+    return MontesinosLink(*check(data, fields, "montesinos link"))
 
 
 def double_branched_cover(link: MontesinosLink) -> seifert.SeifertSymbol:
@@ -63,7 +63,7 @@ def ln_link(n: int) -> tuple[MontesinosLink, MontesinosLink]:
     by test_family_consistent_with_fibrations and acceptance criterion 6); for
     the other parameters the cover degenerates to a lens-space symbol.
     """
-    require_int(n=n)
+    check(n, int, "n")
     m = 4 * n - 1
     third = (-2, m) if m > 0 else (2, -m)
     spherical = MontesinosLink(0, ((1, 2), (-1, 2), third))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .reader import Record, check, require_int
+from .reader import Record, check
 
 
 class InfiniteSolutionsError(ValueError):
@@ -37,7 +37,8 @@ class InfiniteSolutionsError(ValueError):
 def _check_surface_fields(x: SurfaceData | Orbifold2D, what: str) -> None:
     # exact types, not coercion: True is not a genus and 2.5 is not a count
     check(x.orientable, bool, "orientable")
-    require_int(genus=x.genus, boundary=x.boundary)
+    check(x.genus, int, "genus")
+    check(x.boundary, int, "boundary")
     if x.genus < 0 or x.boundary < 0:
         raise ValueError("genus and boundary count must be non-negative")
     if not x.orientable and x.genus < 1:
@@ -132,7 +133,7 @@ def riemann_hurwitz_cover(
       number of genuine branch points is odd, and over a closed base that
       number must be even for the cover to exist at all.
     """
-    require_int(degree=degree)
+    check(degree, int, "degree")
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     branch = check(branch_local_degrees, [[int]], "branch_local_degrees")
@@ -280,7 +281,7 @@ def _fixed_case(case: int) -> CaseResult:
 
 def _prism_mu(n: int) -> int:
     """mu = |4n - 1| of the prism parameter n; a non-integer or degenerate n is refused."""
-    require_int(n=n)
+    check(n, int, "n")
     mu = abs(4 * n - 1)
     if mu < 3:
         raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")

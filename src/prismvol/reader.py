@@ -1,10 +1,10 @@
-"""The one strict reader of input.  A kind is ``int``, ``bool`` or ``str`` by
-exact type (``true`` is not an integer), ``[kind]`` for an array of that kind,
-or a tuple of kinds for an array of exactly that length; an array is a list or
-a tuple.  Nothing is coerced: a refusal names the field path, e.g.
-``symbol: fibers[1][0] must be an integer``.  ``check`` serves both paths:
-JSON fields through ``read``, and the array arguments of the constructors.
-An object must have exactly the fields asked for: none is optional.
+"""The one strict reader of input: ``check`` is the one rule for the shape of
+a JSON field, a constructor's field and a function's argument.  A kind is
+``int``, ``bool`` or ``str`` by exact type (``true`` is not an integer),
+``[kind]`` for an array (a list or a tuple) of that kind, a tuple of kinds for
+an array of exactly that length, or ``{field: kind}`` for an object with
+exactly those fields, none optional.  Nothing is coerced: a refusal names the
+path, e.g. ``symbol: fibers[1][0] must be an integer``.
 
 ``Record`` is the base of the package's immutable value types.  It lives here
 because every layer imports this module; unlike ``dataclasses`` it generates
@@ -18,8 +18,21 @@ _NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def check(value: object, kind, path: str):
-    """``value`` if it has the shape ``kind``, with arrays as tuples.  The
-    elements' paths are built only for an array of arrays or a refusal."""
+    """``value`` in the shape ``kind``: arrays as tuples, an object as the tuple
+    of its values in field order.  An array element's path is built only for
+    an array of arrays or a refusal."""
+    if type(value) is kind:
+        return value
+    if type(kind) is dict:
+        if type(value) is not dict:
+            raise ValueError(f"{path}: expected a JSON object")
+        for key in value:
+            if key not in kind:
+                raise ValueError(f"{path}: unknown field {key!r}")
+        for key in kind:
+            if key not in value:
+                raise ValueError(f"{path}: missing field {key!r}")
+        return tuple(check(value[key], k, f"{path}: {key}") for key, k in kind.items())
     if type(kind) is list or type(kind) is tuple:
         if type(value) is not list and type(value) is not tuple:
             raise ValueError(f"{path} must be a list or a tuple, got {value!r}")
@@ -29,29 +42,7 @@ def check(value: object, kind, path: str):
         if all(map(is_, map(type, value), kinds)):
             return tuple(value)
         return tuple(check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
-    if type(value) is not kind:
-        raise ValueError(f"{path} must be {_NAMES[kind]}")
-    return value
-
-
-def require_int(**values: object) -> None:
-    """Refuse any value that is not exactly an ``int``, naming its argument."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def read(data: object, what: str, fields: dict) -> tuple:
-    """The values of ``fields``, in order, from an object with exactly those keys."""
-    if type(data) is not dict:
-        raise ValueError(f"{what}: expected a JSON object")
-    for key in data:
-        if key not in fields:
-            raise ValueError(f"{what}: unknown field {key!r}")
-    for key in fields:
-        if key not in data:
-            raise ValueError(f"{what}: missing field {key!r}")
-    return tuple(check(data[key], kind, f"{what}: {key}") for key, kind in fields.items())
+    raise ValueError(f"{path} must be {_NAMES[kind]}")
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:

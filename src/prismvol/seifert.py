@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import exact, orbifolds
-from .reader import Record, check, read, require_int
+from .reader import Record, check
 
 OO = "Oo"
 ON = "On"
@@ -59,7 +59,7 @@ class SeifertSymbol(Record):
     def __post_init__(self) -> None:
         if self.base_class not in (OO, ON):
             raise ValueError(f"base class must be {OO!r} or {ON!r}, got {self.base_class!r}")
-        require_int(genus=self.genus)
+        check(self.genus, int, "genus")
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if self.base_class == ON and self.genus < 1:
@@ -76,7 +76,7 @@ class SeifertSymbol(Record):
 
 def symbol_from_json(data: object) -> SeifertSymbol:
     fields = {"class": str, "genus": int, "fibers": [(int, int)]}
-    return SeifertSymbol(*read(data, "symbol", fields))
+    return SeifertSymbol(*check(data, fields, "symbol"))
 
 
 def normalize(s: SeifertSymbol) -> SeifertSymbol:
@@ -174,7 +174,7 @@ def homology_order(divisors: list[int]) -> int | None:
     """Group order from a divisor list, or None when there is free rank."""
     if any(d == 0 for d in divisors):
         return None
-    return math.prod(divisors) if divisors else 1
+    return math.prod(divisors)
 
 
 def prism_fibrations(n: int) -> tuple[SeifertSymbol, SeifertSymbol]:
@@ -186,7 +186,7 @@ def prism_fibrations(n: int) -> tuple[SeifertSymbol, SeifertSymbol]:
     The first has Euler number 2/(4n-1); both are returned in normal form,
     and the pair of normal forms is distinct for distinct n.
     """
-    require_int(n=n)
+    check(n, int, "n")
     m = 4 * n - 1
     if abs(m) < 3:
         raise ValueError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .reader import Record, require_int
+from .reader import Record, check
 
 
 class Slope(Record):
@@ -23,7 +23,8 @@ class Slope(Record):
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        require_int(**{"slope p": p, "slope q": q})
+        check(p, int, "slope p")
+        check(q, int, "slope q")
         if (p, q) == (0, 0):
             raise ValueError("(0, 0) is not a slope")
         if math.gcd(abs(p), abs(q)) != 1:
@@ -52,7 +53,8 @@ def enumerate_constrained_slopes(f: Slope, c: Slope, k1: int, k2: int) -> list[S
     candidates and the output has at most 2*(2*k2 + 1) slopes
     (test_constraints_and_size_bound).
     """
-    require_int(k1=k1, k2=k2)
+    check(k1, int, "k1")
+    check(k2, int, "k2")
     if k1 < 1:
         raise ValueError("k1 must be a positive intersection number")
     if k2 < 0:

@@ -551,7 +551,7 @@ class TestRowStream:
 
     @given(windows_st)
     @settings(max_examples=200, deadline=None)
-    def test_filled_stream_is_prism_rows(self, window):
+    def test_filled_stream_is_prism_verify(self, window):
         """Filled in, the stream gives the rows of ``prism_verify``."""
         stream = list(prism_row_stream(*window))
         filled, rows = list(_filled(stream)), prism_verify(*window)["reports"]

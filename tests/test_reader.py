@@ -30,7 +30,7 @@ from prismvol import (
     twisted_torus_braid,
     word_from_json,
 )
-from prismvol.reader import check, loads, read
+from prismvol.reader import check, loads
 from prismvol.seifert import remove_fiber
 from support import fiber_pairs_st, presentations_st, symbols_st
 
@@ -72,6 +72,10 @@ class TestCheck:
         with pytest.raises(ValueError, match=r"^p\[0\] must be a list or a tuple, got \{1: 2\}$"):
             check([{1: 2}], [(int, int)], "p")
 
+    def test_object_field_path_names_the_element(self):
+        with pytest.raises(ValueError, match=r"^thing: b\[0\] must be a string$"):
+            check({"a": 1, "b": [1]}, {"a": int, "b": [str]}, "thing")
+
     def test_generator_is_refused_not_drained(self):
         letters = (letter for letter in (1, 2))
         with pytest.raises(ValueError, match="^p must be a list or a tuple, got <generator"):
@@ -83,23 +87,23 @@ class TestRead:
     FIELDS = {"a": int, "b": [str]}
 
     def test_values_in_field_order(self):
-        assert read({"b": ["x"], "a": 1}, "thing", self.FIELDS) == (1, ("x",))
+        assert check({"b": ["x"], "a": 1}, self.FIELDS, "thing") == (1, ("x",))
 
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="^thing: expected a JSON object$"):
-            read([1, ["x"]], "thing", self.FIELDS)
+            check([1, ["x"]], self.FIELDS, "thing")
 
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="^thing: unknown field 'c'$"):
-            read({"a": 1, "b": [], "c": 0}, "thing", self.FIELDS)
+            check({"a": 1, "b": [], "c": 0}, self.FIELDS, "thing")
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="^thing: missing field 'b'$"):
-            read({"a": 1}, "thing", self.FIELDS)
+            check({"a": 1}, self.FIELDS, "thing")
 
     def test_no_field_has_a_default(self):
         with pytest.raises(TypeError):
-            read({"a": 1}, "thing", self.FIELDS, {"b": []})
+            check({"a": 1}, self.FIELDS, "thing", {"b": []})
 
 
 class TestLoads:
@@ -259,48 +263,69 @@ class TestConstructors:
 
     @pytest.mark.parametrize(
         "build, field",
+        # every case has an explicit id, so adding or removing a case renames no other
         [
-            (lambda: SeifertSymbol("Oo", 0, ((1.5, 2),)), "fibers"),
-            (lambda: SeifertSymbol("Oo", 0, ((1, True),)), "fibers"),
-            (
+            pytest.param(
+                lambda: SeifertSymbol("Oo", 0, ((1.5, 2),)), "fibers", id="<lambda>-fibers0"
+            ),
+            pytest.param(
+                lambda: SeifertSymbol("Oo", 0, ((1, True),)), "fibers", id="<lambda>-fibers1"
+            ),
+            pytest.param(
                 lambda: SeifertSymbol("Oo", 0, ((1, 2, 3),)),
                 r"^fibers\[0\] must be an array of 2 elements$",
+                id=r"<lambda>-^fibers\[0\] must be an array of 2 elements$",
             ),
-            (lambda: SeifertSymbol("Oo", "0", ()), "genus"),
-            (lambda: SeifertSymbol("Oo", 0.0, ()), "genus"),
-            (lambda: MontesinosLink(0, ((1, 2.0),)), "tangles"),
-            (
+            pytest.param(lambda: SeifertSymbol("Oo", "0", ()), "genus", id="<lambda>-genus0"),
+            pytest.param(lambda: SeifertSymbol("Oo", 0.0, ()), "genus", id="<lambda>-genus1"),
+            pytest.param(lambda: MontesinosLink(0, ((1, 2.0),)), "tangles", id="<lambda>-tangles"),
+            pytest.param(
                 lambda: MontesinosLink(0, ((1,),)),
                 r"^tangles\[0\] must be an array of 2 elements$",
+                id=r"<lambda>-^tangles\[0\] must be an array of 2 elements$",
             ),
-            (lambda: MontesinosLink(False, ((1, 2),)), "genus"),
-            (lambda: BraidWord(3, (1.9, True)), "letters"),
-            (lambda: BraidWord(3, (True,)), "letters"),
-            (lambda: BraidWord(3.0, (1,)), "strands"),
-            (lambda: GroupPresentation(True, ((1,),)), "generators"),
-            (lambda: GroupPresentation(2, ((1, "2"),)), "relators"),
-            (lambda: SurfaceData(2.5, 1), "genus"),
-            (lambda: SurfaceData(2, True), "boundary"),
-            (lambda: SurfaceData(2, 1, 1), "orientable"),
-            (lambda: Orbifold2D(1, 0, 1, ()), "orientable"),
-            (lambda: Orbifold2D(True, "0", 1, ()), "genus"),
-            (lambda: Orbifold2D(True, 0, 1.0, ()), "boundary"),
-            (lambda: Orbifold2D(True, 0, 1, (2.0, 3)), "cones"),
-            (lambda: Slope(True, 0), "slope p"),
-            (lambda: Slope(1.0, 0), "slope p"),
-            (lambda: Slope(1, 2.0), "slope q"),
-            (lambda: CoverCertificate(2.5, 1.0, "x"), "degree"),
-            (lambda: IntMatrix(1, 1, (True,)), "entries"),
-            (lambda: IntMatrix(1.0, 1, (1,)), "rows"),
-            (lambda: count_representations(GroupPresentation(1, ()), True), "degree"),
-            (lambda: count_representations(GroupPresentation(1, ()), 2.0), "degree"),
-            (
+            pytest.param(lambda: MontesinosLink(False, ((1, 2),)), "genus", id="<lambda>-genus2"),
+            pytest.param(lambda: BraidWord(3, (1.9, True)), "letters", id="<lambda>-letters0"),
+            pytest.param(lambda: BraidWord(3, (True,)), "letters", id="<lambda>-letters1"),
+            pytest.param(lambda: BraidWord(3.0, (1,)), "strands", id="<lambda>-strands"),
+            pytest.param(
+                lambda: GroupPresentation(True, ((1,),)), "generators", id="<lambda>-generators"
+            ),
+            pytest.param(
+                lambda: GroupPresentation(2, ((1, "2"),)), "relators", id="<lambda>-relators"
+            ),
+            pytest.param(lambda: SurfaceData(2.5, 1), "genus", id="<lambda>-genus3"),
+            pytest.param(lambda: SurfaceData(2, True), "boundary", id="<lambda>-boundary0"),
+            pytest.param(lambda: SurfaceData(2, 1, 1), "orientable", id="<lambda>-orientable0"),
+            pytest.param(lambda: Orbifold2D(1, 0, 1, ()), "orientable", id="<lambda>-orientable1"),
+            pytest.param(lambda: Orbifold2D(True, "0", 1, ()), "genus", id="<lambda>-genus4"),
+            pytest.param(lambda: Orbifold2D(True, 0, 1.0, ()), "boundary", id="<lambda>-boundary1"),
+            pytest.param(lambda: Orbifold2D(True, 0, 1, (2.0, 3)), "cones", id="<lambda>-cones"),
+            pytest.param(lambda: Slope(True, 0), "slope p", id="<lambda>-slope p0"),
+            pytest.param(lambda: Slope(1.0, 0), "slope p", id="<lambda>-slope p1"),
+            pytest.param(lambda: Slope(1, 2.0), "slope q", id="<lambda>-slope q"),
+            pytest.param(lambda: CoverCertificate(2.5, 1.0, "x"), "degree", id="<lambda>-degree0"),
+            pytest.param(lambda: IntMatrix(1, 1, (True,)), "entries", id="<lambda>-entries"),
+            pytest.param(lambda: IntMatrix(1.0, 1, (1,)), "rows", id="<lambda>-rows"),
+            pytest.param(
+                lambda: count_representations(GroupPresentation(1, ()), True),
+                "degree",
+                id="<lambda>-degree1",
+            ),
+            pytest.param(
+                lambda: count_representations(GroupPresentation(1, ()), 2.0),
+                "degree",
+                id="<lambda>-degree2",
+            ),
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), 2.0, [(2,)]),
                 "degree must be an integer",
+                id="<lambda>-degree must be an integer0",
             ),
-            (
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1, True), True, [(2,)]),
                 "degree must be an integer",
+                id="<lambda>-degree must be an integer1",
             ),
             # the local-degree cases are named for the rule they break, not
             # for the path their refusal names
@@ -309,68 +334,162 @@ class TestConstructors:
                 r"^branch_local_degrees\[0\]\[0\] must be an integer$",
                 id="<lambda>-local degrees",
             ),
-            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), True, 2.0), "k1"),
-            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2), "k1"),
-            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, 2.0), "k2"),
-            (lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, False), "k2"),
-            (lambda: prism_fibrations(True), "^n must be an integer"),
-            (lambda: prism_fibrations(1.0), "^n must be an integer"),
-            (lambda: prism_case_analysis(1.5), "^n must be an integer"),
-            (lambda: prism_case_analysis(True), "^n must be an integer"),
-            (lambda: case_analysis_report(True), "^n must be an integer"),
-            (lambda: ln_link(0.5), "^n must be an integer"),
-            (lambda: ln_link(True), "^n must be an integer"),
-            (lambda: twisted_torus_braid(3.0, 1, 2, 1), "^p must be an integer"),
-            (lambda: twisted_torus_braid(3, True, 2, 1), "^q must be an integer"),
-            (lambda: twisted_torus_braid(3, 1, 2.0, 1), "^r must be an integer"),
-            (lambda: twisted_torus_braid(3, 1, 2, "1"), "^s must be an integer"),
-            (lambda: prism_verify(1.0, 2), "^n_from must be an integer"),
-            (lambda: prism_verify(1, False), "^n_to must be an integer"),
+            pytest.param(
+                lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), True, 2.0),
+                "k1",
+                id="<lambda>-k1_0",
+            ),
+            pytest.param(
+                lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1.0, 2),
+                "k1",
+                id="<lambda>-k1_1",
+            ),
+            pytest.param(
+                lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, 2.0),
+                "k2",
+                id="<lambda>-k2_0",
+            ),
+            pytest.param(
+                lambda: enumerate_constrained_slopes(Slope(1, 0), Slope(0, 1), 1, False),
+                "k2",
+                id="<lambda>-k2_1",
+            ),
+            pytest.param(
+                lambda: prism_fibrations(True),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer0",
+            ),
+            pytest.param(
+                lambda: prism_fibrations(1.0),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer1",
+            ),
+            pytest.param(
+                lambda: prism_case_analysis(1.5),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer2",
+            ),
+            pytest.param(
+                lambda: prism_case_analysis(True),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer3",
+            ),
+            pytest.param(
+                lambda: case_analysis_report(True),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer4",
+            ),
+            pytest.param(
+                lambda: ln_link(0.5), "^n must be an integer", id="<lambda>-^n must be an integer5"
+            ),
+            pytest.param(
+                lambda: ln_link(True), "^n must be an integer", id="<lambda>-^n must be an integer6"
+            ),
+            pytest.param(
+                lambda: twisted_torus_braid(3.0, 1, 2, 1),
+                "^p must be an integer",
+                id="<lambda>-^p must be an integer",
+            ),
+            pytest.param(
+                lambda: twisted_torus_braid(3, True, 2, 1),
+                "^q must be an integer",
+                id="<lambda>-^q must be an integer",
+            ),
+            pytest.param(
+                lambda: twisted_torus_braid(3, 1, 2.0, 1),
+                "^r must be an integer",
+                id="<lambda>-^r must be an integer",
+            ),
+            pytest.param(
+                lambda: twisted_torus_braid(3, 1, 2, "1"),
+                "^s must be an integer",
+                id="<lambda>-^s must be an integer",
+            ),
+            pytest.param(
+                lambda: prism_verify(1.0, 2),
+                "^n_from must be an integer",
+                id="<lambda>-^n_from must be an integer0",
+            ),
+            pytest.param(
+                lambda: prism_verify(1, False),
+                "^n_to must be an integer",
+                id="<lambda>-^n_to must be an integer0",
+            ),
             # arrays are lists or tuples; nothing else is iterated into one
-            (
+            pytest.param(
                 lambda: SeifertSymbol("Oo", 0, (5,)),
                 r"^fibers\[0\] must be a list or a tuple, got 5$",
+                id=r"<lambda>-^fibers\[0\] must be a list or a tuple, got 5$",
             ),
-            (lambda: SeifertSymbol("Oo", 0, 5), "^fibers must be a list or a tuple, got 5$"),
-            (lambda: MontesinosLink(0, 5), "^tangles must be a list or a tuple, got 5$"),
-            (lambda: Orbifold2D(True, 0, 1, 5), "^cones must be a list or a tuple, got 5$"),
-            (
+            pytest.param(
+                lambda: SeifertSymbol("Oo", 0, 5),
+                "^fibers must be a list or a tuple, got 5$",
+                id="<lambda>-^fibers must be a list or a tuple, got 5$",
+            ),
+            pytest.param(
+                lambda: MontesinosLink(0, 5),
+                "^tangles must be a list or a tuple, got 5$",
+                id="<lambda>-^tangles must be a list or a tuple, got 5$",
+            ),
+            pytest.param(
+                lambda: Orbifold2D(True, 0, 1, 5),
+                "^cones must be a list or a tuple, got 5$",
+                id="<lambda>-^cones must be a list or a tuple, got 5$",
+            ),
+            pytest.param(
                 lambda: Orbifold2D(True, 0, 1, {3: 0, 2: 0}),
                 r"^cones must be a list or a tuple, got \{3: 0, 2: 0\}$",
+                id=r"<lambda>-^cones must be a list or a tuple, got \{3: 0, 2: 0\}$",
             ),
-            (
+            pytest.param(
                 lambda: GroupPresentation(1, (5,)),
                 r"^relators\[0\] must be a list or a tuple, got 5$",
+                id=r"<lambda>-^relators\[0\] must be a list or a tuple, got 5$",
             ),
-            (lambda: GroupPresentation(1, 5), "^relators must be a list or a tuple, got 5$"),
-            (lambda: IntMatrix(1, 1, 5), "^entries must be a list or a tuple, got 5$"),
-            (
+            pytest.param(
+                lambda: GroupPresentation(1, 5),
+                "^relators must be a list or a tuple, got 5$",
+                id="<lambda>-^relators must be a list or a tuple, got 5$",
+            ),
+            pytest.param(
+                lambda: IntMatrix(1, 1, 5),
+                "^entries must be a list or a tuple, got 5$",
+                id="<lambda>-^entries must be a list or a tuple, got 5$",
+            ),
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, 5),
                 "^branch_local_degrees must be a list or a tuple, got 5$",
+                id="<lambda>-^branch_local_degrees must be a list or a tuple, got 5$",
             ),
-            (
+            pytest.param(
                 lambda: riemann_hurwitz_cover(SurfaceData(0, 1), 2, [2]),
                 r"^branch_local_degrees\[0\] must be a list or a tuple, got 2$",
+                id=r"<lambda>-^branch_local_degrees\[0\] must be a list or a tuple, got 2$",
             ),
-            (
+            pytest.param(
                 lambda: BraidWord(3, {1: 2}),
                 r"^letters must be a list or a tuple, got \{1: 2\}$",
+                id=r"<lambda>-^letters must be a list or a tuple, got \{1: 2\}$",
             ),
-            (
+            pytest.param(
                 lambda: BraidWord(3, (letter for letter in (1,))),
                 "^letters must be a list or a tuple, got <generator",
+                id="<lambda>-^letters must be a list or a tuple, got <generator",
             ),
-            (
+            pytest.param(
                 lambda: IntMatrix.from_rows([{3: 0, 4: 0}]),
                 r"^rows\[0\] must be a list or a tuple, got \{3: 0, 4: 0\}$",
+                id=r"<lambda>-^rows\[0\] must be a list or a tuple, got \{3: 0, 4: 0\}$",
             ),
-            (
+            pytest.param(
                 lambda: IntMatrix.from_rows({1: 2}),
                 r"^rows must be a list or a tuple, got \{1: 2\}$",
+                id=r"<lambda>-^rows must be a list or a tuple, got \{1: 2\}$",
             ),
-            (
+            pytest.param(
                 lambda: IntMatrix.from_rows([(x for x in (1, 2))]),
                 r"^rows\[0\] must be a list or a tuple, got <generator",
+                id=r"<lambda>-^rows\[0\] must be a list or a tuple, got <generator",
             ),
             # types are checked before the local degrees are sorted
             pytest.param(
@@ -383,12 +502,25 @@ class TestConstructors:
                 r"^branch_local_degrees\[0\]\[1\] must be an integer$",
                 id="<lambda>-^local degrees must be positive integers: (3, 2.0)",
             ),
-            (lambda: prism_row_stream(True, 2), "^n_from must be an integer"),
-            (lambda: prism_row_stream(1, 2.0), "^n_to must be an integer"),
-            (lambda: disk_cases(True), "^n must be an integer"),
-            (
+            pytest.param(
+                lambda: prism_row_stream(True, 2),
+                "^n_from must be an integer",
+                id="<lambda>-^n_from must be an integer1",
+            ),
+            pytest.param(
+                lambda: prism_row_stream(1, 2.0),
+                "^n_to must be an integer",
+                id="<lambda>-^n_to must be an integer1",
+            ),
+            pytest.param(
+                lambda: disk_cases(True),
+                "^n must be an integer",
+                id="<lambda>-^n must be an integer7",
+            ),
+            pytest.param(
                 lambda: remove_fiber(SeifertSymbol("Oo", 0, ((1, 2),)), True),
                 "^which must be 'regular' or a fiber index$",
+                id="<lambda>-^which must be 'regular' or a fiber index$",
             ),
         ],
     )

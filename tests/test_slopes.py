@@ -30,12 +30,12 @@ class TestSlopeCanonicalForm:
     @pytest.mark.parametrize(
         "p, q, message",
         [
-            (True, 0, "slope p must be an integer, got True"),
-            (1.0, 0, "slope p must be an integer, got 1.0"),
-            ("1", 2.0, "slope p must be an integer, got '1'"),
-            (1, 2.0, "slope q must be an integer, got 2.0"),
-            (0, False, "slope q must be an integer, got False"),
-            (2, None, "slope q must be an integer, got None"),
+            pytest.param(True, 0, "slope p must be an integer", id="p-bool"),
+            pytest.param(1.0, 0, "slope p must be an integer", id="p-float"),
+            pytest.param("1", 2.0, "slope p must be an integer", id="p-before-q"),
+            pytest.param(1, 2.0, "slope q must be an integer", id="q-float"),
+            pytest.param(0, False, "slope q must be an integer", id="q-bool"),
+            pytest.param(2, None, "slope q must be an integer", id="q-None"),
         ],
     )
     def test_type_refusal_messages(self, p, q, message):

@@ -117,6 +117,8 @@ def test_all_is_what_the_package_imports():
         ("braids", "exponent_sum"),
         ("covers", "prism_rows"),
         ("orbifolds", "orientation_double_cover"),
+        ("reader", "require_int"),
+        ("reader", "read"),
     ],
 )
 def test_removed_helpers_are_gone(layer, name):
@@ -124,6 +126,21 @@ def test_removed_helpers_are_gone(layer, name):
     assert name not in prismvol.__all__
     assert not hasattr(prismvol, name)
     assert not hasattr(importlib.import_module(f"prismvol.{layer}"), name)
+
+
+def test_reader_defines_only_its_one_rule():
+    """``check`` is the one rule for the shape of an input; beside it the
+    reader defines only ``loads`` and the ``Record`` base."""
+    tree = ast.parse(Path(prismvol.__file__).with_name("reader.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert {name for name in names if not name.startswith("_")} == {"check", "loads", "Record"}
 
 
 def test_no_constructor_coerces_a_field_to_a_tuple():
