@@ -26,17 +26,12 @@ def main(argv: list[str] | None = None) -> int:
 
     by_status: dict[str, list[int]] = {}
     candidate_lines = []
-    for row in prism_row_stream(args.n_from, args.n_to):
-        if type(row) is tuple:  # a conditional row given as its leaves, n first
-            by_status["conditional"].append(row[0])
-            continue
-        by_status.setdefault(row["status"], []).append(row["n"])
-        if row["status"] == "candidate-exceptional":
-            degrees = sorted(
-                d for case in row["case_analysis"]["cases"] for d in case["degrees"]
-            )
+    for record in prism_row_stream(args.n_from, args.n_to):
+        by_status.setdefault(record["status"], []).append(record["n"])
+        if record["status"] == "candidate-exceptional":
+            degrees = sorted(d for case in record["cases"] for d in case["degrees"])
             candidate_lines.append(
-                f"candidate n = {row['n']}: horizontal fiber degrees {degrees}"
+                f"candidate n = {record['n']}: horizontal fiber degrees {degrees}"
             )
 
     audited = sum(map(len, by_status.values()))

@@ -42,6 +42,7 @@ _PUBLIC = {
         "count_representations",
         "degree_bound_for_budget",
         "presentation_from_json",
+        "prism_header",
         "prism_row_stream",
         "prism_verify",
         "upper_bound_value",
@@ -63,6 +64,7 @@ _PUBLIC = {
         "chi_orb",
         "disk_cases",
         "fiber_surface",
+        "fixed_cases_report",
         "horizontal_degree_solutions",
         "nonorientable_base_solutions",
         "prism_case_analysis",

@@ -24,9 +24,8 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from functools import reduce
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import getitem
 
 from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
@@ -283,69 +282,54 @@ def _indented(value: object, margin: str = "") -> str:
 
 
 def _prism_json(stream) -> Iterator[str]:
-    """What ``print(json.dumps(report, indent=2))`` writes for the report
-    ``{"reports": rows, "candidate_exceptional": [...]}``, one row of
-    ``covers.prism_row_stream`` at a time; the candidates are collected along
-    the way.  A "conditional" row made whole, the call's first, is the
-    template: it is written with "\\0", which no row holds, put in place at
-    each ``covers.ROW_LEAVES`` leaf once its leaves are read, and each row
-    given as its leaves is that text with them in the gaps."""
+    """What ``print(json.dumps(prism_verify(a, b), indent=2))`` writes, for the
+    records of ``covers.prism_row_stream(a, b)``, one at a time; the
+    candidates are collected along the way.  ``_indented`` writes the header
+    and every record but a "conditional" one, which is written from one
+    f-string with its n and mu as its only gaps."""
+    value = _indented(covers.upper_bound_value())
     candidates = []
-    yield '{\n  "reports": ['
+    yield f'{{\n  "header": {_indented(covers.prism_header(), "  ")},\n  "reports": ['
     separator, closing = "\n    ", "]"
-    for row in stream:
-        if type(row) is dict and row["status"] == "conditional":
-            template, row = row, tuple(reduce(getitem, path, row) for path in covers.ROW_LEAVES)
-            for *path, key in covers.ROW_LEAVES:
-                reduce(getitem, path, template)[key] = "\0"
-            gaps = _indented(template, "    ").split(_indented("\0"))
-            parts = [""] * (2 * len(gaps) - 1)
-            parts[::2] = gaps
-        if type(row) is not dict:
-            parts[1::2] = map(_indented, row)
-            text = "".join(parts)
+    for record in stream:
+        if record["status"] == "conditional":
+            yield (
+                f'{separator}{{\n      "n": {record["n"]},\n      "upper_bound_value": {value},'
+                f'\n      "status": "conditional",\n      "mu": {record["mu"]}\n    }}'
+            )
         else:
-            text = _indented(row, "    ")
-            if row["status"] == "candidate-exceptional":
-                candidates.append(row["n"])
-        yield separator + text
+            if record["status"] == "candidate-exceptional":
+                candidates.append(record["n"])
+            yield separator + _indented(record, "    ")
         separator, closing = ",\n    ", "\n  ]"
     yield f'{closing},\n  "candidate_exceptional": {_indented(candidates, "  ")}\n}}\n'
 
 
 def _prism_table(stream) -> Iterator[str]:
-    """The table of the rows of ``covers.prism_row_stream``, one line at a
-    time; a row given as its leaves is written as the line of the call's
-    first "conditional" row with its own n, the first leaf."""
+    """The table of the records of ``covers.prism_row_stream``, one line at a
+    time."""
+    header = covers.prism_header()
     yield (
-        f"upper bound {covers.UPPER_BOUND.label} = {covers.upper_bound_value():.12f}"
+        f"upper bound {header['upper_bound']} = {covers.upper_bound_value():.12f}"
         " (degree-2 certificate)"
     )
     yield (
         f"{'n':>5}  {'status':<22}  {'horizontal d':<14}  "
         f"{'twist-knot excluded':<19}  max degree"
     )
+    excluded = "yes" if header["twist_knot_excluded"] else "NO"
     candidates = []
-    for row in stream:
-        if type(row) is not dict:
-            yield f"{row[0]:>5}{conditional}"
+    for record in stream:
+        if record["status"] == "excluded":
+            yield f"{record['n']:>5}  {'excluded':<22}  {record['reason']}"
             continue
-        if row["status"] == "excluded":
-            yield f"{row['n']:>5}  {'excluded':<22}  {row['reason']}"
-            continue
-        if row["status"] == "candidate-exceptional":
-            candidates.append(row["n"])
-        degrees = sorted(
-            d for case in row["case_analysis"]["cases"] for d in case["degrees"]
+        degrees = sorted(d for case in record.get("cases", ()) for d in case["degrees"])
+        if record["status"] == "candidate-exceptional":
+            candidates.append(record["n"])
+        yield (
+            f"{record['n']:>5}  {record['status']:<22}  {_degrees_str(degrees):<14}  "
+            f"{excluded:<19}  {header['max_degree']}"
         )
-        excluded = "yes" if row["twist_knot_excluded"] else "NO"
-        line = (
-            f"  {row['status']:<22}  {_degrees_str(degrees):<14}  "
-            f"{excluded:<19}  {row['max_degree']}"
-        )
-        if row["status"] == "conditional":
-            conditional = line
-        yield f"{row['n']:>5}{line}"
     yield f"candidate exceptional: {_degrees_str(candidates)}"
 
 
@@ -359,8 +343,9 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
         chunks = _prism_json(stream)
     else:
         chunks = (line + "\n" for line in _prism_table(stream))
-    for chunk in chunks:
-        sys.stdout.write(chunk)
+    # a few hundred rows per write: unbuffered, each write is a system call
+    while batch := "".join(islice(chunks, 200)):
+        sys.stdout.write(batch)
 
 
 # Argument specs shared by several commands: a name or flag, and add_argument options

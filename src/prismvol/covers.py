@@ -19,9 +19,10 @@ by the same enumeration, tuple by tuple, and not from the plain counts by
 Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
 checks the two against each other.
 
-The audit's rows are in closed form in mu = |4n - 1|.  ``prism_verify`` makes
-each one whole; ``prism_row_stream``, which the command line writes, gives a
-conditional row after the call's first as its leaves at ``ROW_LEAVES`` alone.
+The audit of the family is one header, ``prism_header``, with every fact that
+is the same for all n, and one short record per parameter, in closed form in
+mu = |4n - 1|: ``prism_row_stream`` yields the records one at a time, and
+``prism_verify`` returns the whole document.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def degree_bound_for_budget(budget: float, floor: float) -> int:
 
 
 UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, "2*V0")
-# every audit row reports this bound and the degree cap it allows
+# every record reports this bound, and the audit's header the degree cap it allows
 _UPPER_BOUND_VALUE = round(complexity(UPPER_BOUND), 12)
 _MAX_DEGREE = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
 
@@ -312,6 +313,14 @@ _NONEFFECTIVE_STEPS = (
     "over the finite list of small-volume knot complements, not enumerated",
 )
 
+# cases 3 and 5 of the case analysis, which depend on n, in closed form
+_DISK_CASES = (
+    "mu = |4n - 1|; case 3 is the disk with cones 2, 2, mu and chi_orb (1 - mu)/mu, "
+    "case 5 the disk with cones 2, mu and chi_orb (2 - mu)/(2 mu); a record lists "
+    "their degrees and chi-only degrees only where it finds one, and there "
+    "periodic monodromy admits a horizontal genus-2 fiber candidate"
+)
+
 # (fiber, constraint) slopes of the demonstration, as (p, q) pairs
 _SLOPE_DEMO_PAIRS = (((1, 0), (0, 1)), ((1, 0), (1, 2)))
 
@@ -320,110 +329,82 @@ def upper_bound_value() -> float:
     return _UPPER_BOUND_VALUE
 
 
-def _slope_demo_counts() -> list[int]:
-    return [
-        len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
-        for f, c in _SLOPE_DEMO_PAIRS
-    ]
-
-
-def _report_for(n: int, counts: list[int]) -> dict:
-    """The audit row of parameter n, made of fresh dicts and lists; its case
-    analysis is ``orbifolds.case_analysis_report(n)``, in closed form in
-    mu = |4n - 1|."""
-    mu = abs(4 * n - 1)
-    row = {"n": n, "upper_bound": UPPER_BOUND.label, "upper_bound_value": _UPPER_BOUND_VALUE}
-    if mu < 3:
-        reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
-        return {**row, "status": "excluded", "reason": reason}
-    analysis = orbifolds.case_analysis_report(n)
-    degrees = sorted(d for case in analysis["cases"] for d in case["degrees"])
-    unresolved = list(_NONEFFECTIVE_STEPS)
-    if degrees:
-        unresolved.insert(
-            0,
-            "periodic monodromy admits a horizontal genus-2 fiber candidate "
-            f"at degrees {degrees}",
-        )
+def prism_header() -> dict:
+    """The facts of the audit that are the same for every n, made of fresh dicts
+    and lists: the bound and the degree cap it allows, the twist-knot exclusion,
+    cases 1, 2 and 4 of the case analysis, the closed form of cases 3 and 5, a
+    slope-enumeration demonstration, run at each call, and the steps that are
+    finite but not effective."""
     return {
-        **row,
+        "upper_bound": UPPER_BOUND.label,
+        "max_degree": _MAX_DEGREE,
         # a twist knot's double branched cover is a lens space; the family's
         # sphere fibration has cones 2, 2, mu with mu >= 3, so it never is one
         "twist_knot_excluded": True,
-        "case_analysis": analysis,
+        "fixed_cases": orbifolds.fixed_cases_report(),
+        "disk_cases": _DISK_CASES,
         "slope_demo": {
             "pairs": [[list(f), list(c)] for f, c in _SLOPE_DEMO_PAIRS],
-            "counts": list(counts),
+            "counts": [
+                len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
+                for f, c in _SLOPE_DEMO_PAIRS
+            ],
         },
-        "max_degree": _MAX_DEGREE,
-        "status": "candidate-exceptional" if degrees else "conditional",
-        "unresolved_steps": unresolved,
+        "unresolved_steps": list(_NONEFFECTIVE_STEPS),
     }
 
 
-# The leaves of a "conditional" row that depend on n, in text order: n twice,
-# then mu and chi_orb of cases 3 and 5.  Every other leaf is the same in all
-# such rows of one call: cases 1, 2 and 4 do not depend on n and have no
-# degree, and ``orbifolds.disk_cases`` finds none in cases 3 and 5.
-ROW_LEAVES = (
-    ("n",),
-    ("case_analysis", "n"),
-    ("case_analysis", "cases", 2, "orbifold", "cones", 2),
-    ("case_analysis", "cases", 2, "chi_orb"),
-    ("case_analysis", "cases", 4, "orbifold", "cones", 1),
-    ("case_analysis", "cases", 4, "chi_orb"),
-)
+def _record(n: int) -> dict:
+    """The record of parameter n, made of fresh dicts and lists.  A record that
+    is neither excluded nor conditional lists the degrees of cases 3 and 5;
+    ``orbifolds.disk_cases`` finds some only at n = -1 and 1, and there every
+    chi-only degree is also a degree."""
+    mu = abs(4 * n - 1)
+    record = {"n": n, "upper_bound_value": _UPPER_BOUND_VALUE}
+    if mu < 3:
+        reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
+        return {**record, "status": "excluded", "reason": reason}
+    found = orbifolds.disk_cases(n)[3]
+    if found is None:
+        return {**record, "status": "conditional", "mu": mu}
+    degrees_3, chi_only_3, degrees_5, chi_only_5 = found
+    return {
+        **record,
+        "status": "candidate-exceptional",
+        "mu": mu,
+        "cases": [
+            {"case": 3, "degrees": degrees_3, "chi_only_degrees": chi_only_3},
+            {"case": 5, "degrees": degrees_5, "chi_only_degrees": chi_only_5},
+        ],
+    }
 
 
-def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict | tuple]:
-    """The rows of ``prism_verify(n_from, n_to)``, one at a time, with every
-    "conditional" row after the call's first given as its values at
-    ``ROW_LEAVES`` alone, n first: that row is the first conditional row with
-    those leaves put in.  The other rows, the first conditional one, the
-    excluded n = 0 and the candidates n = -1 and 1 of the divisor argument
-    (mu - 2) | 12, are made whole, of fresh dicts and lists.  As in
-    ``prism_verify``, the slope demonstration runs once, at the call."""
+def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict]:
+    """The records of ``prism_verify(n_from, n_to)``, one at a time; a non-int
+    ``n_from`` or ``n_to`` is refused at the call."""
     check(n_from, int, "n_from")
     check(n_to, int, "n_to")
-    counts = _slope_demo_counts()
-
-    def stream():
-        made = False  # whether the call's first conditional row is out
-        for n in range(n_from, n_to + 1):
-            if made and abs(4 * n - 1) >= 3:  # disk_cases refuses an excluded n
-                mu, chi_3, chi_5, found = orbifolds.disk_cases(n)
-                if found is None:
-                    yield n, n, mu, chi_3, mu, chi_5
-                    continue
-            row = _report_for(n, counts)
-            made = made or row["status"] == "conditional"
-            yield row
-
-    return stream()
+    return map(_record, range(n_from, n_to + 1))
 
 
 def prism_verify(n_from: int, n_to: int) -> dict:
     """Audit every parameter in [n_from, n_to].
 
-    Per parameter: the 2-fold upper-bound certificate (budget 2*V0), the
-    twist-knot exclusion (a twist knot's double branched cover is a lens
-    space, and the family's sphere fibration never is one), the five-case
-    horizontal-surface analysis, a slope-enumeration demonstration, and the
-    degree cap from the volume floor.  Parameters whose computable
-    obstructions all vanish are "conditional" (the remaining steps are finite
-    but not effective); parameters where the case analysis finds a candidate
-    degree are "candidate-exceptional"; degenerate parameters are "excluded".
+    The document is ``prism_header()``, one record per parameter under
+    "reports", and the candidates' n under "candidate_exceptional".  A record
+    holds n, the value of the 2-fold upper-bound certificate (budget 2*V0) and
+    a status.  Parameters whose computable obstructions all vanish are
+    "conditional" (the remaining steps are finite but not effective) and add
+    mu; parameters where the case analysis finds a candidate degree are
+    "candidate-exceptional" and add mu and the degrees of cases 3 and 5;
+    degenerate parameters are "excluded" and add the reason.
 
-    Each row is in closed form in mu = |4n - 1|, of fresh dicts and lists.
-    The slope demonstration runs once, at the call, which refuses a non-int
-    ``n_from`` or ``n_to``.  The rows are held at once, so memory grows with
-    the range; the command line writes ``prism_row_stream`` instead.
+    The records are held at once, so memory grows with the range; the command
+    line writes ``prism_row_stream`` instead.
     """
-    check(n_from, int, "n_from")
-    check(n_to, int, "n_to")
-    counts = _slope_demo_counts()
-    reports = [_report_for(n, counts) for n in range(n_from, n_to + 1)]
+    reports = list(prism_row_stream(n_from, n_to))
     return {
+        "header": prism_header(),
         "reports": reports,
         "candidate_exceptional": [
             r["n"] for r in reports if r["status"] == "candidate-exceptional"

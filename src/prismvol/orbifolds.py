@@ -17,9 +17,9 @@ the degrees that meet both, and the "chi-only" degrees that meet the first.
 ``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
-``case_analysis_report`` is its closed form in mu = |4n - 1|, as the audit
-embeds it, and ``disk_cases`` the two cases that depend on n: the audit reads
-those alone for a row that differs from its first conditional row only there.
+``case_analysis_report`` is its closed form in mu = |4n - 1|.  The audit
+writes the three cases that do not depend on n, ``fixed_cases_report``, once
+per call, and per parameter only what ``disk_cases`` finds in the two that do.
 """
 
 from __future__ import annotations
@@ -279,6 +279,11 @@ def _fixed_case(case: int) -> CaseResult:
     return _solve_case(case, Orbifold2D(*bases[case]), _FIBER_EULER)
 
 
+def fixed_cases_report() -> list[dict]:
+    """``CaseResult.to_json`` of cases 1, 2 and 4, made of fresh dicts and lists."""
+    return [_fixed_case(case).to_json() for case in (1, 2, 4)]
+
+
 def _prism_mu(n: int) -> int:
     """mu = |4n - 1| of the prism parameter n; a non-integer or degenerate n is refused."""
     check(n, int, "n")
@@ -308,7 +313,7 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
 
     The general path: cases 1, 2 and 4 are solved on their first use, 3 and 5
     per call, by ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.
-    The audit embeds the closed form ``case_analysis_report``, tested against it.
+    ``case_analysis_report`` is the closed form, tested against it.
     """
     mu = _prism_mu(n)
     return [
@@ -352,15 +357,15 @@ def _disk_case(case: int, cones: list[int], chi: str, degrees, chi_only) -> dict
 
 def case_analysis_report(n: int) -> dict:
     """JSON-ready report of ``prism_case_analysis(n)`` in closed form in mu = |4n - 1|,
-    made of fresh dicts and lists, as the audit embeds one in every row; its
-    disk cases are ``disk_cases(n)``."""
+    made of fresh dicts and lists; its disk cases are ``disk_cases(n)``."""
     mu, chi_3, chi_5, found = disk_cases(n)
     degrees_3, chi_only_3, degrees_5, chi_only_5 = found or ([], [], [], [])
+    one, two, four = fixed_cases_report()
     cases = [
-        _fixed_case(1).to_json(),
-        _fixed_case(2).to_json(),
+        one,
+        two,
         _disk_case(3, [2, 2, mu], chi_3, degrees_3, chi_only_3),
-        _fixed_case(4).to_json(),
+        four,
         _disk_case(5, [2, mu], chi_5, degrees_5, chi_only_5),
     ]
     return {"n": n, "cases": cases, "admits_horizontal": any(c["degrees"] for c in cases)}

@@ -12,7 +12,8 @@ double cover built as an orbifold, not by scaling chi_orb.  Degree equations
 over the whole family are cross-checked by a bounded integrality scan of
 affine ratios, and the Whitehead volume by Catalan's alternating series.  Audit rows are rebuilt the way the audit once built
 them, from the fibrations, the lens-space test and the five-case report of
-the general path, ``prism_case_analysis``.
+the general path, ``prism_case_analysis``; ``expand`` puts the audit's header
+and one record back into such a row.
 """
 
 from __future__ import annotations
@@ -357,6 +358,58 @@ def audit_row_oracle(n: int) -> dict:
         },
         "max_degree": covers._MAX_DEGREE,
         "status": status,
+        "unresolved_steps": unresolved,
+    }
+
+
+def expand(header: dict, record: dict) -> dict:
+    """The whole row that the audit wrote per parameter before it wrote one
+    header and one record each, put together from ``header`` and ``record``.
+    Cases 3 and 5 come from ``case_report_oracle``, with the record's mu as
+    their last cone and the record's degrees, none where it lists no case."""
+    n = record["n"]
+    row = {
+        "n": n,
+        "upper_bound": header["upper_bound"],
+        "upper_bound_value": record["upper_bound_value"],
+    }
+    if record["status"] == "excluded":
+        return {**row, "status": "excluded", "reason": record["reason"]}
+    fixed = dict(zip((1, 2, 4), header["fixed_cases"]))
+    listed = {case["case"]: case for case in record.get("cases", [])}
+    cases = []
+    for case in case_report_oracle(n)["cases"]:
+        number = case["case"]
+        if number in fixed:
+            cases.append(fixed[number])
+            continue
+        found = listed.get(number, {"degrees": [], "chi_only_degrees": []})
+        cones = case["orbifold"]["cones"][:-1] + [record["mu"]]
+        cases.append({
+            **case,
+            "orbifold": {**case["orbifold"], "cones": cones},
+            "degrees": found["degrees"],
+            "chi_only_degrees": found["chi_only_degrees"],
+        })
+    degrees = sorted(d for case in cases for d in case["degrees"])
+    unresolved = list(header["unresolved_steps"])
+    if degrees:
+        unresolved.insert(
+            0,
+            "periodic monodromy admits a horizontal genus-2 fiber candidate "
+            f"at degrees {degrees}",
+        )
+    return {
+        **row,
+        "twist_knot_excluded": header["twist_knot_excluded"],
+        "case_analysis": {
+            "n": n,
+            "cases": cases,
+            "admits_horizontal": any(case["degrees"] for case in cases),
+        },
+        "slope_demo": header["slope_demo"],
+        "max_degree": header["max_degree"],
+        "status": record["status"],
         "unresolved_steps": unresolved,
     }
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from prismvol import (
     link_from_json,
     normalize,
+    prism_header,
     prism_row_stream,
     prism_verify,
     symbol_from_json,
@@ -645,9 +646,17 @@ class _NullSink:
         pass
 
 
+class _CountingSink(_NullSink):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
 class TestStreamedVerify:
-    """``prism verify`` writes each row as it is made, byte for byte what
-    printing the whole report at once gave."""
+    """``prism verify`` writes the rows as they are made, a few hundred at a
+    time, byte for byte what printing the whole report at once gives."""
 
     # the table as printed when the whole report was built before printing
     TABLE_MINUS_ONE_TO_ONE = (
@@ -673,16 +682,16 @@ class TestStreamedVerify:
     # comparison with ``prism_verify``, these show a change to the rows
     JSON_DIGESTS = {
         (2, 50): (
-            151359,
-            "6de3cb296b020298e48b01d83b8a7a9bb6854c1be22d301e6f18d4ebbe165fcc",
+            8057,
+            "d9c168a40117cd95b3ffe83f5b79e6b5028b214a53b21a9adcdc3d4e71b63591",
         ),
         (-60, 60): (
-            371284,
-            "c387e0750df6845e4d94d29bbd885e4b62d9c5f3bca3a83e8944b3a45583dc52",
+            17203,
+            "6083353377552c9a9f9263c16b464ae4bb90758561edb280825138aaecd748d6",
         ),
         (-1000, 1000): (
-            6197107,
-            "f1d0dd35b4ce6262b444ec20c2186763ba21959f3201fe23f9ce2e8e66d5f54f",
+            243288,
+            "4e1abfaa6fbebab0509c00b73792d75e2627ca3f1138377b7f0f9c829f8ef458",
         ),
     }
 
@@ -727,7 +736,26 @@ class TestStreamedVerify:
         # the command line refuses an empty range, so call the emitter
         out = "".join(cli._prism_json(prism_row_stream(1, 0)))
         assert out == json.dumps(prism_verify(1, 0), indent=2) + "\n"
-        assert out == '{\n  "reports": [],\n  "candidate_exceptional": []\n}\n'
+        header = cli._indented(prism_header(), "  ")
+        assert out == (
+            f'{{\n  "header": {header},\n  "reports": [],\n  "candidate_exceptional": []\n}}\n'
+        )
+
+    def test_json_is_small(self):
+        """One header per call and one short record per parameter: below 300 000
+        bytes at +-1000, where a whole row per parameter wrote 6 197 107."""
+        code, out, err = run_cli(["prism", "verify", "--from", "-1000", "--to", "1000", "--json"])
+        assert (code, err) == (0, "")
+        assert len(out.encode()) < 300_000
+
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
+    def test_writes_in_batches(self, fmt):
+        """Unbuffered, each write to stdout is a system call: the 2 001 rows at
+        +-1000 go out in at most 16 writes."""
+        sink = _CountingSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(["prism", "verify", "--from", "-1000", "--to", "1000", *fmt]) == 0
+        assert 0 < sink.writes <= 16
 
     def test_table_small_ranges(self):
         assert run_cli(["prism", "verify", "--from", "-1", "--to", "1"]) == (
@@ -778,8 +806,9 @@ class TestStreamedVerify:
 
     @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
     def test_rows_made_whole_at_most_three_times(self, monkeypatch, fmt):
-        """Of the 2 000 non-degenerate rows at +-1000, only the first
-        conditional one and the candidates n = -1 and 1 are made whole."""
+        """Of the 2 000 non-degenerate rows at +-1000, none runs a case
+        analysis, since each record is what ``orbifolds.disk_cases`` finds;
+        the bound allows the three rows that were once made whole."""
         calls = Counter()
         targets = [(orbifolds, "case_analysis_report"), (slopes, "enumerate_constrained_slopes")]
         for layer, name in targets:

@@ -1,12 +1,11 @@
-import copy
+import contextlib
+import io
 import itertools
 import json
 import math
 import re
 from collections import Counter
-from functools import reduce
 from importlib import resources
-from operator import getitem
 
 import mpmath
 import pytest
@@ -28,16 +27,19 @@ from prismvol import (
     fiber_surface,
     presentation_from_json,
     prism_case_analysis,
+    prism_header,
     prism_row_stream,
     prism_verify,
     upper_bound_value,
 )
-from prismvol.covers import ROW_LEAVES, UPPER_BOUND, _conjugacy_classes
+from prismvol import cli
+from prismvol.covers import UPPER_BOUND, _conjugacy_classes
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (
     audit_row_oracle,
     brute_hom_count,
+    expand,
     catalan_alternating,
     presentations_st,
     relator_words_st,
@@ -405,7 +407,11 @@ class TestPrismVerify:
         assert upper_bound_value() == 7.327724753418
 
     def test_empty_range(self):
-        assert prism_verify(1, 0) == {"reports": [], "candidate_exceptional": []}
+        assert prism_verify(1, 0) == {
+            "header": prism_header(),
+            "reports": [],
+            "candidate_exceptional": [],
+        }
 
     def test_small_window_flags_both_exceptional_candidates(self):
         result = prism_verify(-1, 1)
@@ -418,10 +424,11 @@ class TestPrismVerify:
         assert result["candidate_exceptional"] == [-1, 1]
 
     def test_degenerate_row_carries_reason(self):
-        row = prism_verify(0, 0)["reports"][0]
+        result = prism_verify(0, 0)
+        row = result["reports"][0]
         assert row["status"] == "excluded"
         assert "degenerate" in row["reason"]
-        assert row["upper_bound"] == "2*V0"
+        assert result["header"]["upper_bound"] == "2*V0"
 
     def test_positive_window_is_all_conditional(self):
         result = prism_verify(2, 10)
@@ -429,7 +436,7 @@ class TestPrismVerify:
         assert result["candidate_exceptional"] == []
         for row in result["reports"]:
             assert row["status"] == "conditional"
-            assert row["twist_knot_excluded"] is True
+        assert result["header"]["twist_knot_excluded"] is True
 
     def test_negative_window_is_all_conditional(self):
         result = prism_verify(-10, -2)
@@ -437,29 +444,39 @@ class TestPrismVerify:
         assert all(r["status"] == "conditional" for r in result["reports"])
 
     def test_report_schema(self):
-        row = prism_verify(2, 2)["reports"][0]
-        assert row["n"] == 2
-        assert row["upper_bound"] == "2*V0"
-        assert row["upper_bound_value"] == 7.327724753418
-        assert row["twist_knot_excluded"] is True
-        assert row["case_analysis"]["n"] == 2
-        assert row["case_analysis"]["admits_horizontal"] is False
-        assert len(row["case_analysis"]["cases"]) == 5
-        assert row["slope_demo"]["counts"] == [5, 2]
-        assert len(row["slope_demo"]["pairs"]) == 2
-        assert row["max_degree"] == 3
-        assert row["status"] == "conditional"
-        assert len(row["unresolved_steps"]) == 4
+        result = prism_verify(2, 2)
+        header, [row] = result["header"], result["reports"]
+        assert row == {"n": 2, "upper_bound_value": 7.327724753418, "status": "conditional", "mu": 7}
+        assert header["upper_bound"] == "2*V0"
+        assert header["twist_knot_excluded"] is True
+        # cases 1, 2 and 4 in the header, 3 and 5 stated there in mu, none
+        # with a degree: the record lists no case
+        assert [case["case"] for case in header["fixed_cases"]] == [1, 2, 4]
+        assert not any(case["degrees"] for case in header["fixed_cases"])
+        assert "case 3 " in header["disk_cases"] and "case 5 " in header["disk_cases"]
+        assert header["slope_demo"]["counts"] == [5, 2]
+        assert len(header["slope_demo"]["pairs"]) == 2
+        assert header["max_degree"] == 3
+        assert len(header["unresolved_steps"]) == 4
+        whole = expand(header, row)
+        assert whole["case_analysis"]["admits_horizontal"] is False
+        assert len(whole["case_analysis"]["cases"]) == 5
 
     def test_candidate_row_names_its_degrees(self):
-        row = prism_verify(1, 1)["reports"][0]
+        result = prism_verify(1, 1)
+        [row] = result["reports"]
         assert row["status"] == "candidate-exceptional"
-        assert len(row["unresolved_steps"]) == 5
-        assert "[18]" in row["unresolved_steps"][0]
+        assert row["cases"] == [
+            {"case": 3, "degrees": [], "chi_only_degrees": []},
+            {"case": 5, "degrees": [18], "chi_only_degrees": [18]},
+        ]
+        unresolved = expand(result["header"], row)["unresolved_steps"]
+        assert len(unresolved) == 5
+        assert "[18]" in unresolved[0]
 
     def test_negative_candidate_row_names_its_degrees(self):
         row = prism_verify(-1, -1)["reports"][0]
-        assert "[10]" in row["unresolved_steps"][0]
+        assert [case["degrees"] for case in row["cases"]] == [[], [10]]
 
     def test_deterministic_across_runs(self):
         assert prism_verify(-3, 3) == prism_verify(-3, 3)
@@ -469,29 +486,45 @@ class TestPrismVerify:
         assert json.loads(json.dumps(payload)) == payload
 
 
+# the keys of a record of each status, in order
+RECORD_KEYS = {
+    "excluded": ["n", "upper_bound_value", "status", "reason"],
+    "conditional": ["n", "upper_bound_value", "status", "mu"],
+    "candidate-exceptional": ["n", "upper_bound_value", "status", "mu", "cases"],
+}
+
+
 class TestClosedFormRows:
-    """Each audit row is built from mu = |4n - 1| alone; these tests hold it to
-    the rows the audit built from the fibrations and the case analysis."""
+    """Each audit record is built from mu = |4n - 1| alone; these tests hold it,
+    with the header, to the rows the audit built from the fibrations and the
+    case analysis."""
 
     def test_rows_equal_the_oracle(self):
+        result = prism_verify(-1000, 1000)
         checked = 0
-        for row in prism_verify(-1000, 1000)["reports"]:
-            oracle = audit_row_oracle(row["n"])
+        for record in result["reports"]:
+            row, oracle = expand(result["header"], record), audit_row_oracle(record["n"])
             # json.dumps also tells True from 1 and keeps the key order
-            assert row == oracle and json.dumps(row) == json.dumps(oracle), row["n"]
+            assert row == oracle and json.dumps(row) == json.dumps(oracle), record["n"]
+            assert list(record) == RECORD_KEYS[record["status"]], record["n"]
             checked += 1
         assert checked == 2001
 
     @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
     @settings(max_examples=200)
     def test_large_n_matches_the_case_analysis(self, n):
-        [row] = prism_verify(n, n)["reports"]
-        cases = row["case_analysis"]["cases"]
-        mu = abs(4 * n - 1)
-        assert cases[2]["chi_orb"] == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, 2, mu))))
-        assert cases[4]["chi_orb"] == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, mu))))
+        result = prism_verify(n, n)
+        [record] = result["reports"]
+        mu = record["mu"]
+        assert mu == abs(4 * n - 1)
+        # the header's closed form of cases 3 and 5, at this mu
+        assert "chi_orb (1 - mu)/mu" in result["header"]["disk_cases"]
+        assert "chi_orb (2 - mu)/(2 mu)" in result["header"]["disk_cases"]
+        assert f"{1 - mu}/{mu}" == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, 2, mu))))
+        assert f"{2 - mu}/{2 * mu}" == frac_str(chi_orb(Orbifold2D(True, 0, 1, (2, mu))))
+        cases = expand(result["header"], record)["case_analysis"]["cases"]
         assert cases == [r.to_json() for r in prism_case_analysis(n)]
-        assert (row["status"] == "conditional") is (abs(n) != 1)
+        assert (record["status"] == "conditional") is (abs(n) != 1)
 
     @staticmethod
     def _scribble(value):
@@ -507,26 +540,15 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("n", [1, 2, -1, -2])
     def test_rows_share_no_object(self, n):
-        rows = prism_verify(-3, 3)["reports"]
-        self._scribble(rows[n + 3])
-        for row in rows:
-            if row["n"] != n:
-                assert row == audit_row_oracle(row["n"]), row["n"]
-        assert prism_verify(-3, 3)["reports"] == [audit_row_oracle(m) for m in range(-3, 4)]
-
-
-def _filled(stream):
-    """The rows of ``prism_row_stream``, each tuple of leaves put into a copy
-    of the call's first conditional row at ``ROW_LEAVES``."""
-    template = None
-    for row in stream:
-        if type(row) is tuple:
-            leaves, row = row, copy.deepcopy(template)
-            for (*path, key), leaf in zip(ROW_LEAVES, leaves, strict=True):
-                reduce(getitem, path, row)[key] = leaf
-        elif template is None and row["status"] == "conditional":
-            template = copy.deepcopy(row)
-        yield row
+        result = prism_verify(-3, 3)
+        self._scribble(result["reports"][n + 3])
+        for record in result["reports"]:
+            if record["n"] != n:
+                assert expand(result["header"], record) == audit_row_oracle(record["n"]), record["n"]
+        self._scribble(result["header"])
+        again = prism_verify(-3, 3)
+        rows = [expand(again["header"], record) for record in again["reports"]]
+        assert rows == [audit_row_oracle(m) for m in range(-3, 4)]
 
 
 FAR = 10**12
@@ -545,21 +567,26 @@ windows_st = st.one_of(
 
 
 class TestRowStream:
-    """``prism_row_stream`` makes whole only the call's first conditional row
-    and the rows that are not conditional, and gives every other row as its
-    leaves."""
+    """``prism_row_stream`` yields the records of ``prism_verify`` as dicts, and
+    the command line writes them as ``json.dumps`` writes the whole document."""
 
     @given(windows_st)
     @settings(max_examples=200, deadline=None)
-    def test_filled_stream_is_prism_verify(self, window):
-        """Filled in, the stream gives the rows of ``prism_verify``."""
-        stream = list(prism_row_stream(*window))
-        filled, rows = list(_filled(stream)), prism_verify(*window)["reports"]
+    def test_written_stream_is_prism_verify(self, window):
+        n_from, n_to = window
+        expected = prism_verify(n_from, n_to)
+        records = list(prism_row_stream(n_from, n_to))
         # json.dumps also tells True from 1 and keeps the key order
-        assert filled == rows and json.dumps(filled) == json.dumps(rows)
-        whole = [row["n"] for row in stream if type(row) is dict]
-        conditional = [row["n"] for row in rows if row["status"] == "conditional"]
-        assert set(whole) <= {-1, 0, 1, *conditional[:1]}
+        assert json.dumps(records) == json.dumps(expected["reports"])
+        assert all(type(record) is dict for record in records)
+        if n_from > n_to:  # the command line refuses an empty range, its writer does not
+            out = "".join(cli._prism_json(prism_row_stream(n_from, n_to)))
+        else:
+            argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), "--json"]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert cli.main(argv) == 0
+            out = stdout.getvalue()
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestDegreeOne:
@@ -585,5 +612,4 @@ class TestUpperBoundCertificate:
     def test_feeds_the_degree_cap(self):
         cap = degree_bound_for_budget(complexity(UPPER_BOUND), ONE_CUSP_VOLUME_FLOOR.value)
         assert cap == 3
-        rows = prism_verify(-2, 5)["reports"]
-        assert {r["max_degree"] for r in rows if "max_degree" in r} == {cap}
+        assert prism_verify(-2, 5)["header"]["max_degree"] == cap

@@ -79,10 +79,9 @@ def test_slope_demo_counted_once_per_call(monkeypatch):
     monkeypatch.setattr(slopes, "enumerate_constrained_slopes", counting)
     result = prism_verify(-50, 50)
     assert len(calls) == 2
-    demos = [r["slope_demo"] for r in result["reports"] if "slope_demo" in r]
-    assert len(demos) == 100
-    assert demos[0]["counts"] == [5, 2]
-    assert all(demo == demos[0] for demo in demos)
+    # one demonstration, in the header, for the 100 rows that once held a copy each
+    assert result["header"]["slope_demo"]["counts"] == [5, 2]
+    assert all("slope_demo" not in r for r in result["reports"])
 
 
 def test_chi_orb_per_base_not_per_audit_row(monkeypatch):

@@ -116,6 +116,7 @@ def test_all_is_what_the_package_imports():
         ("slopes", "slope_from_json"),
         ("braids", "exponent_sum"),
         ("covers", "prism_rows"),
+        ("covers", "ROW_LEAVES"),
         ("orbifolds", "orientation_double_cover"),
         ("reader", "require_int"),
         ("reader", "read"),
@@ -222,8 +223,8 @@ def test_layers_reach_each_other_through_the_lazy_module():
 
 def test_no_layer_reads_another_layers_private_names():
     """A layer reaches another only through its public names: ``covers``
-    embeds ``orbifolds.case_analysis_report`` and does not rebuild it from
-    ``orbifolds._CASE_1`` and the like."""
+    reads ``orbifolds.fixed_cases_report`` and does not rebuild it from
+    ``orbifolds._fixed_case`` and the like."""
     found = [
         f"{name}:{node.lineno} {node.value.id}.{node.attr}"
         for name, node in _package_nodes()
