@@ -98,10 +98,9 @@ def _load_input(text: str) -> object:
 
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> None:
-    if args.json:
-        print(_indented(payload, ""))
-    else:
-        print("\n".join(lines))
+    # one write per document: unbuffered, ``print`` would make two system calls
+    text = _indented(payload, "") if args.json else "\n".join(lines)
+    sys.stdout.write(text + "\n")
 
 
 def _symbol_line(s: seifert.SeifertSymbol) -> str:

@@ -20,9 +20,10 @@ Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
 checks the two against each other.
 
 The audit of the family is one header, ``prism_header``, with every fact that
-is the same for all n, and one short record per parameter, in closed form in
-mu = |4n - 1|: ``prism_row_stream`` yields the records one at a time, and
-``prism_verify`` returns the whole document.
+is the same for all n, made of constants and the three cases of the case
+analysis that do not depend on n, and one short record per parameter, in
+closed form in mu = |4n - 1|: ``prism_row_stream`` yields the records one at
+a time, and ``prism_verify`` returns the whole document.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from . import orbifolds, slopes
+from . import orbifolds
 from .reader import Record, check
 
 MAX_ENUMERATION = 10**8
@@ -307,8 +308,7 @@ _NONEFFECTIVE_STEPS = (
     "reducible monodromy, hyperbolic piece: all but finitely many fillings "
     "keep the essential-torus complement hyperbolic, not enumerated",
     "reducible monodromy, fibered piece: candidate filling slopes are capped "
-    "by the intersection-number constraints (see slope_demo), not resolved "
-    "slope by slope",
+    "by the intersection-number constraints, not resolved slope by slope",
     "bounded-degree covers: finitely many covers of degree at most max_degree "
     "over the finite list of small-volume knot complements, not enumerated",
 )
@@ -321,9 +321,6 @@ _DISK_CASES = (
     "periodic monodromy admits a horizontal genus-2 fiber candidate"
 )
 
-# (fiber, constraint) slopes of the demonstration, as (p, q) pairs
-_SLOPE_DEMO_PAIRS = (((1, 0), (0, 1)), ((1, 0), (1, 2)))
-
 
 def upper_bound_value() -> float:
     return _UPPER_BOUND_VALUE
@@ -332,9 +329,8 @@ def upper_bound_value() -> float:
 def prism_header() -> dict:
     """The facts of the audit that are the same for every n, made of fresh dicts
     and lists: the bound and the degree cap it allows, the twist-knot exclusion,
-    cases 1, 2 and 4 of the case analysis, the closed form of cases 3 and 5, a
-    slope-enumeration demonstration, run at each call, and the steps that are
-    finite but not effective."""
+    cases 1, 2 and 4 of the case analysis, the closed form of cases 3 and 5,
+    and the steps that are finite but not effective."""
     return {
         "upper_bound": UPPER_BOUND.label,
         "max_degree": _MAX_DEGREE,
@@ -343,13 +339,6 @@ def prism_header() -> dict:
         "twist_knot_excluded": True,
         "fixed_cases": orbifolds.fixed_cases_report(),
         "disk_cases": _DISK_CASES,
-        "slope_demo": {
-            "pairs": [[list(f), list(c)] for f, c in _SLOPE_DEMO_PAIRS],
-            "counts": [
-                len(slopes.enumerate_constrained_slopes(slopes.Slope(*f), slopes.Slope(*c), 1, 2))
-                for f, c in _SLOPE_DEMO_PAIRS
-            ],
-        },
         "unresolved_steps": list(_NONEFFECTIVE_STEPS),
     }
 
@@ -364,7 +353,7 @@ def _record(n: int) -> dict:
     if mu < 3:
         reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
         return {**record, "status": "excluded", "reason": reason}
-    found = orbifolds.disk_cases(n)[3]
+    found = orbifolds.disk_cases(n)
     if found is None:
         return {**record, "status": "conditional", "mu": mu}
     degrees_3, chi_only_3, degrees_5, chi_only_5 = found

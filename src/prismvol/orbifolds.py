@@ -17,9 +17,10 @@ the degrees that meet both, and the "chi-only" degrees that meet the first.
 ``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
-``case_analysis_report`` is its closed form in mu = |4n - 1|.  The audit
-writes the three cases that do not depend on n, ``fixed_cases_report``, once
-per call, and per parameter only what ``disk_cases`` finds in the two that do.
+``case_analysis_report`` is its JSON.  The audit writes the three cases that
+do not depend on n, ``fixed_cases_report``, once per call; per parameter it
+writes only what ``disk_cases``, the closed form in mu = |4n - 1| of the other
+two, finds.
 """
 
 from __future__ import annotations
@@ -311,9 +312,9 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    The general path: cases 1, 2 and 4 are solved on their first use, 3 and 5
-    per call, by ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.
-    ``case_analysis_report`` is the closed form, tested against it.
+    Cases 1, 2 and 4 are solved on their first use, 3 and 5 per call, by
+    ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb;
+    ``disk_cases`` is the closed form of 3 and 5, tested against it.
     """
     mu = _prism_mu(n)
     return [
@@ -325,47 +326,29 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     ]
 
 
-def disk_cases(n: int) -> tuple[int, str, str, tuple[list[int], ...] | None]:
-    """The two cases of ``prism_case_analysis(n)`` that depend on n, in closed
-    form in mu = |4n - 1|: case 3, the disk with cones {2, 2, mu}, and case 5,
-    the disk with cones {2, mu}.  Gives mu, the chi_orb text of cases 3 and 5,
-    and the degrees and chi-only degrees of case 3 and then of case 5, or None
-    where all four are empty.
+def disk_cases(n: int) -> tuple[list[int], ...] | None:
+    """The degrees and chi-only degrees of case 3, the disk with cones
+    {2, 2, mu}, and then of case 5, the disk with cones {2, mu}: the two cases
+    of ``prism_case_analysis(n)`` that depend on n, in closed form in
+    mu = |4n - 1|, or None where all four lists are empty.
 
-    mu is odd, so chi_orb (1 - mu)/mu and (2 - mu)/(2 mu) are in lowest terms.
-    All four lists are empty but at mu = 3 and 5: with chi(F) = -3, case 3
-    needs d = 3 mu/(mu - 1), an integer for no odd mu, and case 5 needs
-    d = 6 mu/(mu - 2), an integer only where (mu - 2) | 6."""
+    All four are empty but at mu = 3 and 5: with chi(F) = -3 and chi_orb
+    (1 - mu)/mu and (2 - mu)/(2 mu), case 3 needs d = 3 mu/(mu - 1), an
+    integer for no odd mu, and case 5 needs d = 6 mu/(mu - 2), an integer
+    only where (mu - 2) | 6."""
     mu = _prism_mu(n)
     found = (
         *_degree_solutions(_FIBER_EULER, 1 - mu, mu, (2, 2, mu)),
         *_degree_solutions(_FIBER_EULER, 2 - mu, 2 * mu, (2, mu)),
     )
-    return mu, f"{1 - mu}/{mu}", f"{2 - mu}/{2 * mu}", found if any(found) else None
-
-
-def _disk_case(case: int, cones: list[int], chi: str, degrees, chi_only) -> dict:
-    """``CaseResult.to_json`` of the disk with ``cones``."""
-    return {
-        "case": case,
-        "orbifold": {"orientable": True, "genus": 0, "boundary": 1, "cones": cones},
-        "chi_orb": chi,
-        "degrees": degrees,
-        "chi_only_degrees": chi_only,
-    }
+    return found if any(found) else None
 
 
 def case_analysis_report(n: int) -> dict:
-    """JSON-ready report of ``prism_case_analysis(n)`` in closed form in mu = |4n - 1|,
-    made of fresh dicts and lists; its disk cases are ``disk_cases(n)``."""
-    mu, chi_3, chi_5, found = disk_cases(n)
-    degrees_3, chi_only_3, degrees_5, chi_only_5 = found or ([], [], [], [])
-    one, two, four = fixed_cases_report()
-    cases = [
-        one,
-        two,
-        _disk_case(3, [2, 2, mu], chi_3, degrees_3, chi_only_3),
-        four,
-        _disk_case(5, [2, mu], chi_5, degrees_5, chi_only_5),
-    ]
-    return {"n": n, "cases": cases, "admits_horizontal": any(c["degrees"] for c in cases)}
+    """JSON-ready report of ``prism_case_analysis(n)``, made of fresh dicts and lists."""
+    results = prism_case_analysis(n)
+    return {
+        "n": n,
+        "cases": [r.to_json() for r in results],
+        "admits_horizontal": any(r.degrees for r in results),
+    }

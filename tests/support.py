@@ -324,7 +324,6 @@ def audit_row_oracle(n: int) -> dict:
     from prismvol import covers
     from prismvol.montesinos import is_lens_space_symbol
     from prismvol.seifert import prism_fibrations
-    from prismvol.slopes import enumerate_constrained_slopes
 
     head = {
         "n": n,
@@ -347,15 +346,10 @@ def audit_row_oracle(n: int) -> dict:
             "periodic monodromy admits a horizontal genus-2 fiber candidate "
             f"at degrees {degrees}",
         )
-    demo_pairs = [(Slope(1, 0), Slope(0, 1)), (Slope(1, 0), Slope(1, 2))]
     return {
         **head,
         "twist_knot_excluded": not is_lens_space_symbol(prism_fibrations(n)[0]),
         "case_analysis": analysis,
-        "slope_demo": {
-            "pairs": [[f.to_json(), c.to_json()] for f, c in demo_pairs],
-            "counts": [len(enumerate_constrained_slopes(f, c, 1, 2)) for f, c in demo_pairs],
-        },
         "max_degree": covers._MAX_DEGREE,
         "status": status,
         "unresolved_steps": unresolved,
@@ -407,7 +401,6 @@ def expand(header: dict, record: dict) -> dict:
             "cases": cases,
             "admits_horizontal": any(case["degrees"] for case in cases),
         },
-        "slope_demo": header["slope_demo"],
         "max_degree": header["max_degree"],
         "status": record["status"],
         "unresolved_steps": unresolved,

@@ -454,8 +454,7 @@ class TestPrismVerify:
         assert [case["case"] for case in header["fixed_cases"]] == [1, 2, 4]
         assert not any(case["degrees"] for case in header["fixed_cases"])
         assert "case 3 " in header["disk_cases"] and "case 5 " in header["disk_cases"]
-        assert header["slope_demo"]["counts"] == [5, 2]
-        assert len(header["slope_demo"]["pairs"]) == 2
+        assert "slope_demo" not in header
         assert header["max_degree"] == 3
         assert len(header["unresolved_steps"]) == 4
         whole = expand(header, row)

@@ -68,7 +68,7 @@ def test_fixed_cases_are_the_same_objects_for_every_n():
         assert [r.case for r in results] == [1, 2, 3, 4, 5], n
 
 
-def test_slope_demo_counted_once_per_call(monkeypatch):
+def test_audit_runs_no_slope_enumeration(monkeypatch):
     calls = []
     original = slopes.enumerate_constrained_slopes
 
@@ -78,9 +78,8 @@ def test_slope_demo_counted_once_per_call(monkeypatch):
 
     monkeypatch.setattr(slopes, "enumerate_constrained_slopes", counting)
     result = prism_verify(-50, 50)
-    assert len(calls) == 2
-    # one demonstration, in the header, for the 100 rows that once held a copy each
-    assert result["header"]["slope_demo"]["counts"] == [5, 2]
+    assert calls == []
+    assert "slope_demo" not in result["header"]
     assert all("slope_demo" not in r for r in result["reports"])
 
 

@@ -61,10 +61,7 @@ COMMANDS = [
          "--cones", "2,3,5"],
         ["exact", "orbifolds", "reader"],
     ),
-    (
-        ["prism", "verify", "--from", "-3", "--to", "3", "--json"],
-        ["covers", "orbifolds", "reader", "slopes"],
-    ),
+    (["prism", "verify", "--from", "-3", "--to", "3", "--json"], ["covers", "orbifolds", "reader"]),
     (["seifert", "normalize", "@m1_oo"], ["reader", "seifert"]),
     (["seifert", "euler", "@m1_on"], ["exact", "reader", "seifert"]),
     (["seifert", "base", "@m1_oo"], ["orbifolds", "reader", "seifert"]),
@@ -85,6 +82,7 @@ COMMANDS = [
     (["slopes", "enumerate", "1,0", "0,1"], ["reader", "slopes"]),
     (["braid", "components", '{"strands": 3, "letters": [1, -2]}'], ["braids", "reader"]),
     (["braid", "chi", '{"strands": 3, "letters": [1, 2, 1]}'], ["braids", "reader"]),
+    (["prism", "verify", "--from", "-3", "--to", "3"], ["covers", "orbifolds", "reader"]),
 ]
 
 
@@ -149,10 +147,9 @@ def test_only_a_command_with_rationals_imports_fractions(argv):
     assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())
 
 
-def test_import_cli_registers_every_traced_layer():
-    """``perfbench/run.py --trace 1`` reads ``sys.modules["prismvol.<layer>"]``
-    for each ``tracing.TARGETS`` layer right after ``import prismvol.cli``.
-    The tuple is read from the source, so this imports nothing from
+def _traced_targets() -> list[tuple[str, str]]:
+    """The ``(layer, function)`` pairs of ``perfbench/tracing.py``'s
+    ``TARGETS``, read from the source, so that nothing is imported from
     ``perfbench``."""
     path = ROOT / "perfbench" / "tracing.py"
     targets = next(
@@ -161,10 +158,30 @@ def test_import_cli_registers_every_traced_layer():
         if isinstance(node, ast.Assign)
         and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
     )
-    layers = {ast.literal_eval(entry.elts[0]) for entry in targets.elts}
+    return [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in targets.elts]
+
+
+def test_import_cli_registers_every_traced_layer():
+    """``perfbench/run.py --trace 1`` reads ``sys.modules["prismvol.<layer>"]``
+    for each ``tracing.TARGETS`` layer right after ``import prismvol.cli``."""
+    layers = {layer for layer, _ in _traced_targets()}
     assert len(layers) > 5
     registered = _modules("import prismvol.cli\n")["registered"]
     assert [layer for layer in sorted(layers) if f"prismvol.{layer}" not in registered] == []
+
+
+def test_import_cli_resolves_every_traced_function():
+    """``perfbench/run.py --trace 1`` wraps each ``tracing.TARGETS`` function,
+    found as an attribute of its layer; a package that drops one breaks the
+    traced run."""
+    code = (
+        "import sys\n"
+        "import prismvol.cli\n"
+        f"missing = [(l, f) for l, f in {_traced_targets()!r}"
+        " if not hasattr(sys.modules[f'prismvol.{l}'], f)]\n"
+        "assert missing == [], missing\n"
+    )
+    _modules(code)
 
 
 _FAILED_LAYER = """

@@ -348,8 +348,8 @@ class TestNonorientableBaseSolutions:
 
 class TestDegreeSolutions:
     """The one solver behind both public ones, which ``prism_case_analysis``
-    and the disk cases of ``case_analysis_report`` call with each base's
-    chi_orb as an integer numerator and denominator."""
+    and ``disk_cases`` call with each base's chi_orb as an integer numerator
+    and denominator."""
 
     @given(
         small_orbifolds_st,
@@ -497,8 +497,9 @@ class TestPrismCaseAnalysis:
 
 
 class TestCaseAnalysisReport:
-    """``case_analysis_report`` is the closed form in mu = |4n - 1| that the
-    audit embeds; the general path, ``prism_case_analysis``, is its oracle."""
+    """``case_analysis_report`` is the JSON of ``prism_case_analysis``, and
+    ``disk_cases`` the closed form in mu = |4n - 1| of its cases 3 and 5 that
+    the audit writes; the general path is the oracle of both."""
 
     @staticmethod
     def _assert_equals_the_general_path(n):
@@ -537,19 +538,16 @@ class TestCaseAnalysisReport:
 
     @staticmethod
     def _assert_disk_cases_are_the_general_path(n):
-        mu, chi_3, chi_5, found = disk_cases(n)
         three, five = prism_case_analysis(n)[2::2]
-        assert mu == abs(4 * n - 1) == three.orbifold.cones[-1] == five.orbifold.cones[-1]
-        assert (chi_3, chi_5) == (frac_str(three.chi_orb), frac_str(five.chi_orb))
         lists = [list(three.degrees), list(three.chi_only_degrees)]
         lists += [list(five.degrees), list(five.chi_only_degrees)]
-        assert found == (tuple(lists) if any(lists) else None), n
+        assert disk_cases(n) == (tuple(lists) if any(lists) else None), n
 
     def test_disk_cases_for_every_small_parameter(self):
         checked = [n for n in range(-1000, 1001) if abs(4 * n - 1) >= 3]
         for n in checked:
             self._assert_disk_cases_are_the_general_path(n)
-        assert [n for n in checked if disk_cases(n)[3] is not None] == [-1, 1]
+        assert [n for n in checked if disk_cases(n) is not None] == [-1, 1]
 
     @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
     @settings(max_examples=200)

@@ -120,6 +120,8 @@ def test_all_is_what_the_package_imports():
         ("orbifolds", "orientation_double_cover"),
         ("reader", "require_int"),
         ("reader", "read"),
+        ("covers", "_SLOPE_DEMO_PAIRS"),
+        ("orbifolds", "_disk_case"),
     ],
 )
 def test_removed_helpers_are_gone(layer, name):
