@@ -11,13 +11,12 @@ cover at 3.
 ``count_representations`` counts homomorphisms of a finitely presented
 group into the symmetric group S_d; degree-d covers of a knot complement
 correspond to (conjugacy classes of) transitive such representations, so the
-raw count is a finite upper bound for the covers of each degree.  The count
-is a sum over the conjugacy classes K of S_d of |K| times the number of
-homomorphisms that send the first generator to a fixed representative of K,
-because conjugation permutes the homomorphisms.  Transitive counts are found
-by the same enumeration, tuple by tuple, and not from the plain counts by
-Hall's recursion (P. Hall, Canad. J. Math. 1, 1949): the recursion is what
-checks the two against each other.
+raw count is a finite upper bound for the covers of each degree.  One
+low-index subgroup search (C. C. Sims, *Computation with Finitely Presented
+Groups*, 1994, ch. 5) finds a_k, the number of subgroups of index k, for
+every k <= d; the transitive count is t_d = (d - 1)! a_d, and the plain count
+follows from t_1..t_d by Hall's recursion (P. Hall, Canad. J. Math. 1,
+1949), so Hall's identity between the two holds by construction.
 
 The audit of the family is one header, ``prism_header``, with every fact that
 is the same for all n, made of constants and the three cases of the case
@@ -28,7 +27,6 @@ a time, and ``prism_verify`` returns the whole document.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 
@@ -75,69 +73,60 @@ def presentation_from_json(data: object) -> GroupPresentation:
     return GroupPresentation(*check(data, fields, "presentation"))
 
 
-def _partitions(n: int, largest: int):
-    """Partitions of n into parts of at most ``largest``, parts non-increasing."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
+def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
+    """a_k, the number of subgroups of index k, at k = 0..degree (a_0 = 0).
 
-
-def _conjugacy_classes(degree: int) -> list[tuple[tuple[int, ...], int]]:
-    """One representative per conjugacy class of S_degree, with the class size.
-
-    A class is a cycle type, a partition of ``degree``; its representative
-    cycles consecutive points, and the class has d!/prod_k k^m_k m_k!
-    elements when the type has m_k cycles of length k.
+    Sims' low-index search over standardised coset tables.  Column 2i is
+    generator i + 1 and column 2i + 1 its inverse.  The first undefined entry
+    in row-major order is filled with each existing coset whose inverse entry
+    is free, or with the next new coset while there are fewer than
+    ``degree``.  A new entry c -x-> t is checked against the rotations of each
+    relator, and of its inverse, that start with x, read from c: a relator
+    path is whole once its last entry is set, and it reads that entry either
+    forwards, as a rotation of the relator, or backwards, as one of its
+    inverse.  A table with no undefined entry and k cosets is one subgroup
+    of index k.
     """
-    classes = []
-    for parts in _partitions(degree, degree):
-        image = []
-        for length in parts:
-            first = len(image)
-            image += range(first + 1, first + length)
-            image.append(first)
-        centralizer = 1
-        for length in set(parts):
-            many = parts.count(length)
-            centralizer *= length**many * math.factorial(many)
-        classes.append((tuple(image), math.factorial(degree) // centralizer))
-    return classes
+    columns = 2 * pres.generators
+    words = [tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in w) for w in pres.relators]
+    words += [tuple(c ^ 1 for c in reversed(w)) for w in words]
+    starting: list[set[tuple[int, ...]]] = [set() for _ in range(columns)]
+    for w in words:
+        for i, c in enumerate(w):
+            starting[c].add(w[i:] + w[:i])
+    table = [-1] * (degree * columns)
+    counts = [0] * (degree + 1)
 
+    def closes(coset: int, column: int) -> bool:
+        for word in starting[column]:
+            point = coset
+            for c in word:
+                point = table[point * columns + c]
+                if point < 0:
+                    break
+            else:
+                if point != coset:
+                    return False
+        return True
 
-def _fixes_every_point(word, images, degree: int) -> bool:
-    """Whether each point comes back to itself when traced through the word,
-    first letter first; ``images[letter]`` is the permutation that letter
-    stands for.  Stops at the first point the word moves."""
-    for start in range(degree):
-        point = start
-        for letter in word:
-            point = images[letter][point]
-        if point != start:
-            return False
-    return True
+    def search(entry: int, cosets: int) -> None:
+        while entry < cosets * columns and table[entry] >= 0:
+            entry += 1
+        if entry == cosets * columns:
+            counts[cosets] += 1
+            return
+        coset, column = divmod(entry, columns)
+        for target in range(min(cosets + 1, degree)):
+            back = target * columns + (column ^ 1)
+            if table[back] >= 0:
+                continue
+            table[entry], table[back] = target, coset
+            if closes(coset, column):
+                search(entry + 1, max(cosets, target + 1))
+            table[entry] = table[back] = -1
 
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _is_transitive(assignment, degree: int) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in assignment:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == degree
+    search(0, 1)
+    return counts
 
 
 def count_representations(
@@ -145,17 +134,13 @@ def count_representations(
 ) -> int:
     """Number of homomorphisms into S_degree (optionally transitive ones).
 
-    Conjugation by S_d permutes the homomorphisms and keeps transitivity, so
-    the count with the first generator sent to a permutation depends only on
-    its conjugacy class.  The first generator therefore runs over one
-    representative per cycle type (p(d) branches instead of d!) and each
-    branch is weighted by its class size; the other generators run over all
-    of S_d, assigned one at a time, and a relator is checked point by point
-    as soon as every generator it mentions is assigned.  Transitive
-    homomorphisms are counted tuple by tuple under the same weights, not
-    derived from the plain counts by Hall's recursion
-    h_d = sum_k C(d-1, k-1) t_k h_{d-k}, so that the identity stays an
-    independent check of the two counts.
+    A transitive homomorphism is a subgroup of index d, the stabiliser of
+    the first point, with one of (d - 1)! numberings of its other cosets, so
+    t_d = (d - 1)! a_d; one low-index search (``_subgroup_counts``) gives
+    every a_k with k <= d.  The plain count follows from t_1..t_d by Hall's
+    recursion h_d = sum_k C(d-1, k-1) t_k h_{d-k}, h_0 = 1 (P. Hall, Canad.
+    J. Math. 1, 1949), so Hall's identity between the two counts holds by
+    construction and checks the recursion, not the search.
 
     Refuses outright when the candidate-tuple count (degree!)^generators
     exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
@@ -176,36 +161,14 @@ def count_representations(
                     f"enumeration into S_{degree} over {pres.generators} generators "
                     f"exceeds the limit of {MAX_ENUMERATION} candidate tuples"
                 )
-    generators = pres.generators
-    # a relator lands at the level of its largest generator; an empty relator
-    # mentions none, lands at level 0 and holds for every assignment
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(generators + 1)]
-    for word in pres.relators:
-        by_level[max((abs(l) for l in word), default=0)].append(word)
-    # images[k] and images[-k] are generator k and its inverse
-    images: list[tuple[int, ...]] = [()] * (2 * generators + 1)
-    # built only for a second generator: one generator never needs all of
-    # S_d, which the guard allows up to 11! elements
-    pairs = []
-    if generators > 1:
-        pairs = [(p, _invert(p)) for p in itertools.permutations(range(degree))]
-
-    def completions(level: int) -> int:
-        if level == generators:
-            return int(not transitive or _is_transitive(images[1 : generators + 1], degree))
-        found = 0
-        for p, inverse in pairs:
-            images[level + 1], images[-level - 1] = p, inverse
-            if all(_fixes_every_point(w, images, degree) for w in by_level[level + 1]):
-                found += completions(level + 1)
-        return found
-
-    count = 0
-    for p, size in _conjugacy_classes(degree):
-        images[1], images[-1] = p, _invert(p)
-        if all(_fixes_every_point(w, images, degree) for w in by_level[1]):
-            count += size * completions(1)
-    return count
+    subgroups = _subgroup_counts(pres, degree)
+    t = [math.factorial(k - 1) * subgroups[k] for k in range(1, degree + 1)]
+    if transitive:
+        return t[-1]
+    h = [1]
+    for n in range(1, degree + 1):
+        h.append(sum(math.comb(n - 1, k - 1) * t[k - 1] * h[n - k] for k in range(1, n + 1)))
+    return h[degree]
 
 
 def _require_volume(refusal: str, **values: object) -> None:

@@ -10,10 +10,12 @@ checked against a plain window scan whose completeness follows from Cramer's
 rule.  Degrees over a non-orientable base are checked over an orientation
 double cover built as an orbifold, not by scaling chi_orb.  Degree equations
 over the whole family are cross-checked by a bounded integrality scan of
-affine ratios, and the Whitehead volume by Catalan's alternating series.  Audit rows are rebuilt the way the audit once built
-them, from the fibrations, the lens-space test and the five-case report of
-the general path, ``prism_case_analysis``; ``expand`` puts the audit's header
-and one record back into such a row.
+affine ratios, and the Whitehead volume by Catalan's alternating series.
+Audit rows are rebuilt the way the audit once built them, from the
+fibrations and the lens-space test, with a five-case report over the bases
+that ``remove_fiber`` drills out of the fibrations, chi_orb from its
+definition and the degrees by exact division; ``expand`` puts the audit's
+header and one record back into such a row.
 """
 
 from __future__ import annotations
@@ -303,24 +305,83 @@ def wn_link(m: int) -> MontesinosLink:
 
 # --- audit rows ----------------------------------------------------------
 
-def case_report_oracle(n: int) -> dict:
-    """``case_analysis_report(n)`` as the general path gives it: the
-    ``CaseResult``s of ``prism_case_analysis(n)``, rendered."""
-    from prismvol.orbifolds import prism_case_analysis
+def _fiber_index(symbol, alpha):
+    return next(i for i, (_, a) in enumerate(symbol.fibers) if a == alpha)
 
-    results = prism_case_analysis(n)
+
+def derived_bases(n: int) -> list[Orbifold2D]:
+    """The five bases of the case analysis, in case order, by drilling fibers
+    out of ``prism_fibrations(n)``."""
+    oo, on = seifert_mod.prism_fibrations(n)
+    mu = abs(4 * n - 1)
+    return [
+        seifert_mod.remove_fiber(on, _fiber_index(on, 2)),
+        seifert_mod.remove_fiber(on, "regular"),
+        seifert_mod.remove_fiber(oo, "regular"),
+        seifert_mod.remove_fiber(oo, _fiber_index(oo, mu)),
+        seifert_mod.remove_fiber(oo, _fiber_index(oo, 2)),
+    ]
+
+
+# chi of the family's fiber, the genus-2 surface with one boundary circle
+_FIBER_CHI = 2 - 2 * 2 - 1
+
+
+def _orbifold_chi(b: Orbifold2D) -> Fraction:
+    """chi(underlying surface) - sum over cones of (1 - 1/index)."""
+    surface = 2 - (2 if b.orientable else 1) * b.genus - b.boundary
+    return Fraction(surface) - sum(1 - Fraction(1, index) for index in b.cones)
+
+
+def _oracle_degrees(b: Orbifold2D) -> tuple[list[int], list[int]]:
+    """Degrees d with chi(F) = d * chi_orb(b) that every cone index divides,
+    and all of them; a non-orientable base is solved over its orientation
+    double cover, and the degrees doubled."""
+    if not b.orientable:
+        degrees, chi_only = _oracle_degrees(orientation_double_cover(b))
+        return [2 * d for d in degrees], [2 * d for d in chi_only]
+    chi = _orbifold_chi(b)
+    if chi == 0:  # chi(F) = -3 is not 0 * d
+        return [], []
+    d = _FIBER_CHI / chi
+    if d.denominator != 1 or d <= 0:
+        return [], []
+    d = int(d)
+    return ([d] if all(d % index == 0 for index in b.cones) else []), [d]
+
+
+def case_report_oracle(n: int) -> dict:
+    """``case_analysis_report(n)`` rebuilt from the bases that ``remove_fiber``
+    drills out of the fibrations, with chi_orb from its definition and the
+    degrees from an exact division, not by the package's degree solver."""
+    cases = []
+    for case, b in enumerate(derived_bases(n), start=1):
+        chi = _orbifold_chi(b)
+        degrees, chi_only = _oracle_degrees(b)
+        cases.append({
+            "case": case,
+            "orbifold": {
+                "orientable": b.orientable,
+                "genus": b.genus,
+                "boundary": b.boundary,
+                "cones": list(b.cones),
+            },
+            "chi_orb": f"{chi.numerator}/{chi.denominator}",
+            "degrees": degrees,
+            "chi_only_degrees": chi_only,
+        })
     return {
         "n": n,
-        "cases": [r.to_json() for r in results],
-        "admits_horizontal": any(r.degrees for r in results),
+        "cases": cases,
+        "admits_horizontal": any(case["degrees"] for case in cases),
     }
 
 
 def audit_row_oracle(n: int) -> dict:
     """The audit row of parameter n as the audit built it before its rows
     were in closed form: the twist-knot verdict from the lens-space test on
-    ``prism_fibrations(n)[0]``, the cases from ``case_report_oracle(n)``: the
-    general path, not the closed form the audit embeds."""
+    ``prism_fibrations(n)[0]``, the cases from ``case_report_oracle(n)``, not
+    from the closed form the audit embeds."""
     from prismvol import covers
     from prismvol.montesinos import is_lens_space_symbol
     from prismvol.seifert import prism_fibrations

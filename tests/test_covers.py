@@ -1,10 +1,8 @@
 import contextlib
 import io
-import itertools
 import json
 import math
 import re
-from collections import Counter
 from importlib import resources
 
 import mpmath
@@ -33,7 +31,7 @@ from prismvol import (
     upper_bound_value,
 )
 from prismvol import cli
-from prismvol.covers import UPPER_BOUND, _conjugacy_classes
+from prismvol.covers import UPPER_BOUND
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (
@@ -177,21 +175,8 @@ class TestCountRepresentations:
         assert tightened <= base
 
 
-PARTITION_COUNTS = (1, 2, 3, 5, 7, 11, 15, 22)  # p(1), ..., p(8)
+PARTITION_COUNTS = (1, 2, 3, 5, 7, 11)  # p(1), ..., p(6)
 DIVISOR_SUMS = (1, 3, 4, 7, 6, 12)  # sigma(1), ..., sigma(6)
-
-
-def cycle_type(perm) -> tuple[int, ...]:
-    seen, lengths = set(), []
-    for start in range(len(perm)):
-        length, x = 0, start
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
 
 
 def hall_violations(plain, transitive) -> list[int]:
@@ -229,6 +214,9 @@ class TestBenchmarkDegrees:
     @given(presentations_st())
     @settings(max_examples=40, deadline=None)
     def test_hall_identity(self, gp):
+        """The plain counts are built from the transitive ones by Hall's
+        recursion, so this checks the recursion; the counts themselves are
+        checked against ``brute_hom_count``."""
         pres = GroupPresentation(*gp)
         plain = [count_representations(pres, n) for n in range(1, 6)]
         transitive = [count_representations(pres, n, transitive=True) for n in range(1, 6)]
@@ -245,25 +233,53 @@ class TestBenchmarkDegrees:
             ) == brute_hom_count(generators, relators, 4, transitive=transitive)
 
     def test_one_generator_builds_no_permutation_list(self):
-        # 11! is under the guard; the involutions of S_11 are counted from the
-        # 56 class representatives alone
+        # 11! is under the guard; the involutions of S_11 are counted by
+        # Hall's recursion from the two subgroups of <x | x^2>
         assert count_representations(GroupPresentation(1, ((1, 1),)), 11) == 35696
 
 
-class TestConjugacyClasses:
-    @pytest.mark.parametrize("degree", range(1, 9))
-    def test_one_representative_per_cycle_type(self, degree):
-        classes = _conjugacy_classes(degree)
-        types = [cycle_type(rep) for rep, _ in classes]
-        assert len(classes) == PARTITION_COUNTS[degree - 1]
-        assert len(set(types)) == len(types)
-        assert all(sorted(rep) == list(range(degree)) for rep, _ in classes)
-        assert sum(size for _, size in classes) == math.factorial(degree)
+# cyclically reduced length-6 words in two generators that use both: the
+# shape of the cover-count benchmark's seeded one-relator groups
+LENGTH_SIX_RELATORS = [
+    (2, -1, -2, 1, 1, 1),
+    (2, 1, 1, -2, -1, 2),
+    (-1, -2, -2, 1, 1, 2),
+    (-2, -2, -2, -2, 1, -2),
+    (1, 1, -2, -2, -2, -2),
+    (2, -1, 2, -1, -1, -1),
+    (-1, -2, -1, 2, -1, -2),
+    (-1, -1, -2, 1, 1, 2),
+    (1, 1, -2, 1, 1, -2),
+    (2, -1, -2, -1, -2, 1),
+]
+FIGURE_EIGHT = GroupPresentation(2, ((2, 1, -2, 1, 2, -1, -2, 1, -2, -1),))
+# the trefoil's Wirtinger presentation, one generator per arc
+WIRTINGER_TREFOIL = GroupPresentation(3, ((1, 2, -3, -2), (2, 3, -1, -3)))
 
-    @pytest.mark.parametrize("degree", range(1, 7))
-    def test_sizes_match_a_census(self, degree):
-        census = Counter(cycle_type(perm) for perm in itertools.permutations(range(degree)))
-        assert {cycle_type(rep): size for rep, size in _conjugacy_classes(degree)} == census
+
+class TestIndependentCounts:
+    """Counts checked without Hall's recursion: against the unpruned oracle,
+    frozen values, and a second presentation of the same group."""
+
+    @pytest.mark.parametrize("relator", LENGTH_SIX_RELATORS)
+    @pytest.mark.parametrize("transitive", [False, True])
+    def test_length_six_relator_at_degree_five(self, relator, transitive):
+        count = count_representations(GroupPresentation(2, (relator,)), 5, transitive=transitive)
+        assert count == brute_hom_count(2, (relator,), 5, transitive=transitive)
+
+    def test_figure_eight_frozen_counts(self):
+        plain = [count_representations(FIGURE_EIGHT, n) for n in range(1, 6)]
+        transitive = [count_representations(FIGURE_EIGHT, n, transitive=True) for n in range(1, 6)]
+        assert plain == [1, 2, 6, 48, 600]
+        assert transitive == [1, 1, 2, 30, 384]
+
+    @pytest.mark.parametrize(
+        "transitive, expected", [(False, [1, 2, 12, 96, 600]), (True, [1, 1, 8, 54, 144])]
+    )
+    def test_wirtinger_trefoil_counts_as_the_trefoil(self, transitive, expected):
+        counts = [count_representations(WIRTINGER_TREFOIL, n, transitive=transitive) for n in range(1, 6)]
+        assert counts == expected
+        assert counts == [count_representations(TREFOIL, n, transitive=transitive) for n in range(1, 6)]
 
 
 class TestVolumeConstants:

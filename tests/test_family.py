@@ -9,24 +9,7 @@ from prismvol import (
     prism_verify,
 )
 from prismvol import orbifolds, slopes
-from prismvol.seifert import remove_fiber
-
-
-def _fiber_index(symbol, alpha):
-    return next(i for i, (_, a) in enumerate(symbol.fibers) if a == alpha)
-
-
-def derived_bases(n):
-    """The five bases by drilling fibers out of ``prism_fibrations(n)``."""
-    oo, on = prism_fibrations(n)
-    mu = abs(4 * n - 1)
-    return [
-        remove_fiber(on, _fiber_index(on, 2)),
-        remove_fiber(on, "regular"),
-        remove_fiber(oo, "regular"),
-        remove_fiber(oo, _fiber_index(oo, mu)),
-        remove_fiber(oo, _fiber_index(oo, 2)),
-    ]
+from support import derived_bases
 
 
 def test_closed_form_bases_match_fiber_removal():
