@@ -10,8 +10,9 @@ equations of cases 3 and 5 read
     case 3, disk with cones {2, 2, mu}:  d = c*mu/(mu - 1) = c + c/(mu - 1)
     case 5, disk with cones {2, mu}:     d = 2c*mu/(mu - 2) = 2c + 4c/(mu - 2)
 
-so d is an integer only if (mu - 1) | c, respectively (mu - 2) | 4c.  Each
-odd mu >= 3 that these divisors leave is checked with the five-case analysis.
+so d is an integer only if (mu - 1) | c, respectively (mu - 2) | 4c; the
+package's ``disk_case_divisors`` gives the odd mu >= 3 that these divisors
+leave, and each is checked with the five-case analysis.
 
 Example:
     python3 scripts/case_table.py --n 1
@@ -20,7 +21,7 @@ Example:
 import argparse
 import sys
 
-from prismvol import fiber_surface, frac_str, prism_case_analysis
+from prismvol import disk_case_divisors, fiber_surface, frac_str, prism_case_analysis
 from prismvol.cli import integer_arg
 
 
@@ -39,10 +40,6 @@ def print_case_table(n: int) -> None:
         print(f"{r.case:>4}  {base:<40}  {frac_str(r.chi_orb):>8}  {degrees:<10}  {chi_only}")
 
 
-def _divisors(k: int) -> list[int]:
-    return [q for q in range(1, k + 1) if k % q == 0]
-
-
 def _parameter(mu: int) -> int:
     """The one n with |4n - 1| = mu, for odd mu."""
     return (mu + 1) // 4 if mu % 4 == 3 else (1 - mu) // 4
@@ -56,8 +53,7 @@ def decide_family() -> None:
     shown = ", ".join(",".join(map(str, r.degrees)) or "-" for r in fixed)
     print(f"  cases 1, 2, 4 (bases independent of n): degrees {shown}")
     hits = [f"(d={d}, every n)" for r in fixed for d in r.degrees]
-    for case, k, m in ((3, 1, c), (5, 2, 4 * c)):
-        mus = [q + k for q in _divisors(m) if (q + k) % 2 and q + k >= 3]
+    for case, k, m, mus in disk_case_divisors():
         print(f"  case {case}: (mu - {k}) | {m} leaves odd mu >= 3 in {mus}")
         for mu in mus:
             n = _parameter(mu)

@@ -57,11 +57,13 @@ _PUBLIC = {
     ),
     "orbifolds": (
         "CaseResult",
+        "DISK_CASE_MUS",
         "InfiniteSolutionsError",
         "Orbifold2D",
         "SurfaceData",
         "case_analysis_report",
         "chi_orb",
+        "disk_case_divisors",
         "disk_cases",
         "fiber_surface",
         "fixed_cases_report",

@@ -76,38 +76,59 @@ def presentation_from_json(data: object) -> GroupPresentation:
 def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
     """a_k, the number of subgroups of index k, at k = 0..degree (a_0 = 0).
 
-    Sims' low-index search over standardised coset tables.  Column 2i is
-    generator i + 1 and column 2i + 1 its inverse.  The first undefined entry
-    in row-major order is filled with each existing coset whose inverse entry
-    is free, or with the next new coset while there are fewer than
-    ``degree``.  A new entry c -x-> t is checked against the rotations of each
-    relator, and of its inverse, that start with x, read from c: a relator
-    path is whole once its last entry is set, and it reads that entry either
-    forwards, as a rotation of the relator, or backwards, as one of its
-    inverse.  A table with no undefined entry and k cosets is one subgroup
-    of index k.
+    Sims' low-index search over standardised coset tables, with the deduction
+    step of Holt, Eick and O'Brien (*Handbook of Computational Group Theory*,
+    2005, section 5.4).  Column 2i is generator i + 1 and column 2i + 1 its
+    inverse.  The first undefined entry in row-major order is filled with each
+    existing coset whose inverse entry is free, or with the next new coset
+    while there are fewer than ``degree``.  A new entry c -x-> t is settled:
+    each rotation of each relator, and of its inverse, that starts with x is
+    read from c, forwards and backwards.  A path read whole must return to c.
+    A path with exactly one undefined entry forces that entry, which is set,
+    pushed on the trail and settled in turn, unless the coset it must reach
+    already has a preimage under that letter, and then the table is dropped.
+    Deduced entries only point at existing cosets, so every table stays
+    standardised and each subgroup is still found once.  A table with no
+    undefined entry and k cosets is one subgroup of index k.
     """
     columns = 2 * pres.generators
     words = [tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in w) for w in pres.relators]
     words += [tuple(c ^ 1 for c in reversed(w)) for w in words]
-    starting: list[set[tuple[int, ...]]] = [set() for _ in range(columns)]
+    rotations: list[set[tuple[int, ...]]] = [set() for _ in range(columns)]
     for w in words:
         for i, c in enumerate(w):
-            starting[c].add(w[i:] + w[:i])
+            rotations[c].add(w[i:] + w[:i])
+    # each rotation with its letters inverted, to read it backwards, and its last index
+    starting = [[(w, tuple(c ^ 1 for c in w), len(w) - 1) for w in r] for r in rotations]
     table = [-1] * (degree * columns)
+    trail: list[int] = []  # deduced entries, each followed by its inverse entry
     counts = [0] * (degree + 1)
 
-    def closes(coset: int, column: int) -> bool:
-        for word in starting[column]:
-            point = coset
-            for c in word:
-                point = table[point * columns + c]
-                if point < 0:
-                    break
-            else:
-                if point != coset:
-                    return False
-        return True
+    def settle(coset: int, column: int) -> bool:
+        deduced = len(trail)
+        while True:
+            for word, inverse, last in starting[column]:
+                ahead, i = coset, 0
+                while i <= last and (point := table[ahead * columns + word[i]]) >= 0:
+                    ahead, i = point, i + 1
+                if i > last:
+                    if ahead != coset:
+                        return False
+                    continue
+                behind, j = coset, last
+                while j > i and (point := table[behind * columns + inverse[j]]) >= 0:
+                    behind, j = point, j - 1
+                if j == i:
+                    back = behind * columns + inverse[i]
+                    if table[back] >= 0:
+                        return False
+                    entry = ahead * columns + word[i]
+                    table[entry], table[back] = behind, ahead
+                    trail.extend((entry, back))
+            if deduced == len(trail):
+                return True
+            coset, column = divmod(trail[deduced], columns)
+            deduced += 2
 
     def search(entry: int, cosets: int) -> None:
         while entry < cosets * columns and table[entry] >= 0:
@@ -116,14 +137,18 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
             counts[cosets] += 1
             return
         coset, column = divmod(entry, columns)
-        for target in range(min(cosets + 1, degree)):
-            back = target * columns + (column ^ 1)
+        paths = starting[column]
+        backs = range(column ^ 1, min(cosets + 1, degree) * columns, columns)
+        for target, back in enumerate(backs):
             if table[back] >= 0:
                 continue
+            mark = len(trail)
             table[entry], table[back] = target, coset
-            if closes(coset, column):
-                search(entry + 1, max(cosets, target + 1))
+            if not paths or settle(coset, column):
+                search(entry + 1, cosets + (target == cosets))
             table[entry] = table[back] = -1
+            while len(trail) > mark:
+                table[trail.pop()] = -1
 
     search(0, 1)
     return counts
@@ -307,21 +332,26 @@ def prism_header() -> dict:
 
 
 def _record(n: int) -> dict:
-    """The record of parameter n, made of fresh dicts and lists.  A record that
-    is neither excluded nor conditional lists the degrees of cases 3 and 5;
-    ``orbifolds.disk_cases`` finds some only at n = -1 and 1, and there every
-    chi-only degree is also a degree."""
+    """The record of parameter n, made of fresh dicts and lists.  By the
+    divisor argument of ``orbifolds.disk_case_divisors``, cases 3 and 5 have
+    a degree or a chi-only degree only where mu is in
+    ``orbifolds.DISK_CASE_MUS``, so every other record with mu >= 3 is
+    conditional without a solve, and ``orbifolds.disk_cases`` runs only at
+    n = -1 and 1, where every chi-only degree is also a degree."""
     mu = abs(4 * n - 1)
-    record = {"n": n, "upper_bound_value": _UPPER_BOUND_VALUE}
     if mu < 3:
-        reason = f"degenerate parameter: |4n - 1| = {mu} < 3"
-        return {**record, "status": "excluded", "reason": reason}
-    found = orbifolds.disk_cases(n)
-    if found is None:
-        return {**record, "status": "conditional", "mu": mu}
-    degrees_3, chi_only_3, degrees_5, chi_only_5 = found
+        return {
+            "n": n,
+            "upper_bound_value": _UPPER_BOUND_VALUE,
+            "status": "excluded",
+            "reason": f"degenerate parameter: |4n - 1| = {mu} < 3",
+        }
+    if mu not in orbifolds.DISK_CASE_MUS:
+        return {"n": n, "upper_bound_value": _UPPER_BOUND_VALUE, "status": "conditional", "mu": mu}
+    degrees_3, chi_only_3, degrees_5, chi_only_5 = orbifolds.disk_cases(n)
     return {
-        **record,
+        "n": n,
+        "upper_bound_value": _UPPER_BOUND_VALUE,
         "status": "candidate-exceptional",
         "mu": mu,
         "cases": [

@@ -18,9 +18,11 @@ the degrees that meet both, and the "chi-only" degrees that meet the first.
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
 ``case_analysis_report`` is its JSON.  The audit writes the three cases that
-do not depend on n, ``fixed_cases_report``, once per call; per parameter it
-writes only what ``disk_cases``, the closed form in mu = |4n - 1| of the other
-two, finds.
+do not depend on n, ``fixed_cases_report``, once per call.  The other two,
+in closed form in mu = |4n - 1| in ``disk_cases``, are decided for every n by
+the divisor argument of ``disk_case_divisors``: they have a degree or a
+chi-only degree only where mu is in ``DISK_CASE_MUS``, and only there does
+the audit solve them.
 """
 
 from __future__ import annotations
@@ -326,16 +328,33 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     ]
 
 
+def disk_case_divisors() -> list[tuple[int, int, int, list[int]]]:
+    """The divisor argument that decides cases 3 and 5 for every n at once,
+    as one (case, k, m, mus) per case: the case has a degree or a chi-only
+    degree exactly where (mu - k) | m, and mus lists the odd mu >= 3 that
+    meet it.  With c = -chi(F), case 3 (chi_orb (1 - mu)/mu) needs the integer
+    d = c mu/(mu - 1) = c + c/(mu - 1), so k = 1 and m = c; case 5 (chi_orb
+    (2 - mu)/(2 mu)) needs d = 2c mu/(mu - 2) = 2c + 4c/(mu - 2), so k = 2
+    and m = 4c."""
+    c = -_FIBER_EULER
+    return [
+        (case, k, m, [q + k for q in range(1, m + 1) if m % q == 0 and (q + k) % 2 and q + k >= 3])
+        for case, k, m in ((3, 1, c), (5, 2, 4 * c))
+    ]
+
+
+# the mu = |4n - 1| whose disk cases can have a degree or a chi-only degree
+DISK_CASE_MUS = frozenset(mu for *_, mus in disk_case_divisors() for mu in mus)
+
+
 def disk_cases(n: int) -> tuple[list[int], ...] | None:
     """The degrees and chi-only degrees of case 3, the disk with cones
     {2, 2, mu}, and then of case 5, the disk with cones {2, mu}: the two cases
     of ``prism_case_analysis(n)`` that depend on n, in closed form in
     mu = |4n - 1|, or None where all four lists are empty.
 
-    All four are empty but at mu = 3 and 5: with chi(F) = -3 and chi_orb
-    (1 - mu)/mu and (2 - mu)/(2 mu), case 3 needs d = 3 mu/(mu - 1), an
-    integer for no odd mu, and case 5 needs d = 6 mu/(mu - 2), an integer
-    only where (mu - 2) | 6."""
+    By ``disk_case_divisors`` all four are empty unless mu is in
+    ``DISK_CASE_MUS``, which is {3, 5}; the audit calls this only there."""
     mu = _prism_mu(n)
     found = (
         *_degree_solutions(_FIBER_EULER, 1 - mu, mu, (2, 2, mu)),

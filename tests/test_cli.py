@@ -816,8 +816,9 @@ class TestStreamedVerify:
     @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
     def test_audit_makes_no_row_whole(self, monkeypatch, fmt):
         """Of the 2 000 non-degenerate rows at +-1000, none runs a case
-        analysis, since each record is what ``orbifolds.disk_cases`` finds,
-        and the header runs no slope enumeration."""
+        analysis, since each record is decided by the divisor argument of
+        ``orbifolds.disk_case_divisors``, and the header runs no slope
+        enumeration."""
         calls = Counter()
         targets = [(orbifolds, "case_analysis_report"), (slopes, "enumerate_constrained_slopes")]
         for layer, name in targets:
@@ -831,6 +832,23 @@ class TestStreamedVerify:
             assert main(argv) == 0
         assert calls["case_analysis_report"] == 0
         assert calls["enumerate_constrained_slopes"] == 0
+
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
+    def test_audit_solves_only_where_the_divisors_leave_a_case(self, monkeypatch, fmt):
+        """``orbifolds.disk_cases`` runs at mu = 3 and 5 alone, n = 1 and -1:
+        every other record is conditional by the divisor argument."""
+        solved = []
+        original = orbifolds.disk_cases
+
+        def counting(n):
+            solved.append(n)
+            return original(n)
+
+        monkeypatch.setattr(orbifolds, "disk_cases", counting)
+        argv = ["prism", "verify", "--from", "-1000", "--to", "1000", *fmt]
+        with contextlib.redirect_stdout(_NullSink()):
+            assert main(argv) == 0
+        assert solved == [-1, 1]
 
     @staticmethod
     def _peak_bytes(n_from, n_to, fmt):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 from importlib import resources
 
@@ -31,7 +32,7 @@ from prismvol import (
     upper_bound_value,
 )
 from prismvol import cli
-from prismvol.covers import UPPER_BOUND
+from prismvol.covers import UPPER_BOUND, _subgroup_counts
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (
@@ -255,6 +256,25 @@ LENGTH_SIX_RELATORS = [
 FIGURE_EIGHT = GroupPresentation(2, ((2, 1, -2, 1, 2, -1, -2, 1, -2, -1),))
 # the trefoil's Wirtinger presentation, one generator per arc
 WIRTINGER_TREFOIL = GroupPresentation(3, ((1, 2, -3, -2), (2, 3, -1, -3)))
+# the Whitehead link, the 2-bridge link 8/3: a w = w a with
+# w = b^e1 a^e2 ... b^e7 and e_i = (-1)^floor(3i/8)
+_WHITEHEAD_W = tuple((2 if i % 2 else 1) * (-1) ** (3 * i // 8) for i in range(1, 8))
+WHITEHEAD_LINK = GroupPresentation(
+    2, ((1, *_WHITEHEAD_W, -1, *(-letter for letter in reversed(_WHITEHEAD_W))),)
+)
+
+
+def _two_relator_presentations(generators, count, seed):
+    """``count`` seeded presentations with two relators of length 2 to 6."""
+    rng = random.Random(seed)
+    letters = [i for i in range(-generators, generators + 1) if i != 0]
+    return [
+        GroupPresentation(
+            generators,
+            tuple(tuple(rng.choice(letters) for _ in range(rng.randint(2, 6))) for _ in range(2)),
+        )
+        for _ in range(count)
+    ]
 
 
 class TestIndependentCounts:
@@ -280,6 +300,41 @@ class TestIndependentCounts:
         counts = [count_representations(WIRTINGER_TREFOIL, n, transitive=transitive) for n in range(1, 6)]
         assert counts == expected
         assert counts == [count_representations(TREFOIL, n, transitive=transitive) for n in range(1, 6)]
+
+    def test_tietze_pair_at_degrees_the_guard_refuses(self):
+        """The 3-generator Wirtinger trefoil and the 2-generator trefoil are
+        one group, so the search finds the same subgroups in both, also at
+        d = 6 and 7, where (d!)^3 is over the guard's limit."""
+        subgroups = _subgroup_counts(WIRTINGER_TREFOIL, 7)
+        assert subgroups == _subgroup_counts(TREFOIL, 7)
+        assert subgroups[6:] == [22, 43]
+        assert [math.factorial(d - 1) * subgroups[d] for d in (6, 7)] == [2640, 30960]
+        assert count_representations(TREFOIL, 7, transitive=True) == 30960
+
+    @pytest.mark.parametrize(
+        "pres",
+        _two_relator_presentations(2, 6, seed=2) + _two_relator_presentations(3, 4, seed=3),
+        ids=lambda pres: ";".join(",".join(map(str, word)) for word in pres.relators),
+    )
+    def test_two_relator_presentations_up_to_degree_four(self, pres):
+        for degree in range(2, 5):
+            for transitive in (False, True):
+                count = count_representations(pres, degree, transitive=transitive)
+                expected = brute_hom_count(pres.generators, pres.relators, degree, transitive)
+                assert count == expected, (degree, transitive)
+
+    @pytest.mark.parametrize(
+        "pres, subgroups",
+        [
+            (FIGURE_EIGHT, [0, 1, 1, 1, 5, 16, 55, 57]),
+            (WHITEHEAD_LINK, [0, 1, 3, 10, 35, 86, 312, 610]),
+        ],
+        ids=["figure-eight", "whitehead"],
+    )
+    def test_frozen_subgroup_counts_to_degree_seven(self, pres, subgroups):
+        """a_1..a_7, frozen from a search that made no deductions, so they do
+        not come from the search under test."""
+        assert _subgroup_counts(pres, 7) == subgroups
 
 
 class TestVolumeConstants:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from prismvol import (
     InfiniteSolutionsError,
+    DISK_CASE_MUS,
     Orbifold2D,
     SurfaceData,
     case_analysis_report,
     chi_orb,
+    disk_case_divisors,
     disk_cases,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
@@ -553,3 +555,24 @@ class TestCaseAnalysisReport:
     @settings(max_examples=200)
     def test_disk_cases_for_large_parameters(self, n):
         self._assert_disk_cases_are_the_general_path(n)
+
+
+class TestDiskCaseDivisors:
+    """The divisor argument that decides cases 3 and 5 for every n, against
+    the bounded scan of their degree equations."""
+
+    def test_leaves_mu_3_and_5(self):
+        assert disk_case_divisors() == [(3, 1, 3, []), (5, 2, 12, [3, 5])]
+        assert DISK_CASE_MUS == {3, 5}
+
+    def test_agrees_with_the_degree_equations_for_every_odd_mu(self):
+        chi_f = riemann_hurwitz_cover(SurfaceData(0, 1), 2, [(2,)] * 5).euler
+        assert chi_f == -3
+        left = {case: mus for case, _, _, mus in disk_case_divisors()}
+        for mu in range(3, 10**4 + 1, 2):
+            three = _degree_solutions(chi_f, 1 - mu, mu, (2, 2, mu))
+            five = _degree_solutions(chi_f, 2 - mu, 2 * mu, (2, mu))
+            # a degree is also a chi-only degree, so each case is decided by its chi-only list
+            assert (mu in left[3]) is bool(three[1]) and set(three[0]) <= set(three[1]), mu
+            assert (mu in left[5]) is bool(five[1]) and set(five[0]) <= set(five[1]), mu
+            assert (mu in DISK_CASE_MUS) is any((*three, *five)), mu
