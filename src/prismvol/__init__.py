@@ -64,7 +64,6 @@ _PUBLIC = {
         "case_analysis_report",
         "chi_orb",
         "disk_case_divisors",
-        "disk_cases",
         "fiber_surface",
         "fixed_cases_report",
         "horizontal_degree_solutions",

@@ -3,7 +3,7 @@
 Every operation is exposed as a two-level subcommand.  Structured inputs
 (Seifert symbols, Montesinos links, braid words, group presentations) are
 given either as inline JSON or as ``@ref`` references: a file path, or
-else the name of a fixture shipped inside the package.
+else the bare name of a fixture shipped inside the package.
 
 Output is a human-readable table by default and JSON with ``--json``, the one
 option every command takes.  Rationals always print as ``p/q`` and volumes
@@ -25,7 +25,6 @@ import re
 import sys
 from collections.abc import Iterator
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 
 from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
@@ -79,11 +78,13 @@ def _parse_slope(text: str) -> slopes.Slope:
 
 
 def _load_input(text: str) -> object:
-    """Inline JSON, or ``@ref`` where ref is a file path or a packaged fixture name."""
+    """Inline JSON, or ``@ref`` where ref is a file path or a fixture's bare name."""
     raw = text
     if text.startswith("@"):
         ref = text[1:]
         if not os.path.isfile(ref):
+            if os.path.dirname(ref):
+                raise ValueError(f"no file named {ref!r}")
             name = ref if ref.endswith(".json") else f"{ref}.json"
             ref = os.path.join(os.path.dirname(__file__), "fixtures", name)
             if not os.path.isfile(ref):
@@ -99,7 +100,7 @@ def _load_input(text: str) -> object:
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> None:
     # one write per document: unbuffered, ``print`` would make two system calls
-    text = _indented(payload, "") if args.json else "\n".join(lines)
+    text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
     sys.stdout.write(text + "\n")
 
 
@@ -253,42 +254,17 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
     _emit(args, {"count": count}, [str(count)])
 
 
-def _indented(value: object, margin: str = "") -> str:
-    """``json.dumps(value, indent=2)`` with each line after the first moved
-    right by ``margin``; it writes every ``--json`` document.  The stdlib's
-    indenting encoder leaves its closures in a reference cycle per call, which
-    only the cyclic collector frees; this leaves no garbage for it, and writes
-    every leaf but a float itself."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is not dict and kind is not list:
-        return json.dumps(value)  # a float
-    if not value:
-        return "{}" if kind is dict else "[]"
-    inner = margin + "  "
-    if kind is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}}}"
-    items = [_indented(v, inner) for v in value]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
-
-
 def _prism_json(stream) -> Iterator[str]:
     """What ``print(json.dumps(prism_verify(a, b), indent=2))`` writes, for the
     records of ``covers.prism_row_stream(a, b)``, one at a time; the
-    candidates are collected along the way.  ``_indented`` writes the header
-    and every record but a "conditional" one, which is written from one
-    f-string with its n and mu as its only gaps."""
-    value = _indented(covers.upper_bound_value())
+    candidates are collected along the way.  Each value but a "conditional"
+    record is ``json.dumps(value, indent=2)`` moved right to its depth (exact:
+    ``json.dumps`` escapes every newline in a string); a conditional record is
+    one f-string with its n and mu as its only gaps."""
+    value = json.dumps(covers.upper_bound_value())
+    header = json.dumps(covers.prism_header(), indent=2).replace("\n", "\n  ")
     candidates = []
-    yield f'{{\n  "header": {_indented(covers.prism_header(), "  ")},\n  "reports": ['
+    yield f'{{\n  "header": {header},\n  "reports": ['
     separator, closing = "\n    ", "]"
     for record in stream:
         if record["status"] == "conditional":
@@ -299,9 +275,10 @@ def _prism_json(stream) -> Iterator[str]:
         else:
             if record["status"] == "candidate-exceptional":
                 candidates.append(record["n"])
-            yield separator + _indented(record, "    ")
+            yield separator + json.dumps(record, indent=2).replace("\n", "\n    ")
         separator, closing = ",\n    ", "\n  ]"
-    yield f'{closing},\n  "candidate_exceptional": {_indented(candidates, "  ")}\n}}\n'
+    listed = json.dumps(candidates, indent=2).replace("\n", "\n  ")
+    yield f'{closing},\n  "candidate_exceptional": {listed}\n}}\n'
 
 
 def _prism_table(stream) -> Iterator[str]:

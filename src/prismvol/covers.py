@@ -336,8 +336,9 @@ def _record(n: int) -> dict:
     divisor argument of ``orbifolds.disk_case_divisors``, cases 3 and 5 have
     a degree or a chi-only degree only where mu is in
     ``orbifolds.DISK_CASE_MUS``, so every other record with mu >= 3 is
-    conditional without a solve, and ``orbifolds.disk_cases`` runs only at
-    n = -1 and 1, where every chi-only degree is also a degree."""
+    conditional without a solve.  A candidate lists cases 3 and 5 of
+    ``orbifolds.prism_case_analysis(n)``, which runs only at n = -1 and 1,
+    where every chi-only degree is also a degree."""
     mu = abs(4 * n - 1)
     if mu < 3:
         return {
@@ -348,15 +349,18 @@ def _record(n: int) -> dict:
         }
     if mu not in orbifolds.DISK_CASE_MUS:
         return {"n": n, "upper_bound_value": _UPPER_BOUND_VALUE, "status": "conditional", "mu": mu}
-    degrees_3, chi_only_3, degrees_5, chi_only_5 = orbifolds.disk_cases(n)
     return {
         "n": n,
         "upper_bound_value": _UPPER_BOUND_VALUE,
         "status": "candidate-exceptional",
         "mu": mu,
         "cases": [
-            {"case": 3, "degrees": degrees_3, "chi_only_degrees": chi_only_3},
-            {"case": 5, "degrees": degrees_5, "chi_only_degrees": chi_only_5},
+            {
+                "case": case.case,
+                "degrees": list(case.degrees),
+                "chi_only_degrees": list(case.chi_only_degrees),
+            }
+            for case in orbifolds.prism_case_analysis(n)[2::2]  # cases 3 and 5
         ],
     }
 

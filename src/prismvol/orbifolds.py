@@ -18,11 +18,11 @@ the degrees that meet both, and the "chi-only" degrees that meet the first.
 over the five base orbifolds obtained by removing one fiber from either
 fibration of the prism manifold with parameter n; three do not depend on n.
 ``case_analysis_report`` is its JSON.  The audit writes the three cases that
-do not depend on n, ``fixed_cases_report``, once per call.  The other two,
-in closed form in mu = |4n - 1| in ``disk_cases``, are decided for every n by
-the divisor argument of ``disk_case_divisors``: they have a degree or a
-chi-only degree only where mu is in ``DISK_CASE_MUS``, and only there does
-the audit solve them.
+do not depend on n, ``fixed_cases_report``, once per call.  The other two, the
+disks whose cones hold mu = |4n - 1|, are decided for every n by the divisor
+argument of ``disk_case_divisors``: they have a degree or a chi-only degree
+only where mu is in ``DISK_CASE_MUS``, and only there does the audit run
+``prism_case_analysis``.
 """
 
 from __future__ import annotations
@@ -287,15 +287,6 @@ def fixed_cases_report() -> list[dict]:
     return [_fixed_case(case).to_json() for case in (1, 2, 4)]
 
 
-def _prism_mu(n: int) -> int:
-    """mu = |4n - 1| of the prism parameter n; a non-integer or degenerate n is refused."""
-    check(n, int, "n")
-    mu = abs(4 * n - 1)
-    if mu < 3:
-        raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
-    return mu
-
-
 def prism_case_analysis(n: int) -> list[CaseResult]:
     """Degree equations over the five fiber-removed prism base orbifolds.
 
@@ -315,10 +306,13 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
     Cases 1, 2 and 4 are solved on their first use, 3 and 5 per call, by
-    ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb;
-    ``disk_cases`` is the closed form of 3 and 5, tested against it.
+    ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.  A
+    non-integer or degenerate n is refused.
     """
-    mu = _prism_mu(n)
+    check(n, int, "n")
+    mu = abs(4 * n - 1)
+    if mu < 3:
+        raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
     return [
         _fixed_case(1),
         _fixed_case(2),
@@ -345,22 +339,6 @@ def disk_case_divisors() -> list[tuple[int, int, int, list[int]]]:
 
 # the mu = |4n - 1| whose disk cases can have a degree or a chi-only degree
 DISK_CASE_MUS = frozenset(mu for *_, mus in disk_case_divisors() for mu in mus)
-
-
-def disk_cases(n: int) -> tuple[list[int], ...] | None:
-    """The degrees and chi-only degrees of case 3, the disk with cones
-    {2, 2, mu}, and then of case 5, the disk with cones {2, mu}: the two cases
-    of ``prism_case_analysis(n)`` that depend on n, in closed form in
-    mu = |4n - 1|, or None where all four lists are empty.
-
-    By ``disk_case_divisors`` all four are empty unless mu is in
-    ``DISK_CASE_MUS``, which is {3, 5}; the audit calls this only there."""
-    mu = _prism_mu(n)
-    found = (
-        *_degree_solutions(_FIBER_EULER, 1 - mu, mu, (2, 2, mu)),
-        *_degree_solutions(_FIBER_EULER, 2 - mu, 2 * mu, (2, mu)),
-    )
-    return found if any(found) else None
 
 
 def case_analysis_report(n: int) -> dict:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -194,9 +195,24 @@ class TestFixtureResolution:
         assert out.strip() == "(Oo, 0; 1/2, 1/2, 1/3, -2/1)"
 
     def test_packaged_fixture_miss(self):
-        code, _, err = run_cli(["covers", "count", "@ghost", "--degree", "2"])
-        assert code == 1
-        assert "no packaged fixture" in err
+        assert run_cli(["covers", "count", "@ghost", "--degree", "2"]) == (
+            1, "", "error: no packaged fixture named 'ghost.json'\n"
+        )
+
+    @pytest.mark.parametrize("where", ["absolute", "relative", "into the fixtures"])
+    def test_path_that_names_no_file_is_refused(self, tmp_path, where):
+        """A ref with a directory part is a path: where it names no file, the
+        command reads neither its ``.json`` sibling nor a fixture, and names
+        the ref as given."""
+        (tmp_path / "group.json").write_text(json.dumps({"generators": 1, "relators": []}))
+        ref = {
+            "absolute": str(tmp_path / "group"),
+            "relative": os.path.relpath(tmp_path / "group", Path(cli.__file__).parent / "fixtures"),
+            "into the fixtures": "../fixtures/trefoil",
+        }[where]
+        assert run_cli(["covers", "count", f"@{ref}", "--degree", "2"]) == (
+            1, "", f"error: no file named {ref!r}\n"
+        )
 
     def test_direct_file_path_reference(self, tmp_path):
         path = tmp_path / "word.json"
@@ -745,7 +761,7 @@ class TestStreamedVerify:
         # the command line refuses an empty range, so call the emitter
         out = "".join(cli._prism_json(prism_row_stream(1, 0)))
         assert out == json.dumps(prism_verify(1, 0), indent=2) + "\n"
-        header = cli._indented(prism_header(), "  ")
+        header = json.dumps(prism_header(), indent=2).replace("\n", "\n  ")
         assert out == (
             f'{{\n  "header": {header},\n  "reports": [],\n  "candidate_exceptional": []\n}}\n'
         )
@@ -792,15 +808,23 @@ class TestStreamedVerify:
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.JSON_DIGESTS[n_from, n_to]
 
     def test_json_leaves_no_cyclic_garbage(self):
-        rows = list(prism_row_stream(-50, 50))
-        gc.collect()
-        for _ in cli._prism_json(iter(rows)):
-            pass
-        assert gc.collect() == 0
+        """The stdlib's indenting encoder leaves a reference cycle per call, for
+        the cyclic collector; the writer leaves the same garbage at +-50 as
+        at +-500, so none per row."""
+
+        def garbage(n):
+            rows = list(prism_row_stream(-n, n))
+            gc.collect()
+            for _ in cli._prism_json(iter(rows)):
+                pass
+            return gc.collect()
+
+        assert garbage(50) == garbage(500)
 
     def test_json_dumps_at_most_once_per_row(self, monkeypatch):
-        rows = list(prism_row_stream(-50, 50))
-        expected = json.dumps(prism_verify(-50, 50), indent=2) + "\n"
+        """``json.dumps`` writes the header, the records that are not
+        conditional and the candidate list, as often at +-500 as at +-50."""
+        expected = {n: json.dumps(prism_verify(-n, n), indent=2) + "\n" for n in (50, 500)}
         calls = []
         original = json.dumps
 
@@ -809,9 +833,12 @@ class TestStreamedVerify:
             return original(value, **kwargs)
 
         monkeypatch.setattr(cli.json, "dumps", counting)
-        assert "".join(cli._prism_json(iter(rows))) == expected
-        assert len(calls) <= len(rows)
-        assert all(type(value) is float for value in calls)
+        counts = []
+        for n, text in expected.items():
+            calls.clear()
+            assert "".join(cli._prism_json(prism_row_stream(-n, n))) == text
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 101
 
     @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
     def test_audit_makes_no_row_whole(self, monkeypatch, fmt):
@@ -835,16 +862,16 @@ class TestStreamedVerify:
 
     @pytest.mark.parametrize("fmt", [["--json"], []], ids=["--json", "table"])
     def test_audit_solves_only_where_the_divisors_leave_a_case(self, monkeypatch, fmt):
-        """``orbifolds.disk_cases`` runs at mu = 3 and 5 alone, n = 1 and -1:
-        every other record is conditional by the divisor argument."""
+        """``orbifolds.prism_case_analysis`` runs at mu = 3 and 5 alone, n = 1
+        and -1: every other record is conditional by the divisor argument."""
         solved = []
-        original = orbifolds.disk_cases
+        original = orbifolds.prism_case_analysis
 
         def counting(n):
             solved.append(n)
             return original(n)
 
-        monkeypatch.setattr(orbifolds, "disk_cases", counting)
+        monkeypatch.setattr(orbifolds, "prism_case_analysis", counting)
         argv = ["prism", "verify", "--from", "-1000", "--to", "1000", *fmt]
         with contextlib.redirect_stdout(_NullSink()):
             assert main(argv) == 0
@@ -861,8 +888,9 @@ class TestStreamedVerify:
         finally:
             tracemalloc.stop()
 
-    # Neither format leaves cyclic garbage per row (``cli._indented`` writes
-    # the JSON rows), so each peak is what a few rows hold at once.  Cyclic
+    # Neither format leaves cyclic garbage per row (``json.dumps`` writes a
+    # fixed number of values per audit, and a conditional record is one
+    # f-string), so each peak is what a few rows hold at once.  Cyclic
     # garbage would be freed in batches, at points that depend on the
     # collector's state when the run starts, and the peaks would vary.
     @pytest.mark.parametrize(
@@ -872,28 +900,6 @@ class TestStreamedVerify:
         small_peak = self._peak_bytes(-small, small, fmt)
         large_peak = self._peak_bytes(-10000, 10000, fmt)
         assert large_peak < 2 * small_peak, (small_peak, large_peak)
-
-
-json_leaves_st = st.one_of(
-    st.booleans(),
-    st.none(),
-    st.integers(),
-    st.integers(-(10**60), 10**60),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(st.characters(max_codepoint=127)),
-    st.text(),
-)
-json_values_st = st.recursive(
-    json_leaves_st,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@given(json_values_st, st.sampled_from(["", "  ", "    ", "\t"]))
-def test_indented_is_json_dumps_shifted(value, margin):
-    expected = json.dumps(value, indent=2).replace("\n", "\n" + margin)
-    assert cli._indented(value, margin) == expected
 
 
 # one --json invocation per subcommand but ``prism verify``, whose streamed

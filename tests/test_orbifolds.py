@@ -14,7 +14,6 @@ from prismvol import (
     case_analysis_report,
     chi_orb,
     disk_case_divisors,
-    disk_cases,
     horizontal_degree_solutions,
     nonorientable_base_solutions,
     prism_case_analysis,
@@ -349,9 +348,9 @@ class TestNonorientableBaseSolutions:
 
 
 class TestDegreeSolutions:
-    """The one solver behind both public ones, which ``prism_case_analysis``
-    and ``disk_cases`` call with each base's chi_orb as an integer numerator
-    and denominator."""
+    """The one solver behind both public ones and ``prism_case_analysis``,
+    which call it with each base's chi_orb as an integer numerator and
+    denominator."""
 
     @given(
         small_orbifolds_st,
@@ -499,9 +498,9 @@ class TestPrismCaseAnalysis:
 
 
 class TestCaseAnalysisReport:
-    """``case_analysis_report`` is the JSON of ``prism_case_analysis``, and
-    ``disk_cases`` the closed form in mu = |4n - 1| of its cases 3 and 5 that
-    the audit writes; the general path is the oracle of both."""
+    """``case_analysis_report`` is the JSON of ``prism_case_analysis``, whose
+    cases 3 and 5 the audit writes for its candidates; ``case_report_oracle``
+    rebuilds it from the bases that ``remove_fiber`` drills out."""
 
     @staticmethod
     def _assert_equals_the_general_path(n):
@@ -527,9 +526,6 @@ class TestCaseAnalysisReport:
         with pytest.raises(ValueError) as closed:
             case_analysis_report(n)
         assert str(closed.value) == str(general.value)
-        with pytest.raises(ValueError) as disks:
-            disk_cases(n)
-        assert str(disks.value) == str(general.value)
 
     @pytest.mark.parametrize("n", [-(10**12), -1000, -2, -1, 1, 2, 1000, 10**12])
     def test_cases_1_2_and_4_have_no_degree(self, n):
@@ -537,24 +533,6 @@ class TestCaseAnalysisReport:
         "conditional" row; that holds only while the other three have none."""
         cases = prism_case_analysis(n)
         assert [cases[i].degrees for i in (0, 1, 3)] == [(), (), ()]
-
-    @staticmethod
-    def _assert_disk_cases_are_the_general_path(n):
-        three, five = prism_case_analysis(n)[2::2]
-        lists = [list(three.degrees), list(three.chi_only_degrees)]
-        lists += [list(five.degrees), list(five.chi_only_degrees)]
-        assert disk_cases(n) == (tuple(lists) if any(lists) else None), n
-
-    def test_disk_cases_for_every_small_parameter(self):
-        checked = [n for n in range(-1000, 1001) if abs(4 * n - 1) >= 3]
-        for n in checked:
-            self._assert_disk_cases_are_the_general_path(n)
-        assert [n for n in checked if disk_cases(n) is not None] == [-1, 1]
-
-    @given(st.integers(-(10**12), 10**12).filter(lambda n: abs(4 * n - 1) >= 3))
-    @settings(max_examples=200)
-    def test_disk_cases_for_large_parameters(self, n):
-        self._assert_disk_cases_are_the_general_path(n)
 
 
 class TestDiskCaseDivisors:

@@ -16,7 +16,6 @@ from prismvol import (
     SurfaceData,
     case_analysis_report,
     count_representations,
-    disk_cases,
     enumerate_constrained_slopes,
     link_from_json,
     ln_link,
@@ -511,11 +510,6 @@ class TestConstructors:
                 lambda: prism_row_stream(1, 2.0),
                 "^n_to must be an integer",
                 id="<lambda>-^n_to must be an integer1",
-            ),
-            pytest.param(
-                lambda: disk_cases(True),
-                "^n must be an integer",
-                id="<lambda>-^n must be an integer7",
             ),
             pytest.param(
                 lambda: remove_fiber(SeifertSymbol("Oo", 0, ((1, 2),)), True),

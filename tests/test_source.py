@@ -86,14 +86,28 @@ def test_every_traced_target_is_a_function_of_its_module():
     assert missing == []
 
 
-def test_no_call_passes_indent():
-    """``cli._indented`` is the one indenting JSON writer of the package."""
-    found = [
+def test_stdlib_is_the_one_json_writer():
+    """Every JSON document is written by ``json.dumps``: no module imports
+    from ``json.encoder``, and the only indent passed is ``indent=2``, in
+    ``cli``."""
+    imported = [
         f"{name}:{node.lineno}"
         for name, node in _package_nodes()
-        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if ".".join(filter(None, [getattr(node, "module", None), alias.name])).startswith(
+            "json.encoder"
+        )
     ]
-    assert found == []
+    indents = {
+        (name, ast.unparse(keyword.value))
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "indent"
+    }
+    assert imported == []
+    assert indents == {("cli.py", "2")}
 
 
 def test_all_is_what_the_package_imports():
@@ -127,6 +141,9 @@ def test_all_is_what_the_package_imports():
         ("covers", "_fixes_every_point"),
         ("covers", "_invert"),
         ("covers", "_is_transitive"),
+        ("cli", "_indented"),
+        ("orbifolds", "disk_cases"),
+        ("orbifolds", "_prism_mu"),
     ],
 )
 def test_removed_helpers_are_gone(layer, name):
