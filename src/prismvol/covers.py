@@ -16,7 +16,8 @@ low-index subgroup search (C. C. Sims, *Computation with Finitely Presented
 Groups*, 1994, ch. 5) finds a_k, the number of subgroups of index k, for
 every k <= d; the transitive count is t_d = (d - 1)! a_d, and the plain count
 follows from t_1..t_d by Hall's recursion (P. Hall, Canad. J. Math. 1,
-1949), so Hall's identity between the two holds by construction.
+1949), so Hall's identity between the two holds by construction.  ``MAX_CELLS``
+caps the coset table's size and ``MAX_NODES`` the calls to the search.
 
 The audit of the family is one header, ``prism_header``, with every fact that
 is the same for all n, made of constants and the three cases of the case
@@ -33,7 +34,8 @@ from collections.abc import Iterator
 from . import orbifolds
 from .reader import Record, check
 
-MAX_ENUMERATION = 10**8
+MAX_CELLS = 512  # degree * 2 * generators: coset table size, search depth, Hall's terms
+MAX_NODES = 200_000  # calls to the low-index search
 
 
 class EnumerationTooLargeError(ValueError):
@@ -103,6 +105,7 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
     table = [-1] * (degree * columns)
     trail: list[int] = []  # deduced entries, each followed by its inverse entry
     counts = [0] * (degree + 1)
+    nodes = 0
 
     def settle(coset: int, column: int) -> bool:
         deduced = len(trail)
@@ -131,6 +134,11 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
             deduced += 2
 
     def search(entry: int, cosets: int) -> None:
+        nonlocal nodes
+        if (nodes := nodes + 1) > MAX_NODES:
+            raise EnumerationTooLargeError(
+                f"the subgroup search into S_{degree} exceeds the limit of {MAX_NODES} nodes"
+            )
         while entry < cosets * columns and table[entry] >= 0:
             entry += 1
         if entry == cosets * columns:
@@ -167,9 +175,10 @@ def count_representations(
     J. Math. 1, 1949), so Hall's identity between the two counts holds by
     construction and checks the recursion, not the search.
 
-    Refuses outright when the candidate-tuple count (degree!)^generators
-    exceeds ``MAX_ENUMERATION``; the count is built one factor at a time and
-    abandoned as soon as it passes the limit.
+    Refuses before building anything when the table's degree * 2 * generators
+    cells exceed ``MAX_CELLS``, which also bounds the search's depth (degree *
+    generators frames) and Hall's degree * (degree + 1) / 2 terms; refuses
+    mid-search once the search passes ``MAX_NODES`` calls.
     """
     check(degree, int, "degree")
     check(transitive, bool, "transitive")
@@ -177,15 +186,10 @@ def count_representations(
         raise ValueError("degree must be a positive integer")
     if degree == 1:
         return 1  # S_1 is trivial: one homomorphism, and it is transitive
-    tuples = 1
-    for _ in range(pres.generators):
-        for factor in range(2, degree + 1):
-            tuples *= factor
-            if tuples > MAX_ENUMERATION:
-                raise EnumerationTooLargeError(
-                    f"enumeration into S_{degree} over {pres.generators} generators "
-                    f"exceeds the limit of {MAX_ENUMERATION} candidate tuples"
-                )
+    if (cells := degree * 2 * pres.generators) > MAX_CELLS:
+        raise EnumerationTooLargeError(
+            f"the coset table for S_{degree} has {cells} cells, over the limit of {MAX_CELLS}"
+        )
     subgroups = _subgroup_counts(pres, degree)
     t = [math.factorial(k - 1) * subgroups[k] for k in range(1, degree + 1)]
     if transitive:

@@ -163,7 +163,14 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1
-        assert "limit of 100000000" in err
+        assert err.endswith("has 1200000 cells, over the limit of 512\n")
+
+    def test_wirtinger_trefoil_at_degree_seven(self):
+        """(7!)^3 is over 10^14 candidate tuples, but the search takes 595
+        nodes: the count is answered."""
+        pres = '{"generators": 3, "relators": [[1, 2, -3, -2], [2, 3, -1, -3]]}'
+        argv = ["covers", "count", pres, "--degree", "7", "--transitive"]
+        assert run_cli(argv) == (0, "30960\n", "")
 
     def test_domain_error_on_crosscap_homology(self):
         code, _, err = run_cli(["seifert", "h1", "@m1_on"])

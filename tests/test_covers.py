@@ -31,7 +31,7 @@ from prismvol import (
     prism_verify,
     upper_bound_value,
 )
-from prismvol import cli
+from prismvol import cli, covers
 from prismvol.covers import UPPER_BOUND, _subgroup_counts
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
@@ -125,17 +125,47 @@ class TestCountRepresentations:
             count_representations(GroupPresentation(3, ()), 10)
 
     def test_guard_stops_before_the_product(self):
-        # 300000! has over a million digits; the guard must not build it
+        # the table cap refuses from the table's size alone, before any
+        # search, and 300000! (over a million digits) is never built
         with pytest.raises(EnumerationTooLargeError) as caught:
             count_representations(GroupPresentation(2, ((1, 2),)), 300000)
-        assert str(caught.value).endswith(
-            "exceeds the limit of 100000000 candidate tuples"
+        assert str(caught.value) == (
+            "the coset table for S_300000 has 1200000 cells, over the limit of 512"
         )
 
     def test_guard_boundary_is_generous(self):
-        # 7!^2 ~ 2.5e7 is under the guard and still fast to refuse or run;
+        # the search for F_1 at d = 6 takes twelve nodes, far under the node cap;
         # the trivial relator set makes the count a pure power
         assert count_representations(GroupPresentation(1, ()), 6) == 720
+
+    def test_node_cap_edge(self, monkeypatch):
+        """The trefoil at d = 9 calls the search 2 140 times: a cap of 2 140
+        answers 8! * 130 and a cap of 2 139 refuses mid-search."""
+        monkeypatch.setattr(covers, "MAX_NODES", 2140)
+        assert count_representations(TREFOIL, 9, transitive=True) == math.factorial(8) * 130
+        monkeypatch.setattr(covers, "MAX_NODES", 2139)
+        refusal = "^the subgroup search into S_9 exceeds the limit of 2139 nodes$"
+        with pytest.raises(EnumerationTooLargeError, match=refusal):
+            count_representations(TREFOIL, 9, transitive=True)
+
+    def test_table_cap_edge_is_answered(self):
+        """At d * 2g = 512 the search is at most 256 frames deep and Hall's
+        recursion has 256 * 257 / 2 terms: both run without a refusal."""
+        assert count_representations(GroupPresentation(1, ()), 256) == math.factorial(256)
+        # I_n = I_{n-1} + (n - 1) I_{n-2} counts the involutions of S_n
+        involutions = [1, 1]
+        for n in range(2, 257):
+            involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+        assert count_representations(GroupPresentation(1, ((1, 1),)), 256) == involutions[256]
+
+    def test_table_cap_refuses_before_the_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(covers, "_subgroup_counts", lambda *args: calls.append(args))
+        refusal = "^the coset table for S_257 has 514 cells, over the limit of 512$"
+        for pres in (GroupPresentation(1, ()), GroupPresentation(1, ((1, 1),))):
+            with pytest.raises(EnumerationTooLargeError, match=refusal):
+                count_representations(pres, 257)
+        assert calls == []
 
     def test_empty_relator_word_is_vacuous(self):
         pres = GroupPresentation(1, ((),))
@@ -234,8 +264,8 @@ class TestBenchmarkDegrees:
             ) == brute_hom_count(generators, relators, 4, transitive=transitive)
 
     def test_one_generator_builds_no_permutation_list(self):
-        # 11! is under the guard; the involutions of S_11 are counted by
-        # Hall's recursion from the two subgroups of <x | x^2>
+        # the involutions of S_11 are counted by Hall's recursion from the
+        # two subgroups of <x | x^2>, not from a list of permutations
         assert count_representations(GroupPresentation(1, ((1, 1),)), 11) == 35696
 
 
@@ -303,12 +333,13 @@ class TestIndependentCounts:
 
     def test_tietze_pair_at_degrees_the_guard_refuses(self):
         """The 3-generator Wirtinger trefoil and the 2-generator trefoil are
-        one group, so the search finds the same subgroups in both, also at
-        d = 6 and 7, where (d!)^3 is over the guard's limit."""
+        one group, so they count alike also at d = 6 and 7, which a guard on
+        (d!)^3 candidate tuples once refused."""
         subgroups = _subgroup_counts(WIRTINGER_TREFOIL, 7)
         assert subgroups == _subgroup_counts(TREFOIL, 7)
         assert subgroups[6:] == [22, 43]
-        assert [math.factorial(d - 1) * subgroups[d] for d in (6, 7)] == [2640, 30960]
+        assert count_representations(WIRTINGER_TREFOIL, 6, transitive=True) == 2640
+        assert count_representations(WIRTINGER_TREFOIL, 7, transitive=True) == 30960
         assert count_representations(TREFOIL, 7, transitive=True) == 30960
 
     @pytest.mark.parametrize(

@@ -143,6 +143,7 @@ def test_all_is_what_the_package_imports():
         ("covers", "_is_transitive"),
         ("cli", "_indented"),
         ("orbifolds", "disk_cases"),
+        ("covers", "MAX_ENUMERATION"),
         ("orbifolds", "_prism_mu"),
     ],
 )
