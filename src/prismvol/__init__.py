@@ -4,9 +4,9 @@ The package mechanizes the computable steps behind the bound lv = 2 * V0 for
 the one-parameter prism family: Seifert symbol arithmetic and first homology,
 Montesinos double branched covers, horizontal-surface degree equations over
 2-orbifolds, constrained slope enumeration on the torus, twisted torus braid
-invariants, and bounded-degree branched-cover counting, assembled by
-``prism_verify`` into per-parameter reports that are explicit about which
-finiteness steps are computed and which remain conditional.
+invariants, bounded-degree branched-cover counting (``covers``) and the audit
+(``audit``), whose per-parameter reports ``prism_verify`` puts together,
+explicit about which finiteness steps are computed and which remain conditional.
 
 Each layer module is registered in ``sys.modules`` and set as an attribute of
 the package when the package is imported, but its code runs on first attribute
@@ -22,6 +22,18 @@ __version__ = "0.1.0"
 
 # layer -> its public names; ``reader`` has none, but is loaded lazily too
 _PUBLIC = {
+    "audit": (
+        "CoverCertificate",
+        "FIGURE_EIGHT_VOLUME",
+        "ONE_CUSP_VOLUME_FLOOR",
+        "VolumeConstant",
+        "WHITEHEAD_VOLUME",
+        "complexity",
+        "degree_bound_for_budget",
+        "prism_header",
+        "prism_row_stream",
+        "upper_bound_value",
+    ),
     "braids": (
         "BraidWord",
         "bennequin_chi",
@@ -31,21 +43,11 @@ _PUBLIC = {
         "word_from_json",
     ),
     "covers": (
-        "CoverCertificate",
         "EnumerationTooLargeError",
-        "FIGURE_EIGHT_VOLUME",
         "GroupPresentation",
-        "ONE_CUSP_VOLUME_FLOOR",
-        "VolumeConstant",
-        "WHITEHEAD_VOLUME",
-        "complexity",
         "count_representations",
-        "degree_bound_for_budget",
         "presentation_from_json",
-        "prism_header",
-        "prism_row_stream",
         "prism_verify",
-        "upper_bound_value",
     ),
     "exact": ("IntMatrix", "elementary_divisors", "extended_gcd", "frac_str"),
     "montesinos": (
@@ -91,12 +93,13 @@ __all__ = sorted(_LAYER_OF)
 
 
 class _Layer(types.ModuleType):
-    """A layer whose code has not run: any attribute access runs it.  A run that
-    raises puts the module back as it was, so the next access raises again."""
+    """A layer whose code has not run: reading, setting or deleting an attribute
+    runs it first.  A run that raises puts the module back as it was, so the
+    next access raises again."""
 
     def __getattribute__(self, name: str):
         blank = dict(super().__getattribute__("__dict__"))
-        self.__class__ = types.ModuleType
+        super().__setattr__("__class__", types.ModuleType)
         try:
             self.__spec__.loader.exec_module(self)
         except BaseException:
@@ -105,6 +108,14 @@ class _Layer(types.ModuleType):
             self.__class__ = _Layer
             raise
         return getattr(self, name)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        vars(self)  # runs the layer
+        setattr(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        vars(self)  # runs the layer
+        delattr(self, name)
 
 
 def _register(layer: str):

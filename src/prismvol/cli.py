@@ -12,8 +12,8 @@ with 12 decimal places.  Exit status is 0 on success, 1 on a domain error
 
 Each command is declared once, in ``_COMMANDS``: its group, name, handler, help
 and arguments.  ``build_parser`` builds the parser from that table: the top and
-group parsers always, the command parsers only for the groups the command line
-names, since argparse enters no other group.
+group parsers always, the subcommand parsers only for the groups the command
+line names, since argparse enters no other group.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterator
 from itertools import islice
 
-from . import braids, covers, exact, montesinos, orbifolds, seifert, slopes
+from . import audit, braids, covers, exact, montesinos, orbifolds, seifert, slopes
 from .reader import loads
 
 _PAIR_TOKEN = re.compile(r"^-\d+,-?\d+$")
@@ -256,13 +256,13 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
 
 def _prism_json(stream) -> Iterator[str]:
     """What ``print(json.dumps(prism_verify(a, b), indent=2))`` writes, for the
-    records of ``covers.prism_row_stream(a, b)``, one at a time; the
+    records of ``audit.prism_row_stream(a, b)``, one at a time; the
     candidates are collected along the way.  Each value but a "conditional"
     record is ``json.dumps(value, indent=2)`` moved right to its depth (exact:
     ``json.dumps`` escapes every newline in a string); a conditional record is
     one f-string with its n and mu as its only gaps."""
-    value = json.dumps(covers.upper_bound_value())
-    header = json.dumps(covers.prism_header(), indent=2).replace("\n", "\n  ")
+    value = json.dumps(audit.upper_bound_value())
+    header = json.dumps(audit.prism_header(), indent=2).replace("\n", "\n  ")
     candidates = []
     yield f'{{\n  "header": {header},\n  "reports": ['
     separator, closing = "\n    ", "]"
@@ -282,11 +282,11 @@ def _prism_json(stream) -> Iterator[str]:
 
 
 def _prism_table(stream) -> Iterator[str]:
-    """The table of the records of ``covers.prism_row_stream``, one line at a
+    """The table of the records of ``audit.prism_row_stream``, one line at a
     time."""
-    header = covers.prism_header()
+    header = audit.prism_header()
     yield (
-        f"upper bound {header['upper_bound']} = {covers.upper_bound_value():.12f}"
+        f"upper bound {header['upper_bound']} = {audit.upper_bound_value():.12f}"
         " (degree-2 certificate)"
     )
     yield (
@@ -314,7 +314,7 @@ def _cmd_prism_verify(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
         )
-    stream = covers.prism_row_stream(args.n_from, args.n_to)
+    stream = audit.prism_row_stream(args.n_from, args.n_to)
     if args.json:
         chunks = _prism_json(stream)
     else:
@@ -407,10 +407,10 @@ _COMMANDS = {
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every group, with command parsers only for the groups
-    named in ``argv`` (default ``sys.argv[1:]``, as ``parse_known_args``):
-    argparse enters a group only at its name, so every help, choice list and
-    error reads the same.  ``build_parser(list(_COMMANDS))`` builds them all."""
+    """The parser of every group; a group not named in ``argv`` (default
+    ``sys.argv[1:]``, as ``parse_known_args``) gets no subcommand parser, since
+    argparse enters a group only at its name: every help, choice list and error
+    reads the same.  ``build_parser(list(_COMMANDS))`` builds them all."""
     named = set(sys.argv[1:] if argv is None else argv)
     parser = _Parser(
         prog="prismvol",
@@ -419,14 +419,14 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
     for group, (about, commands) in _COMMANDS.items():
-        sub = top.add_parser(group, help=about).add_subparsers(dest="subcommand", required=True)
-        if group not in named:
-            continue
-        for name, (handler, text, arguments) in commands.items():
-            command = sub.add_parser(name, help=text)
-            for flag, options in [_JSON, *arguments]:
-                command.add_argument(flag, **options)
-            command.set_defaults(func=handler, parser=command)
+        group_parser = top.add_parser(group, help=about)
+        if group in named:
+            sub = group_parser.add_subparsers(dest="subcommand", required=True)
+            for name, (handler, text, arguments) in commands.items():
+                command = sub.add_parser(name, help=text)
+                for flag, options in [_JSON, *arguments]:
+                    command.add_argument(flag, **options)
+                command.set_defaults(func=handler, parser=command)
     return parser
 
 

@@ -382,14 +382,14 @@ def audit_row_oracle(n: int) -> dict:
     were in closed form: the twist-knot verdict from the lens-space test on
     ``prism_fibrations(n)[0]``, the cases from ``case_report_oracle(n)``, not
     from the closed form the audit embeds."""
-    from prismvol import covers
+    from prismvol import audit
     from prismvol.montesinos import is_lens_space_symbol
     from prismvol.seifert import prism_fibrations
 
     head = {
         "n": n,
-        "upper_bound": covers.UPPER_BOUND.label,
-        "upper_bound_value": covers.upper_bound_value(),
+        "upper_bound": audit.UPPER_BOUND.label,
+        "upper_bound_value": audit.upper_bound_value(),
     }
     if abs(4 * n - 1) < 3:
         return {
@@ -399,7 +399,7 @@ def audit_row_oracle(n: int) -> dict:
         }
     analysis = case_report_oracle(n)
     status = "candidate-exceptional" if analysis["admits_horizontal"] else "conditional"
-    unresolved = list(covers._NONEFFECTIVE_STEPS)
+    unresolved = list(audit._NONEFFECTIVE_STEPS)
     if status == "candidate-exceptional":
         degrees = sorted(d for case in analysis["cases"] for d in case["degrees"])
         unresolved.insert(
@@ -411,7 +411,7 @@ def audit_row_oracle(n: int) -> dict:
         **head,
         "twist_knot_excluded": not is_lens_space_symbol(prism_fibrations(n)[0]),
         "case_analysis": analysis,
-        "max_degree": covers._MAX_DEGREE,
+        "max_degree": audit._MAX_DEGREE,
         "status": status,
         "unresolved_steps": unresolved,
     }

@@ -1035,7 +1035,7 @@ def test_build_parser_reads_sys_argv_by_default(monkeypatch):
         return [
             group
             for group, sub in top.choices.items()
-            if next(a for a in sub._actions if isinstance(a, argparse._SubParsersAction)).choices
+            if any(isinstance(a, argparse._SubParsersAction) and a.choices for a in sub._actions)
         ]
 
     monkeypatch.setattr(sys, "argv", ["prismvol", "slopes", "delta", "1,0", "0,1"])

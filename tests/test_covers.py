@@ -32,7 +32,8 @@ from prismvol import (
     upper_bound_value,
 )
 from prismvol import cli, covers
-from prismvol.covers import UPPER_BOUND, _subgroup_counts
+from prismvol.audit import UPPER_BOUND
+from prismvol.covers import _subgroup_counts
 from prismvol.exact import frac_str
 from prismvol.orbifolds import Orbifold2D, chi_orb
 from support import (

@@ -30,23 +30,30 @@ _REPORT = (
 )
 
 
-def _modules(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; the ``prismvol`` modules it left.
-    ``-S`` skips ``site``, so a ``.pth`` file's imports cannot hide the
-    command's own."""
+def _fresh(code: str) -> str:
+    """What ``code`` writes to stdout, run in a fresh interpreter.  ``-S``
+    skips ``site``, so a ``.pth`` file's imports cannot hide the code's own."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code + _REPORT],
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def _modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; the ``prismvol`` modules it left."""
+    return json.loads(_fresh(code + _REPORT).splitlines()[-1])
 
 
 def test_import_prismvol_executes_no_layer():
     modules = _modules("import prismvol\n")
     assert modules["executed"] == ["prismvol"]
-    layers = ["braids", "covers", "exact", "montesinos", "orbifolds", "reader", "seifert", "slopes"]
+    layers = [
+        "audit", "braids", "covers", "exact", "montesinos", "orbifolds", "reader", "seifert",
+        "slopes",
+    ]
     assert modules["registered"] == ["prismvol"] + [f"prismvol.{layer}" for layer in layers]
 
 
@@ -61,7 +68,7 @@ COMMANDS = [
          "--cones", "2,3,5"],
         ["exact", "orbifolds", "reader"],
     ),
-    (["prism", "verify", "--from", "-3", "--to", "3", "--json"], ["covers", "orbifolds", "reader"]),
+    (["prism", "verify", "--from", "-3", "--to", "3", "--json"], ["audit", "orbifolds", "reader"]),
     (["seifert", "normalize", "@m1_oo"], ["reader", "seifert"]),
     (["seifert", "euler", "@m1_on"], ["exact", "reader", "seifert"]),
     (["seifert", "base", "@m1_oo"], ["orbifolds", "reader", "seifert"]),
@@ -82,8 +89,23 @@ COMMANDS = [
     (["slopes", "enumerate", "1,0", "0,1"], ["reader", "slopes"]),
     (["braid", "components", '{"strands": 3, "letters": [1, -2]}'], ["braids", "reader"]),
     (["braid", "chi", '{"strands": 3, "letters": [1, 2, 1]}'], ["braids", "reader"]),
-    (["prism", "verify", "--from", "-3", "--to", "3"], ["covers", "orbifolds", "reader"]),
+    (["prism", "verify", "--from", "-3", "--to", "3"], ["audit", "orbifolds", "reader"]),
 ]
+
+
+def test_readme_layer_table_is_the_commands():
+    """The README's "command | layers it runs" table lists every command of
+    ``COMMANDS`` once, with the layers that command runs."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| command | layers it runs |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = [
+        (command.strip(" `"), sorted(layer.strip(" `") for layer in layers.split(",")))
+        for row in table.splitlines()
+        for commands, layers in [row.strip("|").split("|")]
+        for command in commands.split(",")
+    ]
+    expected = {" ".join(argv[:2]): sorted(layers) for argv, layers in COMMANDS}
+    assert sorted(documented) == sorted(expected.items())
 
 
 def _run(argv: list[str]) -> dict:
@@ -224,3 +246,30 @@ def test_a_layer_whose_code_raises_raises_at_every_access(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == ["braids is broken"] * 6 + [True, "3/1"]
+
+
+_TREFOIL = json.loads((ROOT / "src" / "prismvol" / "fixtures" / "trefoil.json").read_text())
+# counts the trefoil's transitive representations at d = 9: a search of 2 140 nodes
+_COUNT_AT_NINE = (
+    f"pres = covers.presentation_from_json({_TREFOIL!r})\n"
+    "try:\n"
+    "    print(covers.count_representations(pres, 9, transitive=True))\n"
+    "except Exception as err:\n"
+    "    print(f'{type(err).__name__}: {err}')\n"
+)
+
+
+def test_an_assignment_to_a_layer_before_it_runs_sticks():
+    """The layer runs before the assignment acts: run after it, its code would
+    set ``MAX_NODES`` back to 200 000, and the count would be answered."""
+    out = _fresh("from prismvol import covers\ncovers.MAX_NODES = 2139\n" + _COUNT_AT_NINE)
+    assert out == (
+        "EnumerationTooLargeError: the subgroup search into S_9 exceeds the limit of 2139 nodes\n"
+    )
+
+
+def test_a_deletion_from_a_layer_before_it_runs_sticks():
+    """The layer runs before the deletion acts, so the name is there to delete
+    and its code does not define it again."""
+    code = "from prismvol import covers\ndel covers.MAX_NODES\nprint(hasattr(covers, 'MAX_NODES'))\n"
+    assert _fresh(code + _COUNT_AT_NINE) == "False\nNameError: name 'MAX_NODES' is not defined\n"

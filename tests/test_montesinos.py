@@ -14,7 +14,7 @@ from prismvol import (
     prism_fibrations,
     prism_verify,
 )
-from prismvol import covers, montesinos, seifert
+from prismvol import audit, montesinos, seifert
 from support import fiber_pairs_st, wn_link
 
 tangle_lists_st = st.lists(fiber_pairs_st(), min_size=1, max_size=4)
@@ -218,7 +218,7 @@ class TestTwistKnotExclusion:
             return original(link)
 
         monkeypatch.setattr(montesinos, "double_branched_cover", counting)
-        monkeypatch.setattr(covers, "double_branched_cover", counting, raising=False)
+        monkeypatch.setattr(audit, "double_branched_cover", counting, raising=False)
         prism_verify(-50, 50)
         assert calls == []
 

@@ -38,29 +38,44 @@ def test_package_reads_no_environment_variable():
     assert found == []
 
 
-def test_orbifolds_imports_nothing_from_seifert():
-    """``seifert`` builds on ``orbifolds``; the reverse import would be a cycle."""
-    tree = ast.parse((Path(prismvol.__file__).parent / "orbifolds.py").read_text())
+def _imported(module: str) -> list[str]:
+    """Every module and name that the package module ``module`` imports."""
+    tree = ast.parse((Path(prismvol.__file__).parent / f"{module}.py").read_text())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported += [node.module or ""] + [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert [name for name in imported if "seifert" in name] == []
+    return imported
+
+
+def test_orbifolds_imports_nothing_from_seifert():
+    """``seifert`` builds on ``orbifolds``; the reverse import would be a cycle."""
+    assert [name for name in _imported("orbifolds") if "seifert" in name] == []
 
 
 def test_covers_imports_nothing_from_seifert_or_montesinos():
-    """The audit rows are in closed form in mu = |4n - 1|: ``covers`` builds
-    them without a Seifert symbol or a Montesinos link."""
+    """The audit rows are in closed form in mu = |4n - 1|: ``audit`` builds
+    them, and ``covers`` puts them together, without a Seifert symbol or a
+    Montesinos link."""
+    for module in ("audit", "covers"):
+        found = [name for name in _imported(module) if "seifert" in name or "montesinos" in name]
+        assert found == [], module
+
+
+def test_audit_and_covers_stay_apart():
+    """``covers count`` runs no audit code and ``prism verify`` no low-index
+    search: ``audit`` imports nothing from ``covers``, and in ``covers`` only
+    ``prism_verify`` names ``audit``."""
+    assert [name for name in _imported("audit") if "covers" in name] == []
     tree = ast.parse((Path(prismvol.__file__).parent / "covers.py").read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported += [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-    assert [name for name in imported if "seifert" in name or "montesinos" in name] == []
+    verify = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "prism_verify"
+    )
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "audit"]
+    assert lines and all(verify.lineno <= line <= verify.end_lineno for line in lines)
 
 
 def test_every_traced_target_is_a_function_of_its_module():
