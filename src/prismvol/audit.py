@@ -5,10 +5,13 @@ complement.  The family's bound is twice the Whitehead link exterior's volume,
 from a 2-fold branched cover; over a floor below every one-cusped volume, it
 caps a competing cover's degree at 3.  ``prism_header`` holds what is the same
 for every n; ``prism_row_stream`` yields one record per n, in mu = |4n - 1|.
+``prism_json`` and ``prism_table`` write the audit that ``prismvol prism verify``
+prints, with ``--json`` and without, so the command line reads no record.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator
 
@@ -94,15 +97,12 @@ def complexity(cert: CoverCertificate) -> float:
 
 
 def degree_bound_for_budget(budget: float, floor: float) -> int:
-    """Largest integer p with p * floor strictly below the budget."""
+    """Largest integer p with p * floor strictly below the budget, exactly: with
+    budget = a/b and floor = c/d, p * c/d < a/b is p * b * c <= a * d - 1."""
     _require_volume("budget and floor must be positive", budget=budget, floor=floor)
-    quotient = budget / floor
-    if quotient == math.inf:
-        raise ValueError(f"budget / floor overflows a float: {budget!r} / {floor!r}")
-    p = math.floor(quotient)
-    while p * floor >= budget:
-        p -= 1
-    return max(p, 0)
+    a, b = budget.as_integer_ratio()
+    c, d = floor.as_integer_ratio()
+    return (a * d - 1) // (b * c)
 
 
 UPPER_BOUND = CoverCertificate(2, WHITEHEAD_VOLUME.value, "2*V0")
@@ -191,3 +191,61 @@ def prism_row_stream(n_from: int, n_to: int) -> Iterator[dict]:
     check(n_from, int, "n_from")
     check(n_to, int, "n_to")
     return map(_record, range(n_from, n_to + 1))
+
+
+def _listed(values: list[int]) -> str:
+    return ", ".join(map(str, values)) or "none"
+
+
+def prism_json(n_from: int, n_to: int) -> Iterator[str]:
+    """What ``print(json.dumps(covers.prism_verify(n_from, n_to), indent=2))``
+    writes, for the records of ``prism_row_stream(n_from, n_to)``, one at a
+    time; the candidates are collected along the way.  Each value but a
+    "conditional" record is ``json.dumps(value, indent=2)`` moved right to its
+    depth (exact: ``json.dumps`` escapes every newline in a string); a
+    conditional record is one f-string with its n and mu as its only gaps."""
+    stream = prism_row_stream(n_from, n_to)
+    value = json.dumps(_UPPER_BOUND_VALUE)
+    header = json.dumps(prism_header(), indent=2).replace("\n", "\n  ")
+    candidates = []
+    yield f'{{\n  "header": {header},\n  "reports": ['
+    separator, closing = "\n    ", "]"
+    for record in stream:
+        if record["status"] == "conditional":
+            yield (
+                f'{separator}{{\n      "n": {record["n"]},\n      "upper_bound_value": {value},'
+                f'\n      "status": "conditional",\n      "mu": {record["mu"]}\n    }}'
+            )
+        else:
+            if record["status"] == "candidate-exceptional":
+                candidates.append(record["n"])
+            yield separator + json.dumps(record, indent=2).replace("\n", "\n    ")
+        separator, closing = ",\n    ", "\n  ]"
+    listed = json.dumps(candidates, indent=2).replace("\n", "\n  ")
+    yield f'{closing},\n  "candidate_exceptional": {listed}\n}}\n'
+
+
+def prism_table(n_from: int, n_to: int) -> Iterator[str]:
+    """The table of the records of ``prism_row_stream(n_from, n_to)``, one line
+    at a time, each with its newline.  It reads the bound and the degree cap,
+    not ``prism_header``, so a window without n = -1 or 1 solves no case."""
+    stream = prism_row_stream(n_from, n_to)
+    yield f"upper bound {UPPER_BOUND.label} = {_UPPER_BOUND_VALUE:.12f} (degree-2 certificate)\n"
+    yield (
+        f"{'n':>5}  {'status':<22}  {'horizontal d':<14}  "
+        f"{'twist-knot excluded':<19}  max degree\n"
+    )
+    candidates = []
+    for record in stream:
+        if record["status"] == "excluded":
+            yield f"{record['n']:>5}  {'excluded':<22}  {record['reason']}\n"
+            continue
+        degrees = sorted(d for case in record.get("cases", ()) for d in case["degrees"])
+        if record["status"] == "candidate-exceptional":
+            candidates.append(record["n"])
+        # "yes": the header's twist_knot_excluded holds for every n
+        yield (
+            f"{record['n']:>5}  {record['status']:<22}  {_listed(degrees):<14}  "
+            f"{'yes':<19}  {_MAX_DEGREE}\n"
+        )
+    yield f"candidate exceptional: {_listed(candidates)}\n"

@@ -23,7 +23,6 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterator
 from itertools import islice
 
 from . import audit, braids, covers, exact, montesinos, orbifolds, seifert, slopes
@@ -254,71 +253,12 @@ def _cmd_covers_count(args: argparse.Namespace) -> None:
     _emit(args, {"count": count}, [str(count)])
 
 
-def _prism_json(stream) -> Iterator[str]:
-    """What ``print(json.dumps(prism_verify(a, b), indent=2))`` writes, for the
-    records of ``audit.prism_row_stream(a, b)``, one at a time; the
-    candidates are collected along the way.  Each value but a "conditional"
-    record is ``json.dumps(value, indent=2)`` moved right to its depth (exact:
-    ``json.dumps`` escapes every newline in a string); a conditional record is
-    one f-string with its n and mu as its only gaps."""
-    value = json.dumps(audit.upper_bound_value())
-    header = json.dumps(audit.prism_header(), indent=2).replace("\n", "\n  ")
-    candidates = []
-    yield f'{{\n  "header": {header},\n  "reports": ['
-    separator, closing = "\n    ", "]"
-    for record in stream:
-        if record["status"] == "conditional":
-            yield (
-                f'{separator}{{\n      "n": {record["n"]},\n      "upper_bound_value": {value},'
-                f'\n      "status": "conditional",\n      "mu": {record["mu"]}\n    }}'
-            )
-        else:
-            if record["status"] == "candidate-exceptional":
-                candidates.append(record["n"])
-            yield separator + json.dumps(record, indent=2).replace("\n", "\n    ")
-        separator, closing = ",\n    ", "\n  ]"
-    listed = json.dumps(candidates, indent=2).replace("\n", "\n  ")
-    yield f'{closing},\n  "candidate_exceptional": {listed}\n}}\n'
-
-
-def _prism_table(stream) -> Iterator[str]:
-    """The table of the records of ``audit.prism_row_stream``, one line at a
-    time."""
-    header = audit.prism_header()
-    yield (
-        f"upper bound {header['upper_bound']} = {audit.upper_bound_value():.12f}"
-        " (degree-2 certificate)"
-    )
-    yield (
-        f"{'n':>5}  {'status':<22}  {'horizontal d':<14}  "
-        f"{'twist-knot excluded':<19}  max degree"
-    )
-    excluded = "yes" if header["twist_knot_excluded"] else "NO"
-    candidates = []
-    for record in stream:
-        if record["status"] == "excluded":
-            yield f"{record['n']:>5}  {'excluded':<22}  {record['reason']}"
-            continue
-        degrees = sorted(d for case in record.get("cases", ()) for d in case["degrees"])
-        if record["status"] == "candidate-exceptional":
-            candidates.append(record["n"])
-        yield (
-            f"{record['n']:>5}  {record['status']:<22}  {_degrees_str(degrees):<14}  "
-            f"{excluded:<19}  {header['max_degree']}"
-        )
-    yield f"candidate exceptional: {_degrees_str(candidates)}"
-
-
 def _cmd_prism_verify(args: argparse.Namespace) -> None:
     if args.n_from > args.n_to:
         raise UsageError(
             f"--from {args.n_from} is greater than --to {args.n_to}; the range is empty"
         )
-    stream = audit.prism_row_stream(args.n_from, args.n_to)
-    if args.json:
-        chunks = _prism_json(stream)
-    else:
-        chunks = (line + "\n" for line in _prism_table(stream))
+    chunks = (audit.prism_json if args.json else audit.prism_table)(args.n_from, args.n_to)
     # a few hundred rows per write: unbuffered, each write is a system call
     while batch := "".join(islice(chunks, 200)):
         sys.stdout.write(batch)

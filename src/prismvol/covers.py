@@ -201,7 +201,7 @@ def prism_verify(n_from: int, n_to: int) -> dict:
     degenerate parameters are "excluded" and add the reason.
 
     The records are held at once, so memory grows with the range; the command
-    line writes ``audit.prism_row_stream`` instead.
+    line's ``audit.prism_json`` writes the same JSON a record at a time.
     """
     reports = list(audit.prism_row_stream(n_from, n_to))
     return {

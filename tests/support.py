@@ -11,7 +11,8 @@ rule.  Degrees over a non-orientable base are checked over an orientation
 double cover built as an orbifold, not by scaling chi_orb.  Degree equations
 over the whole family are cross-checked by a bounded integrality scan of
 affine ratios, and the Whitehead volume by Catalan's alternating series.
-Audit rows are rebuilt the way the audit once built them, from the
+The ``prism verify`` table is rebuilt from the divisor rule alone.  Audit
+rows are rebuilt the way the audit once built them, from the
 fibrations and the lens-space test, with a five-case report over the bases
 that ``remove_fiber`` drills out of the fibrations, chi_orb from its
 definition and the degrees by exact division; ``expand`` puts the audit's
@@ -466,6 +467,31 @@ def expand(header: dict, record: dict) -> dict:
         "status": record["status"],
         "unresolved_steps": unresolved,
     }
+
+
+def prism_table_oracle(n_from: int, n_to: int) -> str:
+    """The ``prism verify`` table of [n_from, n_to] from the rule alone, with
+    mu = |4n - 1|: mu < 3 is excluded; (mu - 2) | 12 is a candidate, whose one
+    horizontal degree is case 5's d = 6 mu / (mu - 2); anything else is
+    conditional.  The bound 2 V0 = 8 G comes from Catalan's series, and every
+    row's degree cap is 3."""
+    lines = [
+        f"upper bound 2*V0 = {8 * catalan_alternating():.12f} (degree-2 certificate)",
+        "    n  status                  horizontal d    twist-knot excluded  max degree",
+    ]
+    candidates = []
+    for n in range(n_from, n_to + 1):
+        mu = abs(4 * n - 1)
+        if mu < 3:
+            lines.append(f"{n:>5}  {'excluded':<22}  degenerate parameter: |4n - 1| = {mu} < 3")
+            continue
+        status, degree = "conditional", "none"
+        if 12 % (mu - 2) == 0:
+            candidates.append(n)
+            status, degree = "candidate-exceptional", str(6 * mu // (mu - 2))
+        lines.append(f"{n:>5}  {status:<22}  {degree:<14}  {'yes':<19}  3")
+    lines.append("candidate exceptional: " + (", ".join(map(str, candidates)) or "none"))
+    return "\n".join(lines) + "\n"
 
 
 # --- Catalan's constant ----------------------------------------------------

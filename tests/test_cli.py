@@ -28,9 +28,9 @@ from prismvol import (
     symbol_from_json,
     word_from_json,
 )
-from prismvol import Orbifold2D, cli, orbifolds, slopes
+from prismvol import Orbifold2D, audit, cli, orbifolds, slopes
 from prismvol.cli import build_parser, main
-from support import symbols_st
+from support import prism_table_oracle, symbols_st
 
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
 SURFACE = Path(__file__).with_name("cli_surface.txt")
@@ -727,7 +727,11 @@ class TestStreamedVerify:
         ),
     }
 
-    @pytest.mark.parametrize("n_from, n_to", [(0, 0), (2, 10), (-1, 1), (-60, 60)])
+    # with every window [n_from, n_from + 48] that the benchmark's cli-session draws
+    @pytest.mark.parametrize(
+        "n_from, n_to",
+        [(0, 0), (2, 10), (-1, 1), (-60, 60)] + [(n, n + 48) for n in range(-60, 11)],
+    )
     def test_json_equals_the_whole_report(self, n_from, n_to):
         code, out, err = run_cli(
             ["prism", "verify", "--from", str(n_from), "--to", str(n_to), "--json"]
@@ -761,12 +765,12 @@ class TestStreamedVerify:
         ],
     )
     def test_written_rows_equal_the_whole_dump(self, n_from, n_to):
-        out = "".join(cli._prism_json(prism_row_stream(n_from, n_to)))
+        out = "".join(audit.prism_json(n_from, n_to))
         assert out == json.dumps(prism_verify(n_from, n_to), indent=2) + "\n"
 
     def test_empty_range_json(self):
         # the command line refuses an empty range, so call the emitter
-        out = "".join(cli._prism_json(prism_row_stream(1, 0)))
+        out = "".join(audit.prism_json(1, 0))
         assert out == json.dumps(prism_verify(1, 0), indent=2) + "\n"
         header = json.dumps(prism_header(), indent=2).replace("\n", "\n  ")
         assert out == (
@@ -789,6 +793,12 @@ class TestStreamedVerify:
             assert main(["prism", "verify", "--from", "-1000", "--to", "1000", *fmt]) == 0
         assert 0 < sink.writes <= 16
 
+    # every window [n_from, n_from + 48] that the benchmark's cli-session draws
+    @pytest.mark.parametrize("n_from", range(-60, 11))
+    def test_session_window_table(self, n_from):
+        argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_from + 48)]
+        assert run_cli(argv) == (0, prism_table_oracle(n_from, n_from + 48), "")
+
     def test_table_small_ranges(self):
         assert run_cli(["prism", "verify", "--from", "-1", "--to", "1"]) == (
             0, self.TABLE_MINUS_ONE_TO_ONE, ""
@@ -796,8 +806,8 @@ class TestStreamedVerify:
         lines = self.TABLE_MINUS_ONE_TO_ONE.splitlines()
         zero = "\n".join(lines[:2] + lines[3:4] + ["candidate exceptional: none", ""])
         assert run_cli(["prism", "verify", "--from", "0", "--to", "0"]) == (0, zero, "")
-        empty = list(cli._prism_table(prism_row_stream(1, 0)))
-        assert empty == lines[:2] + ["candidate exceptional: none"]
+        empty = list(audit.prism_table(1, 0))
+        assert empty == [line + "\n" for line in lines[:2] + ["candidate exceptional: none"]]
 
     @pytest.mark.parametrize("n_from, n_to", sorted(TABLE_DIGESTS))
     def test_table_wide_ranges(self, n_from, n_to):
@@ -820,9 +830,9 @@ class TestStreamedVerify:
         at +-500, so none per row."""
 
         def garbage(n):
-            rows = list(prism_row_stream(-n, n))
+            list(prism_row_stream(-n, n))  # the records' own first solves
             gc.collect()
-            for _ in cli._prism_json(iter(rows)):
+            for _ in audit.prism_json(-n, n):
                 pass
             return gc.collect()
 
@@ -839,11 +849,11 @@ class TestStreamedVerify:
             calls.append(value)
             return original(value, **kwargs)
 
-        monkeypatch.setattr(cli.json, "dumps", counting)
+        monkeypatch.setattr(audit.json, "dumps", counting)
         counts = []
         for n, text in expected.items():
             calls.clear()
-            assert "".join(cli._prism_json(prism_row_stream(-n, n))) == text
+            assert "".join(audit.prism_json(-n, n)) == text
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 101
 

@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prismvol import (
@@ -31,7 +36,7 @@ from prismvol import (
     prism_verify,
     upper_bound_value,
 )
-from prismvol import cli, covers
+from prismvol import audit, cli, covers
 from prismvol.audit import UPPER_BOUND
 from prismvol.covers import _subgroup_counts
 from prismvol.exact import frac_str
@@ -44,6 +49,8 @@ from support import (
     presentations_st,
     relator_words_st,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_fixture(name: str) -> GroupPresentation:
@@ -445,12 +452,36 @@ class TestDegreeBoundForBudget:
         st.floats(min_value=0.5, max_value=50, allow_nan=False),
         st.floats(min_value=0.5, max_value=50, allow_nan=False),
     )
+    @example(0.1 + 0.2, 0.1)
     @settings(max_examples=120)
     def test_result_is_the_last_degree_under_budget(self, budget, floor):
+        """In exact arithmetic: the float product p * floor rounds, and can
+        reject the right answer."""
         p = degree_bound_for_budget(budget, floor)
         assert p >= 0
-        assert p * floor < budget
-        assert (p + 1) * floor >= budget
+        assert p * Fraction(floor) < Fraction(budget) <= (p + 1) * Fraction(floor)
+
+    def test_exact_where_the_float_product_rounds_up(self):
+        # 3 * 0.1 rounds to 0.1 + 0.2 as floats, but is below it exactly
+        assert degree_bound_for_budget(0.1 + 0.2, 0.1) == 3
+
+    def test_a_quotient_past_the_float_range_is_exact(self):
+        p = degree_bound_for_budget(1e308, 1e-10)
+        assert p > 10**317
+        assert p * Fraction(1e-10) < Fraction(1e308) <= (p + 1) * Fraction(1e-10)
+
+    def test_a_quotient_far_above_the_float_spacing_returns(self):
+        """A float search for p near 1e308, stepping down by 1 while p * 1e-8
+        rounds up to the budget, would take about 1e284 steps.  Run in a fresh
+        interpreter, so that a hang fails as a timeout."""
+        code = "import prismvol; print(prismvol.degree_bound_for_budget(1e300, 1e-8))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        p = int(proc.stdout)
+        assert p * Fraction(1e-8) < Fraction(1e300) <= (p + 1) * Fraction(1e-8)
 
 
 NOT_A_NUMBER = "must be a float or an integer, got"
@@ -476,7 +507,6 @@ class TestVolumeArguments:
             (degree_bound_for_budget, (7.0, math.inf), "floor must be finite, got inf"),
             (degree_bound_for_budget, (True, 2.0), f"budget {NOT_A_NUMBER} True"),
             (degree_bound_for_budget, (7.0, "2"), f"floor {NOT_A_NUMBER} '2'"),
-            (degree_bound_for_budget, (1e308, 1e-10), "budget / floor overflows a float"),
         ],
     )
     def test_refused_with_the_field_named(self, build, args, message):
@@ -682,7 +712,7 @@ class TestRowStream:
         assert json.dumps(records) == json.dumps(expected["reports"])
         assert all(type(record) is dict for record in records)
         if n_from > n_to:  # the command line refuses an empty range, its writer does not
-            out = "".join(cli._prism_json(prism_row_stream(n_from, n_to)))
+            out = "".join(audit.prism_json(n_from, n_to))
         else:
             argv = ["prism", "verify", "--from", str(n_from), "--to", str(n_to), "--json"]
             with contextlib.redirect_stdout(io.StringIO()) as stdout:

@@ -169,6 +169,16 @@ def test_only_a_command_with_rationals_imports_fractions(argv):
     assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())
 
 
+def test_a_table_without_a_candidate_imports_no_rationals():
+    """The table reads the bound and the degree cap, not the header, whose
+    fixed cases are solved in rationals; only a window that holds n = -1 or 1,
+    or the ``--json`` audit, which writes the header, imports ``fractions``."""
+    loaded = {"decimal", "fractions"}
+    assert loaded.isdisjoint(_run(["prism", "verify", "--from", "2", "--to", "50"])["stdlib"])
+    json_audit = ["prism", "verify", "--from", "2", "--to", "50", "--json"]
+    assert loaded <= set(_run(json_audit)["stdlib"])
+
+
 def _traced_targets() -> list[tuple[str, str]]:
     """The ``(layer, function)`` pairs of ``perfbench/tracing.py``'s
     ``TARGETS``, read from the source, so that nothing is imported from

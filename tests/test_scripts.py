@@ -8,8 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from prismvol import prism_verify
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,35 +34,7 @@ def test_case_table():
     assert re.findall(r"\(d=(\d+), n=(-?\d+)\)", family[0]) == [("18", "1"), ("10", "-1")]
 
 
-def test_verify_family():
-    lines = run_script("verify_family.py", "--from", "-5", "--to", "25")
-    candidates = [line for line in lines if line.startswith("candidate n =")]
-    assert candidates == [
-        "candidate n = -1: horizontal fiber degrees [10]",
-        "candidate n = 1: horizontal fiber degrees [18]",
-    ]
-
-
-def test_verify_family_counts_match_prism_verify():
-    lines = run_script("verify_family.py", "--from", "-40", "--to", "40")
-    assert lines[0] == "parameters audited: 81 (n from -40 to 40)"
-    expected = {"conditional": [], "candidate-exceptional": [], "excluded": []}
-    for row in prism_verify(-40, 40)["reports"]:
-        expected[row["status"]].append(row["n"])
-    shown = {}
-    for line in lines[2:5]:
-        status, count, listed = line.split(maxsplit=2)
-        shown[status] = (int(count), listed)
-    assert shown == {
-        status: (len(values), ", ".join(map(str, values)) or "none")
-        for status, values in expected.items()
-    }
-
-
-@pytest.mark.parametrize(
-    "script, flag",
-    [("case_table.py", "--n"), ("verify_family.py", "--from"), ("verify_family.py", "--to")],
-)
+@pytest.mark.parametrize("script, flag", [("case_table.py", "--n")])
 @pytest.mark.parametrize("token", [" 1_0", "+1", "1.0"])
 def test_integer_options_are_strict(script, flag, token):
     proc = run(script, f"{flag}={token}")
@@ -76,12 +46,6 @@ def test_integer_options_are_strict(script, flag, token):
     "script, args, code, message",
     [
         ("case_table.py", ["--n", "0"], 1, "error: parameter n = 0 is degenerate: |4n - 1| = 1 < 3"),
-        (
-            "verify_family.py",
-            ["--from", "3", "--to", "1"],
-            2,
-            "error: --from 3 is greater than --to 1; the range is empty",
-        ),
     ],
 )
 def test_refusals_are_one_stderr_line(script, args, code, message):

@@ -104,7 +104,7 @@ def test_every_traced_target_is_a_function_of_its_module():
 def test_stdlib_is_the_one_json_writer():
     """Every JSON document is written by ``json.dumps``: no module imports
     from ``json.encoder``, and the only indent passed is ``indent=2``, in
-    ``cli``."""
+    ``cli`` and in ``audit``, which writes the audit."""
     imported = [
         f"{name}:{node.lineno}"
         for name, node in _package_nodes()
@@ -122,7 +122,32 @@ def test_stdlib_is_the_one_json_writer():
         if keyword.arg == "indent"
     }
     assert imported == []
-    assert indents == {("cli.py", "2")}
+    assert indents == {("audit.py", "2"), ("cli.py", "2")}
+
+
+def test_cli_reads_no_audit_record():
+    """``audit`` is the one module that reads the audit's records and header:
+    ``cli.py`` names none of their keys as a string and reaches ``audit`` only
+    through its two writers."""
+    keys = {
+        "status", "reports", "header", "cases", "mu", "reason", "candidate_exceptional",
+        "upper_bound", "max_degree", "twist_knot_excluded",
+    }
+    tree = ast.parse((Path(prismvol.__file__).parent / "cli.py").read_text())
+    found = [
+        f"{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in keys
+    ]
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "audit"
+    }
+    assert found == []
+    assert called == {"prism_json", "prism_table"}
 
 
 def test_all_is_what_the_package_imports():
