@@ -10,13 +10,20 @@ M_n is ``prism_fibrations(n)[0]``: over the sphere, with exceptional fibres
 from fractions import Fraction
 
 from prismvol import (
+    GroupPresentation,
+    IntMatrix,
     base_orbifold,
     chi_orb,
+    count_representations,
+    elementary_divisors,
     euler_number,
     first_homology,
     prism_fibrations,
 )
-from support import snf_diagonal_oracle
+from support import brute_hom_count, identity_rows, matmul_rows, snf_diagonal_oracle
+
+# the figure-eight knot group <x, y | y x y^-1 x y = x y x^-1 y x>
+FIGURE_EIGHT_RELATOR = (2, 1, -2, 1, 2, -1, -2, 1, -2, -1)
 
 
 def _parameters(bound: int) -> list[int]:
@@ -73,3 +80,32 @@ def test_pi1_order_is_8mu():
         assert order == 4 * abs(e) / chi**2 == 8 * mu, n
         orders[order] = n
     assert len(orders) == len(parameters)
+
+
+def test_figure_eight_counts():
+    """The homomorphisms of the figure-eight group into S_d, d = 1..5: 1, 2,
+    6, 48, 600, of which 1, 1, 2, 30, 384 have a transitive image: those are
+    the connected d-sheeted covers of the knot's complement, with labelled
+    sheets.  The oracle scans every pair of permutations, up to d = 4."""
+    figure_eight = GroupPresentation(2, (FIGURE_EIGHT_RELATOR,))
+    plain = [count_representations(figure_eight, d) for d in range(1, 6)]
+    transitive = [count_representations(figure_eight, d, transitive=True) for d in range(1, 6)]
+    assert plain == [1, 2, 6, 48, 600]
+    assert transitive == [1, 1, 2, 30, 384]
+    assert [brute_hom_count(2, (FIGURE_EIGHT_RELATOR,), d) for d in range(1, 5)] == plain[:4]
+
+
+def test_figure_eight_monodromy_divisors():
+    """The figure-eight complement fibres over the circle with monodromy
+    h = [[2, 1], [1, 1]] on the fibre's H_1 = Z^2, so the k-fold cyclic cover
+    has H_1 = Z + coker(h^k - I): the cokernels are 0, Z/5 and Z/4 + Z/4 for
+    k = 1, 2, 3.  The oracle reads the divisors from the gcds of minors."""
+    h = [[2, 1], [1, 1]]
+    power = identity_rows(2)
+    divisors = []
+    for _ in range(3):
+        power = matmul_rows(power, h)
+        rows = [[entry - (i == j) for j, entry in enumerate(row)] for i, row in enumerate(power)]
+        assert elementary_divisors(IntMatrix.from_rows(rows)) == snf_diagonal_oracle(rows)
+        divisors.append(snf_diagonal_oracle(rows))
+    assert divisors == [[1, 1], [1, 5], [4, 4]]

@@ -10,6 +10,7 @@ import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -32,6 +33,8 @@ from prismvol import Orbifold2D, audit, cli, orbifolds, slopes
 from prismvol.cli import build_parser, main
 from support import prism_table_oracle, symbols_st
 
+# every group and command name: ``build_parser(EVERY_NAME)`` builds every parser
+EVERY_NAME = [*cli._GROUPS, *(name for group in cli._GROUPS for name in cli._commands(group))]
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
 SURFACE = Path(__file__).with_name("cli_surface.txt")
 
@@ -121,6 +124,20 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert "--from 5" in err and "--to 2" in err
+
+    @pytest.mark.parametrize("module", ["prismvol", "prismvol.cli"])
+    def test_reversed_range_is_usage_error_run_as_a_module(self, module):
+        """``python -m prismvol.cli`` runs ``cli.py`` as ``__main__``, beside the
+        ``prismvol.cli`` that the group modules import; its ``main`` still
+        answers their ``UsageError`` with exit status 2 and one line."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "prism", "verify", "--from", "3", "--to", "1"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, *sys.path])),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --from 3 is greater than --to 1; the range is empty\n"
 
     def test_domain_error_names_missing_field(self):
         code, out, err = run_cli(["seifert", "euler", '{"class": "Oo", "genus": 0}'])
@@ -592,7 +609,7 @@ def _actions(parser: argparse.ArgumentParser):
 
 class TestStrictIntegers:
     def test_no_argument_uses_builtin_int(self):
-        assert [a.dest for a in _actions(build_parser(list(cli._COMMANDS))) if a.type is int] == []
+        assert [a.dest for a in _actions(build_parser(EVERY_NAME)) if a.type is int] == []
 
     @pytest.mark.parametrize("token", ["1_0", " 1", "1 ", "+1", "\u0661", "1.0", "0x1", ""])
     def test_flag_refused(self, token):
@@ -945,7 +962,7 @@ ONE_JSON_INVOCATION = {
 
 
 def test_one_json_invocation_per_subcommand():
-    whole = build_parser(list(cli._COMMANDS))
+    whole = build_parser(EVERY_NAME)
     top = next(a for a in whole._actions if isinstance(a, argparse._SubParsersAction))
     subcommands = {
         (command, name)
@@ -995,7 +1012,7 @@ def test_main_lets_a_defect_raise(defect, monkeypatch):
     def broken(args):
         raise defect("defect")
 
-    commands = cli._COMMANDS["slopes"][1]
+    commands = cli._commands("slopes")
     monkeypatch.setitem(commands, "delta", (broken, *commands["delta"][1:]))
     with pytest.raises(defect):
         main(["slopes", "delta", "1,0", "0,1"])
@@ -1028,27 +1045,42 @@ EQUIVALENCE_ARGV = [
     ["--json", "covers", "count", "@trefoil", "--degree", "3"],
     ["--", "covers", "count", "@trefoil", "--degree", "3"],
     ["cover", "count"],
+    ["prism", "verify", "--from", "-2", "--to", "2", "--json"],
+    ["slopes", "enumerate", "1,0", "0,1", "--k2", "3"],
+    ["seifert", "h1"],
+    ["seifert", "--json"],
+    ["seifert", "h1", "@m1_oo", "euler"],
+    ["orbifold", "cover", "--genus", "0", "--boundary", "1", "--degree", "2", "chi"],
+    ["montesinos", "ln", "cover"],
+    ["braid", "components", "ttk"],
+    ["covers", "count", "count", "--degree", "3"],
 ]
 
 
 @pytest.mark.parametrize("argv", EQUIVALENCE_ARGV, ids=shlex.join)
 def test_the_named_groups_parse_as_the_whole_parser(argv, monkeypatch):
     """``build_parser(argv)`` leaves out the command parsers of every group
-    that ``argv`` does not name; argparse never enters those groups."""
+    that ``argv`` does not name, and the arguments of every command it does not
+    name; argparse never enters those groups or commands."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(list(cli._COMMANDS)), argv)
+    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(EVERY_NAME), argv)
 
 
 def test_build_parser_reads_sys_argv_by_default(monkeypatch):
-    def groups(parser):
+    def built(parser):
+        """Each group with command parsers, and the commands that take arguments."""
         top = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return [
-            group
+        return {
+            group: [name for name, command in action.choices.items() if command.get_default("func")]
             for group, sub in top.choices.items()
-            if any(isinstance(a, argparse._SubParsersAction) and a.choices for a in sub._actions)
-        ]
+            for action in sub._actions
+            if isinstance(action, argparse._SubParsersAction) and action.choices
+        }
 
     monkeypatch.setattr(sys, "argv", ["prismvol", "slopes", "delta", "1,0", "0,1"])
-    assert groups(build_parser()) == ["slopes"]
-    assert groups(build_parser([])) == []
-    assert groups(build_parser(list(cli._COMMANDS))) == list(cli._COMMANDS)
+    assert built(build_parser()) == {"slopes": ["delta"]}
+    assert built(build_parser([])) == {}
+    assert built(build_parser(["braid"])) == {"braid": []}
+    assert built(build_parser(EVERY_NAME)) == {
+        group: list(cli._commands(group)) for group in cli._GROUPS
+    }
