@@ -9,7 +9,7 @@ Groups*, 1994, ch. 5) finds a_k, the number of subgroups of index k, for
 every k <= d; the transitive count is t_d = (d - 1)! a_d, and the plain count
 follows from t_1..t_d by Hall's recursion (P. Hall, Canad. J. Math. 1,
 1949), so Hall's identity between the two holds by construction.  ``MAX_CELLS``
-caps the coset table's size and ``MAX_NODES`` the calls to the search.
+caps the coset table's size and ``MAX_READS`` the entries the search reads.
 
 ``prism_verify`` puts the header and records of the layer ``audit`` into one
 document; nothing else here reaches ``audit``, so a count never runs it.
@@ -23,7 +23,7 @@ from . import audit
 from .reader import Record, check
 
 MAX_CELLS = 512  # degree * 2 * generators: coset table size, search depth, Hall's terms
-MAX_NODES = 200_000  # calls to the low-index search
+MAX_READS = 20_000_000  # coset-table entries the low-index search reads
 
 
 class EnumerationTooLargeError(ValueError):
@@ -79,36 +79,40 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
     already has a preimage under that letter, and then the table is dropped.
     Deduced entries only point at existing cosets, so every table stays
     standardised and each subgroup is still found once.  A table with no
-    undefined entry and k cosets is one subgroup of index k.
+    undefined entry and k cosets is one subgroup of index k.  Each word is
+    stored once, as w + w and inverted, and read in place (O(L) data); the
+    search is refused once it has read ``MAX_READS`` table entries.
     """
     columns = 2 * pres.generators
-    words = [tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in w) for w in pres.relators]
-    words += [tuple(c ^ 1 for c in reversed(w)) for w in words]
-    rotations: list[set[tuple[int, ...]]] = [set() for _ in range(columns)]
+    words = [[2 * l - 2 if l > 0 else -2 * l - 1 for l in w] for w in pres.relators]
+    words += [[c ^ 1 for c in reversed(w)] for w in words]
+    starting: list[list] = [[] for _ in range(columns)]  # (w + w, inverted, first, last)
     for w in words:
+        doubled, inverse = w + w, [c ^ 1 for c in w + w]
         for i, c in enumerate(w):
-            rotations[c].add(w[i:] + w[:i])
-    # each rotation with its letters inverted, to read it backwards, and its last index
-    starting = [[(w, tuple(c ^ 1 for c in w), len(w) - 1) for w in r] for r in rotations]
+            starting[c].append((doubled, inverse, i, i + len(w) - 1))
     table = [-1] * (degree * columns)
     trail: list[int] = []  # deduced entries, each followed by its inverse entry
-    counts = [0] * (degree + 1)
-    nodes = 0
+    counts, reads, limit = [0] * (degree + 1), 0, MAX_READS
+    refusal = f"the subgroup search into S_{degree} exceeds the limit of {limit} table reads"
 
     def settle(coset: int, column: int) -> bool:
+        nonlocal reads
         deduced = len(trail)
-        while True:
-            for word, inverse, last in starting[column]:
-                ahead, i = coset, 0
+        while reads <= limit:
+            for word, inverse, first, last in starting[column]:
+                ahead, i = coset, first
                 while i <= last and (point := table[ahead * columns + word[i]]) >= 0:
                     ahead, i = point, i + 1
                 if i > last:
+                    reads += i - first
                     if ahead != coset:
                         return False
                     continue
                 behind, j = coset, last
                 while j > i and (point := table[behind * columns + inverse[j]]) >= 0:
                     behind, j = point, j - 1
+                reads += i - first + last - j + 2  # i - first + 1 forwards, last - j + 1 back
                 if j == i:
                     back = behind * columns + inverse[i]
                     if table[back] >= 0:
@@ -120,21 +124,22 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
                 return True
             coset, column = divmod(trail[deduced], columns)
             deduced += 2
+        raise EnumerationTooLargeError(refusal)
 
     def search(entry: int, cosets: int) -> None:
-        nonlocal nodes
-        if (nodes := nodes + 1) > MAX_NODES:
-            raise EnumerationTooLargeError(
-                f"the subgroup search into S_{degree} exceeds the limit of {MAX_NODES} nodes"
-            )
+        nonlocal reads
+        scanned = entry
         while entry < cosets * columns and table[entry] >= 0:
             entry += 1
+        reads += entry - scanned
         if entry == cosets * columns:
             counts[cosets] += 1
             return
         coset, column = divmod(entry, columns)
         paths = starting[column]
         backs = range(column ^ 1, min(cosets + 1, degree) * columns, columns)
+        if (reads := reads + 1 + len(backs)) > limit:  # the entry it stops at, and backs
+            raise EnumerationTooLargeError(refusal)
         for target, back in enumerate(backs):
             if table[back] >= 0:
                 continue
@@ -166,7 +171,7 @@ def count_representations(
     Refuses before building anything when the table's degree * 2 * generators
     cells exceed ``MAX_CELLS``, which also bounds the search's depth (degree *
     generators frames) and Hall's degree * (degree + 1) / 2 terms; refuses
-    mid-search once the search passes ``MAX_NODES`` calls.
+    mid-search once the search has read ``MAX_READS`` table entries.
     """
     check(degree, int, "degree")
     check(transitive, bool, "transitive")

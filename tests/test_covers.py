@@ -142,17 +142,18 @@ class TestCountRepresentations:
         )
 
     def test_guard_boundary_is_generous(self):
-        # the search for F_1 at d = 6 takes twelve nodes, far under the node cap;
+        # the search for F_1 at d = 6 reads 49 table entries, far under the read cap;
         # the trivial relator set makes the count a pure power
         assert count_representations(GroupPresentation(1, ()), 6) == 720
 
-    def test_node_cap_edge(self, monkeypatch):
-        """The trefoil at d = 9 calls the search 2 140 times: a cap of 2 140
-        answers 8! * 130 and a cap of 2 139 refuses mid-search."""
-        monkeypatch.setattr(covers, "MAX_NODES", 2140)
+    def test_read_cap_edge(self, monkeypatch):
+        """The search for the trefoil at d = 9 reads 125 474 table entries,
+        125 467 of them by its last check of the cap: a cap of 125 467 answers
+        8! * 130 and a cap of 125 466 refuses mid-search."""
+        monkeypatch.setattr(covers, "MAX_READS", 125467)
         assert count_representations(TREFOIL, 9, transitive=True) == math.factorial(8) * 130
-        monkeypatch.setattr(covers, "MAX_NODES", 2139)
-        refusal = "^the subgroup search into S_9 exceeds the limit of 2139 nodes$"
+        monkeypatch.setattr(covers, "MAX_READS", 125466)
+        refusal = "^the subgroup search into S_9 exceeds the limit of 125466 table reads$"
         with pytest.raises(EnumerationTooLargeError, match=refusal):
             count_representations(TREFOIL, 9, transitive=True)
 
@@ -374,6 +375,52 @@ class TestIndependentCounts:
         """a_1..a_7, frozen from a search that made no deductions, so they do
         not come from the search under test."""
         assert _subgroup_counts(pres, 7) == subgroups
+
+    @pytest.mark.parametrize(
+        "pres",
+        [
+            GroupPresentation(1, ((1,) * 6,)),
+            GroupPresentation(2, ((1, 2) * 3,)),
+            GroupPresentation(2, ((1, 2, -1, -2) * 2,)),
+        ],
+        ids=["x^6", "(xy)^3", "[x,y]^2"],
+    )
+    def test_periodic_relators_up_to_degree_four(self, pres):
+        """A periodic word has equal rotations, and the search reads each of
+        them: the counts must not change."""
+        for degree in range(1, 5):
+            for transitive in (False, True):
+                count = count_representations(pres, degree, transitive=transitive)
+                expected = brute_hom_count(pres.generators, pres.relators, degree, transitive)
+                assert count == expected, (degree, transitive)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_long_relator_memory(self):
+        """A relator of 2 000 letters is stored once, not once per rotation:
+        counted at d = 2 in a fresh interpreter, whose peak RSS stays under
+        40 MB (137 MB when every rotation was a tuple of its own).  The peak
+        is VmHWM, the child's own: Linux's ru_maxrss keeps the peak of the
+        process that spawned it across the exec."""
+        rng = random.Random(2000)
+        word = [1]  # freely and cyclically reduced
+        while len(word) < 2000:
+            letter = rng.choice((1, -1, 2, -2))
+            if letter != -word[-1] and (len(word) < 1999 or letter != -word[0]):
+                word.append(letter)
+        code = (
+            "from prismvol.covers import GroupPresentation, count_representations\n"
+            f"print(count_representations(GroupPresentation(2, ({tuple(word)!r},)), 2))\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, peak_kb = map(int, proc.stdout.split())
+        assert count == brute_hom_count(2, (tuple(word),), 2)
+        assert peak_kb < 40 * 1024
 
 
 class TestVolumeConstants:

@@ -273,7 +273,8 @@ def test_a_layer_whose_code_raises_raises_at_every_access(tmp_path):
 
 
 _TREFOIL = json.loads((ROOT / "src" / "prismvol" / "fixtures" / "trefoil.json").read_text())
-# counts the trefoil's transitive representations at d = 9: a search of 2 140 nodes
+# counts the trefoil's transitive representations at d = 9: answered under a read cap
+# of 125 467, refused under 125 466
 _COUNT_AT_NINE = (
     f"pres = covers.presentation_from_json({_TREFOIL!r})\n"
     "try:\n"
@@ -285,15 +286,16 @@ _COUNT_AT_NINE = (
 
 def test_an_assignment_to_a_layer_before_it_runs_sticks():
     """The layer runs before the assignment acts: run after it, its code would
-    set ``MAX_NODES`` back to 200 000, and the count would be answered."""
-    out = _fresh("from prismvol import covers\ncovers.MAX_NODES = 2139\n" + _COUNT_AT_NINE)
+    set ``MAX_READS`` back to 20 000 000, and the count would be answered."""
+    out = _fresh("from prismvol import covers\ncovers.MAX_READS = 125466\n" + _COUNT_AT_NINE)
     assert out == (
-        "EnumerationTooLargeError: the subgroup search into S_9 exceeds the limit of 2139 nodes\n"
+        "EnumerationTooLargeError: the subgroup search into S_9 exceeds the limit of"
+        " 125466 table reads\n"
     )
 
 
 def test_a_deletion_from_a_layer_before_it_runs_sticks():
     """The layer runs before the deletion acts, so the name is there to delete
     and its code does not define it again."""
-    code = "from prismvol import covers\ndel covers.MAX_NODES\nprint(hasattr(covers, 'MAX_NODES'))\n"
-    assert _fresh(code + _COUNT_AT_NINE) == "False\nNameError: name 'MAX_NODES' is not defined\n"
+    code = "from prismvol import covers\ndel covers.MAX_READS\nprint(hasattr(covers, 'MAX_READS'))\n"
+    assert _fresh(code + _COUNT_AT_NINE) == "False\nNameError: name 'MAX_READS' is not defined\n"

@@ -226,6 +226,7 @@ def test_all_is_what_the_package_imports():
         ("cli", "_indented"),
         ("orbifolds", "disk_cases"),
         ("covers", "MAX_ENUMERATION"),
+        ("covers", "MAX_NODES"),
         ("orbifolds", "_prism_mu"),
     ],
 )
