@@ -7,7 +7,9 @@ raw tuples of dict-based permutations, Smith normal form is recomputed from
 determinantal divisors (gcds of k-by-k minors), rank and determinant come
 from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
-rule.  Degrees over a non-orientable base are checked over an orientation
+rule.  The H_1 of a knot's branched cover is read from the cellular chain
+complex of the cover of the presentation complex, built from one brute-force
+homomorphism.  Degrees over a non-orientable base are checked over an orientation
 double cover built as an orbifold, not by scaling chi_orb.  Degree equations
 over the whole family are cross-checked by a bounded integrality scan of
 affine ratios, and the Whitehead volume by Catalan's alternating series.
@@ -71,11 +73,9 @@ def _orbit_of_zero(assignment, degree: int) -> set[int]:
     return orbit
 
 
-def brute_hom_count(
-    generators: int, relators, degree: int, transitive: bool = False
-) -> int:
-    """Representation count by unpruned scan over all permutation tuples."""
-    count = 0
+def brute_homs(generators: int, relators, degree: int, transitive: bool = False):
+    """Every homomorphism into S_degree, as a tuple of dict permutations, one
+    per generator, by unpruned scan over all permutation tuples."""
     for assignment in itertools.product(_dict_perms(degree), repeat=generators):
         if not all(
             _word_fixes_everything(word, assignment, degree) for word in relators
@@ -83,8 +83,14 @@ def brute_hom_count(
             continue
         if transitive and len(_orbit_of_zero(assignment, degree)) != degree:
             continue
-        count += 1
-    return count
+        yield assignment
+
+
+def brute_hom_count(
+    generators: int, relators, degree: int, transitive: bool = False
+) -> int:
+    """Representation count by unpruned scan over all permutation tuples."""
+    return sum(1 for _ in brute_homs(generators, relators, degree, transitive))
 
 
 # --- Smith normal form via determinantal divisors ------------------------
@@ -172,6 +178,59 @@ def det_q(rows: list[list[int]]) -> int:
     if value.denominator != 1:
         raise ArithmeticError("integer matrix with a non-integer determinant")
     return int(value)
+
+
+# --- H_1 of a branched cover from its cellular chain complex -----------
+
+def branched_cover_boundaries(relators, assignment, meridian: int):
+    """The boundary maps d1 and d2, as lists of rows, of the cellular chain
+    complex of a branched cover of a knot.
+
+    The relators present the knot group, with generator ``meridian`` (1-based)
+    a meridian, and ``assignment`` is a transitive homomorphism into S_d as
+    ``brute_homs`` gives it.  The complex is the d-fold cover of the
+    presentation complex with the branching disks glued in: one vertex per
+    sheet; one edge per (generator, sheet), from sheet s to its image under
+    the generator; one 2-cell per (relator, sheet), the relator's lift read
+    from that sheet; and one 2-cell per cycle of the meridian's image, the lift
+    of the meridian's power that closes up along the cycle."""
+    degree = len(assignment[0])
+    edges = len(assignment) * degree
+
+    def lift(word, sheet: int) -> list[int]:
+        row = [0] * edges
+        for letter in word:
+            perm = assignment[abs(letter) - 1]
+            if letter > 0:
+                row[(letter - 1) * degree + sheet] += 1
+                sheet = perm[sheet]
+            else:
+                sheet = _invert_dict(perm)[sheet]
+                row[(-letter - 1) * degree + sheet] -= 1
+        return row
+
+    d1 = [[0] * edges for _ in range(degree)]
+    for g, perm in enumerate(assignment):
+        for sheet in range(degree):
+            d1[perm[sheet]][g * degree + sheet] += 1
+            d1[sheet][g * degree + sheet] -= 1
+    d2 = [lift(word, sheet) for word in relators for sheet in range(degree)]
+    image, unseen = assignment[meridian - 1], set(range(degree))
+    while unseen:
+        cycle = [min(unseen)]
+        while image[cycle[-1]] != cycle[0]:
+            cycle.append(image[cycle[-1]])
+        unseen -= set(cycle)
+        d2.append(lift([meridian] * len(cycle), cycle[0]))
+    return d1, d2
+
+
+def h1_from_boundaries(d1: list[list[int]], d2: list[list[int]]) -> list[int]:
+    """H_1 = ker d1 / im d2 as its nonzero divisors above 1, then a 0 per free
+    summand: the torsion is that of coker d2, since C_1 / ker d1 is free, and
+    the rank is the edges less the ranks of d1 and d2."""
+    free = len(d1[0]) - rank_q(d1) - rank_q(d2)
+    return [d for d in snf_diagonal_oracle(d2) if d > 1] + [0] * free
 
 
 # --- complete slope window scan ------------------------------------------

@@ -15,15 +15,27 @@ from prismvol import (
     base_orbifold,
     chi_orb,
     count_representations,
+    double_branched_cover,
     elementary_divisors,
     euler_number,
     first_homology,
+    ln_link,
     prism_fibrations,
 )
-from support import brute_hom_count, identity_rows, matmul_rows, snf_diagonal_oracle
+from support import (
+    branched_cover_boundaries,
+    brute_hom_count,
+    brute_homs,
+    h1_from_boundaries,
+    identity_rows,
+    matmul_rows,
+    snf_diagonal_oracle,
+)
 
 # the figure-eight knot group <x, y | y x y^-1 x y = x y x^-1 y x>
 FIGURE_EIGHT_RELATOR = (2, 1, -2, 1, 2, -1, -2, 1, -2, -1)
+# the trefoil's Wirtinger group <x, y | x y x = y x y>, the packaged fixture
+TREFOIL_RELATOR = (1, 2, 1, -2, -1, -2)
 
 
 def _parameters(bound: int) -> list[int]:
@@ -109,3 +121,47 @@ def test_figure_eight_monodromy_divisors():
         assert elementary_divisors(IntMatrix.from_rows(rows)) == snf_diagonal_oracle(rows)
         divisors.append(snf_diagonal_oracle(rows))
     assert divisors == [[1, 1], [1, 5], [4, 4]]
+
+
+def _cover_h1(relator: tuple[int, ...], degree: int) -> list[list[int]]:
+    """H_1 of the branched cover of each transitive map into S_degree, with
+    generator 1 the meridian.  The package's divisors of d2 must agree with
+    the oracle's."""
+    found = []
+    for assignment in brute_homs(2, (relator,), degree, transitive=True):
+        d1, d2 = branched_cover_boundaries((relator,), assignment, 1)
+        assert elementary_divisors(IntMatrix.from_rows(d2)) == snf_diagonal_oracle(d2)
+        found.append(h1_from_boundaries(d1, d2))
+    return found
+
+
+def test_figure_eight_three_fold_cover_h1():
+    """Both transitive maps of the figure-eight group into S_3 give a branched
+    cover with H_1 = Z/4 + Z/4: the 3-fold cyclic cover, the Hantzsche-Wendt
+    manifold.  The low-index search counts the same two maps."""
+    figure_eight = GroupPresentation(2, (FIGURE_EIGHT_RELATOR,))
+    assert count_representations(figure_eight, 3, transitive=True) == 2
+    assert _cover_h1(FIGURE_EIGHT_RELATOR, 3) == [[4, 4], [4, 4]]
+
+
+def test_double_branched_covers_of_the_two_knots():
+    """The double branched covers are the lens spaces L(5, 2) over the
+    figure-eight and L(3, 1) over the trefoil, with H_1 = Z/5 and Z/3."""
+    assert _cover_h1(FIGURE_EIGHT_RELATOR, 2) == [[5]]
+    assert _cover_h1(TREFOIL_RELATOR, 2) == [[3]]
+
+
+def test_l0_double_cover_is_a_lens_space_of_order_8():
+    """L_0 = M(1/2, -1/2, 2/1) covers to (Oo, 0; 1/2, 1/2, 1/1): a lens-space
+    symbol with two exceptional fibres and H_1 = Z/8."""
+    symbol = double_branched_cover(ln_link(0)[0])
+    assert (symbol.base_class, symbol.genus, symbol.fibers) == ("Oo", 0, ((1, 2), (1, 2), (1, 1)))
+    assert first_homology(symbol) == [8]
+
+
+def test_ln_third_tangle_is_l0_twisted():
+    """The third tangle of L_n is 1/(1/2 - 2n) = -2/(4n - 1): L_0's third
+    tangle 2/1 with n full twists added, as exact rationals for |n| <= 5."""
+    for n in range(-5, 6):
+        beta, alpha = ln_link(n)[0].tangles[2]
+        assert Fraction(beta, alpha) == 1 / (Fraction(1, 2) - 2 * n), n

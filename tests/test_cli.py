@@ -34,7 +34,7 @@ from prismvol.cli import build_parser, main
 from support import prism_table_oracle, symbols_st
 
 # every group and command name: ``build_parser(EVERY_NAME)`` builds every parser
-EVERY_NAME = [*cli._GROUPS, *(name for group in cli._GROUPS for name in cli._commands(group))]
+EVERY_NAME = [*cli._COMMANDS, *(name for _, names in cli._COMMANDS.values() for name in names)]
 NUM_RE = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d+)?")
 SURFACE = Path(__file__).with_name("cli_surface.txt")
 
@@ -128,8 +128,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("module", ["prismvol", "prismvol.cli"])
     def test_reversed_range_is_usage_error_run_as_a_module(self, module):
         """``python -m prismvol.cli`` runs ``cli.py`` as ``__main__``, beside the
-        ``prismvol.cli`` that the group modules import; its ``main`` still
-        answers their ``UsageError`` with exit status 2 and one line."""
+        package's ``prismvol.cli``; its ``main`` answers the ``UsageError`` of
+        its own handlers with exit status 2 and one line."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-m", module, "prism", "verify", "--from", "3", "--to", "1"],
@@ -1012,7 +1012,7 @@ def test_main_lets_a_defect_raise(defect, monkeypatch):
     def broken(args):
         raise defect("defect")
 
-    commands = cli._commands("slopes")
+    commands = cli._COMMANDS["slopes"][1]
     monkeypatch.setitem(commands, "delta", (broken, *commands["delta"][1:]))
     with pytest.raises(defect):
         main(["slopes", "delta", "1,0", "0,1"])
@@ -1082,5 +1082,5 @@ def test_build_parser_reads_sys_argv_by_default(monkeypatch):
     assert built(build_parser([])) == {}
     assert built(build_parser(["braid"])) == {"braid": []}
     assert built(build_parser(EVERY_NAME)) == {
-        group: list(cli._commands(group)) for group in cli._GROUPS
+        group: list(commands) for group, (_, commands) in cli._COMMANDS.items()
     }

@@ -9,7 +9,6 @@ meant rewrites it with ``python tests/test_cli_surface.py``.
 
 import argparse
 import contextlib
-import importlib
 import io
 import os
 import re
@@ -106,14 +105,9 @@ def _commands(parser: argparse.ArgumentParser):
 
 
 def test_each_handler_runs_exactly_one_command():
-    every_name = [*cli._GROUPS, *(name for group in cli._GROUPS for name in cli._commands(group))]
+    every_name = [*cli._COMMANDS, *(n for _, names in cli._COMMANDS.values() for n in names)]
     funcs = [parser.get_default("func") for parser in _commands(cli.build_parser(every_name))]
-    handlers = [
-        value
-        for group in cli._GROUPS
-        for name, value in vars(importlib.import_module(f"prismvol.cli_{group}")).items()
-        if name.startswith("_cmd_")
-    ]
+    handlers = [value for name, value in vars(cli).items() if name.startswith("_cmd_")]
     assert len(handlers) == 16
     assert sorted(f.__name__ for f in funcs) == sorted(f.__name__ for f in handlers)
     assert all(funcs.count(handler) == 1 for handler in handlers)

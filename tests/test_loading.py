@@ -123,21 +123,17 @@ def _run(argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("argv, layers", COMMANDS)
 def test_a_command_executes_only_the_layers_it_calls(argv, layers):
-    """A command runs the command-line frame ``cli``, its group's module
-    ``cli_<group>`` and the layers it calls: a module-level import that pulls
-    in a layer the command does not call, or another group's module, fails
+    """A command runs the command line ``cli`` and the layers it calls: a
+    module-level import that pulls in a layer the command does not call fails
     this."""
     executed = _run(argv)["executed"]
-    group = f"prismvol.cli_{argv[0]}"
-    assert [m for m in executed if m.startswith("prismvol.cli_")] == [group]
-    assert executed == sorted(
-        ["prismvol", "prismvol.cli", group] + [f"prismvol.{m}" for m in layers]
-    )
+    assert executed == sorted(["prismvol", "prismvol.cli"] + [f"prismvol.{m}" for m in layers])
 
 
 def test_import_cli_executes_no_layer_and_no_group_module():
-    """The frame holds no handler: ``import prismvol.cli`` and the parser with
-    no group named run neither a layer nor a group's module."""
+    """``import prismvol.cli`` and the parser with no group named run no
+    layer: the handlers reach the layers through the package's lazy modules,
+    and the command line has no module per group."""
     modules = _modules("import prismvol.cli as cli\ncli.build_parser([])\n")
     assert modules["executed"] == ["prismvol", "prismvol.cli"]
 
@@ -233,7 +229,6 @@ _FAILED_LAYER = """
 import json, sys
 import prismvol
 import prismvol.cli as cli
-import prismvol.cli_braid as braid_commands
 
 def outcome(get):
     try:
@@ -248,9 +243,9 @@ print(json.dumps([
     outcome(lambda: prismvol.twisted_torus_braid(3, 2, 2, 1)),
     outcome(lambda: prismvol.BraidWord),
     outcome(lambda: prismvol.braids.BraidWord),
-    outcome(lambda: braid_commands.braids.twisted_torus_braid),
+    outcome(lambda: cli.braids.twisted_torus_braid),
     outcome(lambda: cli.main(["braid", "ttk", "3", "2", "2", "1"])),
-    layer is prismvol.braids is braid_commands.braids,
+    layer is prismvol.braids is cli.braids,
     prismvol.frac_str(3),
 ]))
 """

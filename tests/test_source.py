@@ -126,38 +126,30 @@ def test_stdlib_is_the_one_json_writer():
     assert indents == {("audit.py", "2"), ("cli.py", "2")}
 
 
-def _cli_modules() -> list[str]:
-    """The command line's modules: the frame ``cli`` and one module per group."""
-    names = sorted(path.stem for path in Path(prismvol.__file__).parent.glob("cli*.py"))
-    assert names == ["cli"] + sorted(f"cli_{group}" for group in cli._GROUPS)
-    return names
-
-
 def test_cli_reads_no_audit_record():
     """``audit`` is the one module that reads the audit's records and header:
-    no module of the command line, the frame or a group's, names one of their
-    keys as a string, and they reach ``audit`` only through its two writers."""
+    ``cli.py`` names none of their keys as a string and reaches ``audit`` only
+    through its two writers."""
     keys = {
         "status", "reports", "header", "cases", "mu", "reason", "candidate_exceptional",
         "upper_bound", "max_degree", "twist_knot_excluded",
     }
-    found, called = [], {}
-    for module in _cli_modules():
-        tree = ast.parse((Path(prismvol.__file__).parent / f"{module}.py").read_text())
-        found += [
-            f"{module}:{node.lineno}: {node.value!r}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value in keys
-        ]
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "audit"
-            ):
-                called.setdefault(node.attr, set()).add(module)
+    assert sorted(path.stem for path in Path(cli.__file__).parent.glob("cli*.py")) == ["cli"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = [
+        f"cli:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in keys
+    ]
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "audit"
+    }
     assert found == []
-    assert called == {"prism_json": {"cli_prism"}, "prism_table": {"cli_prism"}}
+    assert called == {"prism_json", "prism_table"}
 
 
 def _package_imports(module: str) -> list[tuple[str | None, str]]:
@@ -172,24 +164,14 @@ def _package_imports(module: str) -> list[tuple[str | None, str]]:
     ]
 
 
-def test_cli_frame_imports_no_layer_and_no_group_module():
-    """The frame runs no package module when it loads: it takes ``reader`` as
-    the lazy module, whose code runs at the first call, and no group's module,
-    which ``build_parser`` imports for a group the command line names."""
-    assert _package_imports("cli") == [(None, "reader")]
-
-
-def test_group_modules_reach_layers_through_the_lazy_module():
-    """A group's module imports the layers it calls as lazy modules, so that a
-    layer runs only when a handler calls it and ``perfbench`` can wrap its
-    functions, and imports from the package nothing else but the frame."""
-    for module in _cli_modules()[1:]:
-        imports = _package_imports(module)
-        assert imports, module
-        for source, name in imports:
-            assert (source is None and name in prismvol._PUBLIC) or source == "cli", (
-                module, source, name,
-            )
+def test_cli_reaches_layers_through_the_lazy_module():
+    """``cli`` runs no package module when it loads: it imports the layers its
+    handlers call as the package's lazy modules, so that a layer runs only
+    when a handler calls it and ``perfbench`` can wrap its functions, and
+    imports nothing else from the package."""
+    imports = _package_imports("cli")
+    assert imports
+    assert [(s, n) for s, n in imports if s is not None or n not in prismvol._PUBLIC] == []
 
 
 def test_all_is_what_the_package_imports():
