@@ -164,14 +164,40 @@ def _package_imports(module: str) -> list[tuple[str | None, str]]:
     ]
 
 
-def test_cli_reaches_layers_through_the_lazy_module():
-    """``cli`` runs no package module when it loads: it imports the layers its
-    handlers call as the package's lazy modules, so that a layer runs only
-    when a handler calls it and ``perfbench`` can wrap its functions, and
-    imports nothing else from the package."""
+def test_cli_frame_imports_no_layer_and_no_group_module():
+    """``cli`` runs no package module when it loads: each package import is
+    ``from . import <layer>``, the lazy module whose code runs at the first
+    call, and there is no group module left to import."""
     imports = _package_imports("cli")
     assert imports
     assert [(s, n) for s, n in imports if s is not None or n not in prismvol._PUBLIC] == []
+    assert sorted(path.stem for path in Path(cli.__file__).parent.glob("cli*.py")) == ["cli"]
+
+
+def test_group_modules_reach_layers_through_the_lazy_module():
+    """The handlers, which the group modules held, reach each layer they call
+    through a lazy module ``cli`` imports, so that a layer runs only when a
+    handler calls it and ``perfbench`` can wrap its functions; no handler
+    imports a module of its own."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    lazy = {name for source, name in _package_imports("cli") if source is None}
+    handlers = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 16
+    called = set()
+    for handler in handlers:
+        nodes = list(ast.walk(handler))
+        assert not [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))], handler.name
+        called |= {
+            n.value.id for n in nodes
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in prismvol._PUBLIC
+        }
+    assert called
+    assert called <= lazy
 
 
 def test_all_is_what_the_package_imports():
