@@ -72,12 +72,11 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
     inverse.  The first undefined entry in row-major order is filled with each
     existing coset whose inverse entry is free, or with the next new coset
     while there are fewer than ``degree``.  A new entry c -x-> t is settled:
-    each distinct rotation of each relator, and of its inverse, that starts
-    with x is read from c, forwards and backwards.  A path read whole must
-    return to c.  A path with exactly one undefined entry forces that entry,
-    which is set, pushed on the trail and settled in turn, unless the coset it
-    must reach already has a preimage under that letter, and then the table
-    is dropped.
+    each rotation of each relator, and of its inverse, that starts with x is
+    read from c, forwards and backwards.  A path read whole must return to c.
+    A path with exactly one undefined entry forces that entry, which is set,
+    pushed on the trail and settled in turn, unless the coset it must reach
+    already has a preimage under that letter, and then the table is dropped.
     Deduced entries only point at existing cosets, so every table stays
     standardised and each subgroup is still found once.  A table with no
     undefined entry and k cosets is one subgroup of index k.  Each word is
@@ -90,11 +89,7 @@ def _subgroup_counts(pres: GroupPresentation, degree: int) -> list[int]:
     starting: list[list] = [[] for _ in range(columns)]  # (w + w, inverted, first, last)
     for w in words:
         doubled, inverse = w + w, [c ^ 1 for c in w + w]
-        # w = u^k would read each rotation k times: keep the |u| rotations of u
-        period = next(
-            (p for p in range(1, len(w) + 1) if len(w) % p == 0 and w[p:] == w[:-p]), 0
-        )
-        for i, c in enumerate(w[:period]):
+        for i, c in enumerate(w):
             starting[c].append((doubled, inverse, i, i + len(w) - 1))
     table = [-1] * (degree * columns)
     trail: list[int] = []  # deduced entries, each followed by its inverse entry

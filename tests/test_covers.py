@@ -157,19 +157,6 @@ class TestCountRepresentations:
         with pytest.raises(EnumerationTooLargeError, match=refusal):
             count_representations(TREFOIL, 9, transitive=True)
 
-    def test_read_cap_edge_of_a_periodic_relator(self, monkeypatch):
-        """(xy)^3 has two distinct rotations, and the search reads each once:
-        at d = 6 a cap of 44 873 table reads answers 5! * 349 transitive maps
-        and a cap of 44 872 refuses.  Reading all six rotations, each distinct
-        one three times, needs a cap of 79 473."""
-        pres = GroupPresentation(2, ((1, 2) * 3,))
-        monkeypatch.setattr(covers, "MAX_READS", 44873)
-        assert count_representations(pres, 6, transitive=True) == math.factorial(5) * 349
-        monkeypatch.setattr(covers, "MAX_READS", 44872)
-        refusal = "^the subgroup search into S_6 exceeds the limit of 44872 table reads$"
-        with pytest.raises(EnumerationTooLargeError, match=refusal):
-            count_representations(pres, 6, transitive=True)
-
     def test_table_cap_edge_is_answered(self):
         """At d * 2g = 512 the search is at most 256 frames deep and Hall's
         recursion has 256 * 257 / 2 terms: both run without a refusal."""
