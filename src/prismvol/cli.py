@@ -383,8 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, argparse.ArgumentTypeError, OSError) as err:
+    except (ValueError, argparse.ArgumentTypeError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:  # carries no text
+        print("error: the result is too large to build", file=sys.stderr)
         return 1
     return 0
 

@@ -9,8 +9,10 @@ from Gaussian elimination over ``Fraction``, and slope enumeration is
 checked against a plain window scan whose completeness follows from Cramer's
 rule.  The H_1 of a knot's branched cover is read from the cellular chain
 complex of the cover of the presentation complex, built from one brute-force
-homomorphism.  Degrees over a non-orientable base are checked over an orientation
-double cover built as an orbifold, not by scaling chi_orb.  Degree equations
+homomorphism, and the linking form of a lens space from the inverse, over
+``Fraction``, of a star-shaped plumbing's intersection form.  Degrees over a
+non-orientable base are checked over an orientation double cover built as an
+orbifold, not by scaling chi_orb.  Degree equations
 over the whole family are cross-checked by a bounded integrality scan of
 affine ratios, and the Whitehead volume by Catalan's alternating series.
 The ``prism verify`` table is rebuilt from the divisor rule alone.  Audit
@@ -231,6 +233,56 @@ def h1_from_boundaries(d1: list[list[int]], d2: list[list[int]]) -> list[int]:
     the rank is the edges less the ranks of d1 and d2."""
     free = len(d1[0]) - rank_q(d1) - rank_q(d2)
     return [d for d in snf_diagonal_oracle(d2) if d > 1] + [0] * free
+
+
+# --- the linking form of a star-shaped plumbing --------------------------
+
+def plumbing_rows(central: int, arms: list[list[int]]) -> list[list[int]]:
+    """The intersection form of a star-shaped plumbing: vertex 0 of weight
+    ``central``, then each arm's weights as a chain whose first vertex is
+    joined to vertex 0."""
+    weights = [central] + [w for arm in arms for w in arm]
+    rows = [[w if i == j else 0 for j in range(len(weights))] for i, w in enumerate(weights)]
+    start = 1
+    for arm in arms:
+        for i in range(start, start + len(arm)):
+            j = 0 if i == start else i - 1
+            rows[i][j] = rows[j][i] = 1
+        start += len(arm)
+    return rows
+
+
+def inverse_q(rows: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse of a nonsingular integer matrix, by Gauss-Jordan
+    elimination over ``Fraction``."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + unit for row, unit in zip(rows, identity_rows(n))]
+    for col in range(n):
+        top = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[top] = a[top], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def self_linking(rows: list[list[int]], vertex: int) -> tuple[int, Fraction]:
+    """The order in H_1 = coker(rows) of the meridian of ``vertex`` and its
+    self-linking, the diagonal entry of the inverse form: the meridian is
+    rows^-1 times the vertex's unit vector, up to the image of ``rows``."""
+    inverse = inverse_q(rows)
+    return math.lcm(*(row[vertex].denominator for row in inverse)), inverse[vertex][vertex]
+
+
+def linking_class(order: int, value: Fraction) -> int:
+    """The least of +-u^2 q mod ``order``, over the units u, for a
+    self-linking q/order: the same for every generator of a cyclic H_1, since
+    another is u times it, and for both orientations."""
+    q = value * order
+    assert q.denominator == 1, "the self-linking of a generator has the order as denominator"
+    units = [u for u in range(1, order) if math.gcd(u, order) == 1]
+    return min(s * u * u * int(q) % order for u in units for s in (1, -1))
 
 
 # --- complete slope window scan ------------------------------------------

@@ -194,6 +194,25 @@ class TestExitCodes:
         assert code == 1
         assert "orientable base" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["seifert", "h1", '{"class":"Oo","genus":1000000000000000000,"fibers":[]}'],
+             "the result is too large to build"),
+            (["seifert", "h1", '{"class":"Oo","genus":10000000000000000000,"fibers":[]}'],
+             "cannot fit 'int' into an index-sized integer"),
+            (["braid", "ttk", "3", "1000000000000000000", "2", "1"],
+             "the result is too large to build"),
+            (["braid", "ttk", "3", "10000000000000000000", "2", "1"],
+             "cannot fit 'int' into an index-sized integer"),
+        ],
+    )
+    def test_result_too_large_to_build_is_one_line(self, argv, message):
+        """A list of 2 * 10^18 entries fails Python's size check with a
+        MemoryError, and a length past the index range with an OverflowError,
+        both before anything is allocated."""
+        assert run_cli(argv) == (1, "", f"error: {message}\n")
+
 
 class TestOutputFormats:
     def test_json_flag_without_env(self):
