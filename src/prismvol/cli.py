@@ -383,10 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, argparse.ArgumentTypeError, OSError, OverflowError) as err:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except MemoryError:  # carries no text
+    except (MemoryError, OverflowError):  # no text or Python's own, naming no field
         print("error: the result is too large to build", file=sys.stderr)
         return 1
     return 0

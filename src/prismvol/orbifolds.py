@@ -16,7 +16,7 @@ the degrees that meet both, and the "chi-only" degrees that meet the first.
 
 ``prism_case_analysis`` runs that degree equation for ``fiber_surface()``
 over the five base orbifolds obtained by removing one fiber from either
-fibration of the prism manifold with parameter n; three do not depend on n.
+fibration of the prism manifold with parameter n; none is solved on load.
 ``case_analysis_report`` is its JSON.  The audit writes the three cases that
 do not depend on n, ``fixed_cases_report``, once per call.  The other two, the
 disks whose cones hold mu = |4n - 1|, are decided for every n by the divisor
@@ -27,7 +27,6 @@ only where mu is in ``DISK_CASE_MUS``, and only there does the audit run
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .reader import Record, check
@@ -264,27 +263,24 @@ class CaseResult(Record):
         }
 
 
-def _solve_case(case: int, base: Orbifold2D, chi_f: int) -> CaseResult:
-    """Degrees with chi_f = d * chi_orb(base), with and without cone divisibility."""
-    chi, degrees, chi_only = _solve(chi_f, base)
-    return CaseResult(case, base, chi, tuple(degrees), tuple(chi_only))
-
-
 # chi(F) of the family's fiber
 _FIBER_EULER = fiber_surface().euler
 
 
-@functools.cache
-def _fixed_case(case: int) -> CaseResult:
-    """Case 1, 2 or 4, whose base does not depend on n, nor its result: solved
-    on first use, so that loading the module builds no ``Fraction``."""
-    bases = {1: (False, 1, 1, ()), 2: (False, 1, 1, (2,)), 4: (True, 0, 1, (2, 2))}
-    return _solve_case(case, Orbifold2D(*bases[case]), _FIBER_EULER)
+def _case(case: int, orientable: bool, genus: int, cones: tuple[int, ...]) -> CaseResult:
+    """The case over its base with one boundary circle: chi_orb and both degree lists."""
+    base = Orbifold2D(orientable, genus, 1, cones)
+    chi, degrees, chi_only = _solve(_FIBER_EULER, base)
+    return CaseResult(case, base, chi, tuple(degrees), tuple(chi_only))
+
+
+# the arguments of ``_case`` for cases 1, 2 and 4, whose bases do not depend on n
+_FIXED_CASES = ((1, False, 1, ()), (2, False, 1, (2,)), (4, True, 0, (2, 2)))
 
 
 def fixed_cases_report() -> list[dict]:
     """``CaseResult.to_json`` of cases 1, 2 and 4, made of fresh dicts and lists."""
-    return [_fixed_case(case).to_json() for case in (1, 2, 4)]
+    return [_case(*fixed).to_json() for fixed in _FIXED_CASES]
 
 
 def prism_case_analysis(n: int) -> list[CaseResult]:
@@ -305,21 +301,15 @@ def prism_case_analysis(n: int) -> list[CaseResult]:
     solution set, ``chi_only_degrees`` drops divisibility so near-misses stay
     visible.  The bases are in closed form (tests derive them with ``remove_fiber``).
 
-    Cases 1, 2 and 4 are solved on their first use, 3 and 5 per call, by
-    ``_solve_case`` as an ``Orbifold2D`` with a ``Fraction`` chi_orb.  A
-    non-integer or degenerate n is refused.
+    Each call solves all five cases.  A non-integer or degenerate n is refused.
     """
     check(n, int, "n")
     mu = abs(4 * n - 1)
     if mu < 3:
         raise ValueError(f"parameter n = {n} is degenerate: |4n - 1| = {mu} < 3")
-    return [
-        _fixed_case(1),
-        _fixed_case(2),
-        _solve_case(3, Orbifold2D(True, 0, 1, (2, 2, mu)), _FIBER_EULER),
-        _fixed_case(4),
-        _solve_case(5, Orbifold2D(True, 0, 1, (2, mu)), _FIBER_EULER),
-    ]
+    one, two, four = _FIXED_CASES
+    cases = (one, two, (3, True, 0, (2, 2, mu)), four, (5, True, 0, (2, mu)))
+    return [_case(*args) for args in cases]
 
 
 def disk_case_divisors() -> list[tuple[int, int, int, list[int]]]:

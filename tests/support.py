@@ -655,14 +655,6 @@ def symbols_st(max_fibers: int = 4):
     )
 
 
-def oo_symbols_st(max_fibers: int = 4):
-    return st.builds(
-        lambda genus, fibers: SeifertSymbol(seifert_mod.OO, genus, tuple(fibers)),
-        st.integers(0, 2),
-        st.lists(fiber_pairs_st(), min_size=1, max_size=max_fibers),
-    )
-
-
 def relator_words_st(generators: int, max_len: int = 6):
     letters = st.sampled_from(
         [i for i in range(-generators, generators + 1) if i != 0]

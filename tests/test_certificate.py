@@ -28,6 +28,7 @@ from prismvol import (
     ln_link,
     prism_fibrations,
     prism_header,
+    prism_verify,
     upper_bound_value,
 )
 from support import (
@@ -174,9 +175,14 @@ def test_l0_double_cover_is_a_lens_space_of_order_8():
 
 def test_ln_third_tangle_is_l0_twisted():
     """The third tangle of L_n is 1/(1/2 - 2n) = -2/(4n - 1): L_0's third
-    tangle 2/1 with n full twists added, as exact rationals for |n| <= 5."""
-    for n in range(-5, 6):
-        beta, alpha = ln_link(n)[0].tangles[2]
+    tangle 2/1 with n full twists added, as exact rationals for |n| <= 1 000.
+    The first two tangles, 1/2 and -1/2, are L_0's."""
+    ring = ln_link(0)[0].tangles[:2]
+    assert ring == ((1, 2), (-1, 2))
+    for n in range(-1000, 1001):
+        tangles = ln_link(n)[0].tangles
+        assert tangles[:2] == ring, n
+        beta, alpha = tangles[2]
         assert Fraction(beta, alpha) == 1 / (Fraction(1, 2) - 2 * n), n
 
 
@@ -279,6 +285,24 @@ def test_cited_small_one_cusped_manifolds():
     assert ONE_CUSP_VOLUME_FLOOR.value < FIGURE_EIGHT_VOLUME.value
     assert 4 * ONE_CUSP_VOLUME_FLOOR.value > TWO_V0
     assert prism_header()["max_degree"] == 3
+
+
+def test_cited_twisting_along_an_unknotted_component():
+    """(Rolfsen, "Knots and Links", 1976, ch. 9.)  Let C be an unknotted
+    component of a link in S^3 and D a disk that C bounds.  A full twist
+    along D is a homeomorphism of S^3 - C, so twisting along D keeps the link
+    complement, and changes the link only where it crosses D.
+
+    The geometric step, stated and not computed here, up to mirror image: in
+    L_n = M(1/2, -1/2, 1/(1/2 - 2n)) the ring formed by the tangles 1/2 and
+    -1/2 is such a C, and D meets the rest of the link in the two strands of
+    the third tangle.  So n full twists along D take L_0 to L_n (the tangles
+    are checked in ``test_ln_third_tangle_is_l0_twisted``).
+
+    Used: S^3 - L_n is S^3 - L_0, the Whitehead link exterior, for every n,
+    so each record's double cover over L_n costs the same 2 V0."""
+    reports = prism_verify(-50, 50)["reports"]
+    assert {r["upper_bound_value"] for r in reports} == {round(TWO_V0, 12)}
 
 
 def test_cited_knots_are_determined_by_their_complements():

@@ -171,8 +171,8 @@ RATIONAL = {"seifert euler", "orbifold chi", "orbifold solve", "prism verify"}
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_only_a_command_with_rationals_imports_fractions(argv):
     """``orbifolds.chi_orb``, ``exact.frac_str`` and ``seifert.euler_number``
-    import ``fractions`` in their bodies, and ``orbifolds`` solves its fixed
-    cases on first use; the rest computes with integers, so ``seifert h1``,
+    import ``fractions`` in their bodies, and ``orbifolds`` solves its cases
+    when asked, not on load; the rest computes with integers, so ``seifert h1``,
     ``seifert base`` and ``orbifold cover`` load neither module."""
     loaded = {"decimal", "fractions"} & set(_run(argv)["stdlib"])
     assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())

@@ -236,6 +236,8 @@ def test_all_is_what_the_package_imports():
         ("covers", "MAX_ENUMERATION"),
         ("covers", "MAX_NODES"),
         ("orbifolds", "_prism_mu"),
+        ("orbifolds", "_fixed_case"),
+        ("orbifolds", "_solve_case"),
     ],
 )
 def test_removed_helpers_are_gone(layer, name):
@@ -244,6 +246,22 @@ def test_removed_helpers_are_gone(layer, name):
     assert name not in prismvol.__all__
     assert not hasattr(prismvol, name)
     assert not hasattr(importlib.import_module(f"prismvol.{layer}"), name)
+
+
+def test_no_module_caches_a_result():
+    """No function is decorated with ``functools.cache``, ``lru_cache`` or
+    ``cached_property``.  This round drops caching, and a cache must show the
+    traffic it serves before it comes back."""
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in _package_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        for part in ast.walk(decorator)  # a Name's id, an Attribute's attr
+        if getattr(part, "id", getattr(part, "attr", None)) in caches
+    ]
+    assert found == []
 
 
 def test_reader_defines_only_its_one_rule():
@@ -341,7 +359,7 @@ def test_layers_reach_each_other_through_the_lazy_module():
 def test_no_layer_reads_another_layers_private_names():
     """A layer reaches another only through its public names: ``covers``
     reads ``orbifolds.fixed_cases_report`` and does not rebuild it from
-    ``orbifolds._fixed_case`` and the like."""
+    ``orbifolds._case`` and the like."""
     found = [
         f"{name}:{node.lineno} {node.value.id}.{node.attr}"
         for name, node in _package_nodes()
