@@ -105,15 +105,23 @@ class Orbifold2D(Record):
         }
 
 
+def _chi(b: Orbifold2D) -> tuple[int, int]:
+    """chi_orb(b) in integers, as a reduced numerator and a positive denominator:
+    over the least common multiple L of the cone indices, chi(underlying) - k +
+    sum 1/i over k cones is ((chi(underlying) - k) * L + sum L // i) / L."""
+    lcm = math.lcm(*b.cones)
+    num = (b.underlying_euler - len(b.cones)) * lcm + sum(lcm // index for index in b.cones)
+    common = math.gcd(num, lcm)
+    return num // common, lcm // common
+
+
 def chi_orb(b: Orbifold2D) -> Fraction:
-    """Orbifold Euler characteristic, exact: one ``Fraction`` over the least
-    common multiple L of the cone indices, since chi(underlying) - k + sum 1/i
-    over k cones is ((chi(underlying) - k) * L + sum L // i) / L."""
+    """Orbifold Euler characteristic, exact: the ``Fraction`` of ``_chi(b)``.
+    The degree equations are solved in integers, so in this module only this
+    imports ``fractions``."""
     from fractions import Fraction
 
-    lcm = math.lcm(*b.cones)
-    excess = sum(lcm // index for index in b.cones)
-    return Fraction((b.underlying_euler - len(b.cones)) * lcm + excess, lcm)
+    return Fraction(*_chi(b))
 
 
 def riemann_hurwitz_cover(
@@ -197,17 +205,15 @@ def _degree_solutions(chi_f: int, num: int, den: int, cones) -> tuple[list[int],
     return ([] if any(d % index for index in cones) else [d]), [d]
 
 
-def _solve(chi_f: int, b: Orbifold2D) -> tuple[Fraction, list[int], list[int]]:
-    """chi_orb(b) and both degree lists of chi_f = d * chi_orb(b).  A non-orientable
-    base is solved over its orientation double cover: g cross-caps and m
-    boundary circles lift to genus g - 1 with 2m, each cone to two of its
-    index, so chi_orb doubles over the same cones, and the degrees double."""
-    chi = chi_orb(b)
+def _solve(chi_f: int, b: Orbifold2D) -> tuple[list[int], list[int]]:
+    """Both degree lists of chi_f = d * chi_orb(b).  A non-orientable base is
+    solved over its orientation double cover: g cross-caps and m boundary
+    circles lift to genus g - 1 with 2m, each cone to two of its index, so
+    chi_orb doubles over the same cones, and the degrees double."""
+    num, den = _chi(b)
     sheets = 1 if b.orientable else 2
-    degrees, chi_only = _degree_solutions(
-        chi_f, sheets * chi.numerator, chi.denominator, b.cones
-    )
-    return chi, [sheets * d for d in degrees], [sheets * d for d in chi_only]
+    degrees, chi_only = _degree_solutions(chi_f, sheets * num, den, b.cones)
+    return [sheets * d for d in degrees], [sheets * d for d in chi_only]
 
 
 def horizontal_degree_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[int], list[int]]:
@@ -225,7 +231,7 @@ def horizontal_degree_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[int
         )
     if not f.orientable:
         raise ValueError("the covering surface must be orientable here")
-    return _solve(f.euler, b)[1:]
+    return _solve(f.euler, b)
 
 
 def nonorientable_base_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[int], list[int]]:
@@ -241,7 +247,12 @@ def nonorientable_base_solutions(f: SurfaceData, b: Orbifold2D) -> tuple[list[in
         raise ValueError("base is orientable; use horizontal_degree_solutions")
     if not f.orientable:
         raise ValueError("the covering surface must be orientable here")
-    return _solve(f.euler, b)[1:]
+    return _solve(f.euler, b)
+
+
+def _case_chi_orb(r: CaseResult) -> Fraction:
+    """chi_orb of the case's base, derived from ``orbifold``, never stored."""
+    return chi_orb(r.orbifold)
 
 
 class CaseResult(Record):
@@ -249,15 +260,17 @@ class CaseResult(Record):
 
     case: int
     orbifold: Orbifold2D
-    chi_orb: Fraction
     degrees: tuple[int, ...]
     chi_only_degrees: tuple[int, ...]
 
+    chi_orb = property(_case_chi_orb)
+
     def to_json(self) -> dict:
+        num, den = _chi(self.orbifold)
         return {
             "case": self.case,
             "orbifold": self.orbifold.to_json(),
-            "chi_orb": f"{self.chi_orb.numerator}/{self.chi_orb.denominator}",
+            "chi_orb": f"{num}/{den}",
             "degrees": list(self.degrees),
             "chi_only_degrees": list(self.chi_only_degrees),
         }
@@ -268,10 +281,10 @@ _FIBER_EULER = fiber_surface().euler
 
 
 def _case(case: int, orientable: bool, genus: int, cones: tuple[int, ...]) -> CaseResult:
-    """The case over its base with one boundary circle: chi_orb and both degree lists."""
+    """The case over its base with one boundary circle and both degree lists."""
     base = Orbifold2D(orientable, genus, 1, cones)
-    chi, degrees, chi_only = _solve(_FIBER_EULER, base)
-    return CaseResult(case, base, chi, tuple(degrees), tuple(chi_only))
+    degrees, chi_only = _solve(_FIBER_EULER, base)
+    return CaseResult(case, base, tuple(degrees), tuple(chi_only))
 
 
 # the arguments of ``_case`` for cases 1, 2 and 4, whose bases do not depend on n

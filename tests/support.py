@@ -439,7 +439,7 @@ def derived_bases(n: int) -> list[Orbifold2D]:
 _FIBER_CHI = 2 - 2 * 2 - 1
 
 
-def _orbifold_chi(b: Orbifold2D) -> Fraction:
+def orbifold_chi(b: Orbifold2D) -> Fraction:
     """chi(underlying surface) - sum over cones of (1 - 1/index)."""
     surface = 2 - (2 if b.orientable else 1) * b.genus - b.boundary
     return Fraction(surface) - sum(1 - Fraction(1, index) for index in b.cones)
@@ -452,7 +452,7 @@ def _oracle_degrees(b: Orbifold2D) -> tuple[list[int], list[int]]:
     if not b.orientable:
         degrees, chi_only = _oracle_degrees(orientation_double_cover(b))
         return [2 * d for d in degrees], [2 * d for d in chi_only]
-    chi = _orbifold_chi(b)
+    chi = orbifold_chi(b)
     if chi == 0:  # chi(F) = -3 is not 0 * d
         return [], []
     d = _FIBER_CHI / chi
@@ -468,7 +468,7 @@ def case_report_oracle(n: int) -> dict:
     degrees from an exact division, not by the package's degree solver."""
     cases = []
     for case, b in enumerate(derived_bases(n), start=1):
-        chi = _orbifold_chi(b)
+        chi = orbifold_chi(b)
         degrees, chi_only = _oracle_degrees(b)
         cases.append({
             "case": case,

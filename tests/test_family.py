@@ -68,26 +68,35 @@ def test_audit_runs_no_slope_enumeration(monkeypatch):
 
 
 def test_chi_orb_per_base_not_per_audit_row(monkeypatch):
-    """One ``chi_orb`` per base that a call solves: five per case analysis,
-    and for the audit five at each of n = -1 and 1 and the header's three."""
-    calls = []
-    original = orbifolds.chi_orb
+    """chi_orb is computed once per base that a call solves, by the one
+    solver ``_solve``: five per case analysis, and for the audit five at each
+    of n = -1 and 1 and the header's three.  The solver works in integers, so
+    the audit calls the public ``chi_orb`` not at all."""
+    solved, public = [], []
+    original_solve, original_chi_orb = orbifolds._solve, orbifolds.chi_orb
 
-    def counting(base):
-        calls.append(base)
-        return original(base)
+    def counting_solve(chi_f, base):
+        solved.append(base)
+        return original_solve(chi_f, base)
 
-    monkeypatch.setattr(orbifolds, "chi_orb", counting)
+    def counting_chi_orb(base):
+        public.append(base)
+        return original_chi_orb(base)
+
+    monkeypatch.setattr(orbifolds, "_solve", counting_solve)
+    monkeypatch.setattr(orbifolds, "chi_orb", counting_chi_orb)
     for n in (-7, -1, 1, 2, 40):
-        calls.clear()
+        solved.clear()
         results = prism_case_analysis(n)
-        assert calls == [r.orbifold for r in results], n
+        assert solved == [r.orbifold for r in results], n
     fixed = [r.orbifold for r in prism_case_analysis(2) if r.case in (1, 2, 4)]
     candidates = [r.orbifold for n in (-1, 1) for r in prism_case_analysis(n)]
-    calls.clear()
+    solved.clear()
+    public.clear()
     prism_verify(-50, 50)
-    assert len(calls) == 13
-    assert calls == candidates + fixed
+    assert len(solved) == 13
+    assert solved == candidates + fixed
+    assert public == []
 
 
 def test_fiber_is_read_once_per_process(monkeypatch):

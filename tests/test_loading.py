@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # stdlib modules whose import a command may not need
 _STDLIB = (
     "copy", "dataclasses", "decimal", "fractions", "importlib.resources", "inspect",
-    "pathlib", "tempfile", "zipfile",
+    "numbers", "pathlib", "tempfile", "zipfile",
 )
 
 # a layer still waiting for its first attribute access is of a ModuleType
@@ -148,9 +148,9 @@ def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
 
 
 def test_covers_count_imports_no_probed_stdlib_module():
-    """``fractions``, which imports ``decimal``, comes with the code that
-    computes with rationals (``orbifolds.chi_orb``, ``seifert.euler_number``);
-    the representation count uses none of it."""
+    """``fractions``, which imports ``decimal`` and ``numbers``, comes with
+    the code that computes with rationals (``orbifolds.chi_orb``,
+    ``seifert.euler_number``); the representation count uses none of it."""
     assert _run(["covers", "count", "@trefoil", "--degree", "3"])["stdlib"] == []
 
 
@@ -165,27 +165,32 @@ def test_a_command_imports_no_resource_loader(argv):
 
 
 # the commands that compute with rationals; ``fractions`` imports ``decimal``
-RATIONAL = {"seifert euler", "orbifold chi", "orbifold solve", "prism verify"}
+# and ``numbers``
+RATIONAL = {"seifert euler", "orbifold chi"}
+_RATIONALS = {"decimal", "fractions", "numbers"}
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_only_a_command_with_rationals_imports_fractions(argv):
     """``orbifolds.chi_orb``, ``exact.frac_str`` and ``seifert.euler_number``
-    import ``fractions`` in their bodies, and ``orbifolds`` solves its cases
-    when asked, not on load; the rest computes with integers, so ``seifert h1``,
-    ``seifert base`` and ``orbifold cover`` load neither module."""
-    loaded = {"decimal", "fractions"} & set(_run(argv)["stdlib"])
-    assert loaded == ({"decimal", "fractions"} if " ".join(argv[:2]) in RATIONAL else set())
+    import ``fractions`` in their bodies; the degree equations are solved in
+    integers, so ``orbifold solve`` and ``prism verify`` load none of the three
+    modules, and nor do ``seifert h1``, ``seifert base`` and ``orbifold cover``."""
+    loaded = _RATIONALS & set(_run(argv)["stdlib"])
+    assert loaded == (_RATIONALS if " ".join(argv[:2]) in RATIONAL else set())
 
 
-def test_a_table_without_a_candidate_imports_no_rationals():
-    """The table reads the bound and the degree cap, not the header, whose
-    fixed cases are solved in rationals; only a window that holds n = -1 or 1,
-    or the ``--json`` audit, which writes the header, imports ``fractions``."""
-    loaded = {"decimal", "fractions"}
-    assert loaded.isdisjoint(_run(["prism", "verify", "--from", "2", "--to", "50"])["stdlib"])
-    json_audit = ["prism", "verify", "--from", "2", "--to", "50", "--json"]
-    assert loaded <= set(_run(json_audit)["stdlib"])
+def test_the_audit_and_orbifold_solve_import_no_rationals():
+    """The audit over a window that holds n = -1, 0 and 1 solves the five
+    cases at n = -1 and 1 and writes the header's fixed cases, and
+    ``orbifold solve`` solves one base: in integers, in either format."""
+    solve = [
+        "orbifold", "solve", "--fiber-genus", "2", "--fiber-boundary", "1",
+        "--orientable", "true", "--genus", "0", "--boundary", "1", "--cones", "2,5",
+    ]
+    for argv in (["prism", "verify", "--from", "-1", "--to", "1"], solve):
+        for fmt in ([], ["--json"]):
+            assert _RATIONALS.isdisjoint(_run(argv + fmt)["stdlib"]), argv + fmt
 
 
 def _traced_targets() -> list[tuple[str, str]]:

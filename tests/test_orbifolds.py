@@ -20,8 +20,8 @@ from prismvol import (
     riemann_hurwitz_cover,
 )
 from prismvol.exact import frac_str
-from prismvol.orbifolds import _degree_solutions
-from support import case_report_oracle, orientation_double_cover
+from prismvol.orbifolds import _chi, _degree_solutions
+from support import case_report_oracle, orbifold_chi, orientation_double_cover
 
 MOEBIUS = Orbifold2D(False, 1, 1)
 DISK_2_2_3 = Orbifold2D(True, 0, 1, (2, 2, 3))
@@ -124,6 +124,49 @@ class TestChiOrb:
             1 - Fraction(1, c) for c in b.cones
         )
         assert chi_orb(b) == expected
+
+
+# small cones share factors, so the sum over their lcm often reduces; large
+# ones give long denominators
+orbifolds_st = st.builds(
+    lambda orientable, genus, boundary, cones: Orbifold2D(
+        orientable, max(genus, 0 if orientable else 1), boundary, tuple(cones)
+    ),
+    st.booleans(),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.lists(st.integers(2, 60) | st.integers(2, 10**6), max_size=8),
+)
+
+
+class TestIntegerChi:
+    """The integer kernel ``_chi`` and what reads it, against the definition
+    in ``support.orbifold_chi``, not against the package."""
+
+    @given(orbifolds_st)
+    def test_kernel_is_reduced_with_a_positive_denominator(self, b):
+        num, den = _chi(b)
+        assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1
+        assert Fraction(num, den) == orbifold_chi(b)
+
+    @given(orbifolds_st)
+    def test_chi_orb_is_the_fraction_of_the_kernel(self, b):
+        value = chi_orb(b)
+        assert type(value) is Fraction
+        assert value == Fraction(*_chi(b)) == orbifold_chi(b)
+
+    def test_case_result_chi_orb_is_derived_from_its_orbifold(self):
+        checked = 0
+        for n in range(-200, 201):
+            if abs(4 * n - 1) < 3:
+                continue
+            for r in prism_case_analysis(n):
+                chi = orbifold_chi(r.orbifold)
+                assert r.chi_orb == chi_orb(r.orbifold) == chi, (n, r.case)
+                assert r.to_json()["chi_orb"] == f"{chi.numerator}/{chi.denominator}", (n, r.case)
+                checked += 1
+        assert checked == 5 * 400
 
 
 class TestRiemannHurwitzCover:

@@ -330,6 +330,29 @@ def test_no_module_calls_isinstance():
     assert found == []
 
 
+def test_fractions_is_imported_only_where_rationals_are_public():
+    """``fractions`` imports ``decimal`` and ``numbers``.  It is imported only
+    in the bodies of the three public points where a rational appears:
+    ``orbifolds.chi_orb``, ``seifert.euler_number`` and ``exact.frac_str``.
+    The degree equations are solved in integers, so an import at module
+    level or in any other function would load it for commands that need none."""
+    found = []
+    for path in sorted(Path(prismvol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = top.name if isinstance(top, ast.FunctionDef) else f"line {top.lineno}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "fractions" in [name.split(".")[0] for name in names]:
+                    found.append(f"{path.stem}.{where}")
+    assert sorted(found) == ["exact.frac_str", "orbifolds.chi_orb", "seifert.euler_number"]
+
+
 def test_no_module_imports_dataclasses():
     """``dataclasses`` imports ``inspect`` and its chain on every cold start;
     the value types derive from ``reader.Record`` instead."""

@@ -42,9 +42,9 @@ VALUES = [
     ),
     (
         CaseResult,
-        (2, Orbifold2D(False, 1, 1, (2,)), Fraction(-1, 2), (), (6,)),
+        (2, Orbifold2D(False, 1, 1, (2,)), (), (6,)),
         "CaseResult(case=2, orbifold=Orbifold2D(orientable=False, genus=1, boundary=1, "
-        "cones=(2,)), chi_orb=Fraction(-1, 2), degrees=(), chi_only_degrees=(6,))",
+        "cones=(2,)), degrees=(), chi_only_degrees=(6,))",
     ),
     (
         MontesinosLink,
@@ -67,7 +67,7 @@ FIELDS = {
     Slope: ("p", "q"),
     SurfaceData: ("genus", "boundary", "orientable"),
     Orbifold2D: ("orientable", "genus", "boundary", "cones"),
-    CaseResult: ("case", "orbifold", "chi_orb", "degrees", "chi_only_degrees"),
+    CaseResult: ("case", "orbifold", "degrees", "chi_only_degrees"),
     MontesinosLink: ("genus", "tangles"),
     BraidWord: ("strands", "letters"),
     GroupPresentation: ("generators", "relators"),
@@ -137,6 +137,18 @@ def test_defaults():
     assert SurfaceData(0, 1) == SurfaceData(0, 1, True) == SurfaceData(genus=0, boundary=1)
     assert Orbifold2D(True, 0, 0) == Orbifold2D(True, 0, 0, ())
     assert Orbifold2D(True, 0, 0).cones == ()
+
+
+def test_case_result_chi_orb_is_read_only_and_not_a_field():
+    """``CaseResult.chi_orb`` is derived from ``orbifold``, so no argument
+    can set it apart from the base."""
+    r = CaseResult(2, Orbifold2D(False, 1, 1, (2,)), (), (6,))
+    assert r.chi_orb == Fraction(-1, 2)
+    assert "chi_orb" not in CaseResult._fields
+    with pytest.raises(AttributeError):
+        r.chi_orb = Fraction(0)
+    with pytest.raises(TypeError):
+        CaseResult(2, Orbifold2D(False, 1, 1, (2,)), (), (6,), chi_orb=Fraction(0))
 
 
 @by_class
